@@ -418,8 +418,7 @@ def load_cohort(path, schema: FeatureSchema):
     times are rejected individually with a warning naming the line.
     """
     known_fields = set(schema.names) | {FIELD_OXYGEN, FIELD_OUTCOME, FIELD_EVENT_TIME}
-    raw: dict[str, dict] = {}
-    order: list[str] = []
+    raw: dict[str, dict] = {}  # insertion order is first-seen patient order
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -446,8 +445,6 @@ def load_cohort(path, schema: FeatureSchema):
             if entry["hospital"] != hospital:
                 raise CohortFormatError(
                     f"line {lineno}: patient {pid} has conflicting hospitals")
-            if pid not in order:
-                order.append(pid)
             if fieldname == FIELD_OUTCOME:
                 code = int(value)
                 if code not in CODE_OUTCOME:
@@ -459,8 +456,7 @@ def load_cohort(path, schema: FeatureSchema):
                 entry["rows"].append((lineno, t, fieldname, value))
 
     records = []
-    for pid in order:
-        entry = raw[pid]
+    for pid, entry in raw.items():
         if entry["outcome"] is None or entry["event_time"] is None:
             raise CohortFormatError(f"patient {pid}: missing outcome or event_time")
         event_time = entry["event_time"]

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from _oracles import breslow_loglik_loop, brute_force_argmax, concordance_loop
+from _oracles import (
+    breslow_loglik_loop, brute_force_argmax, concordance_loop,
+    proximal_gradient_cox,
+)
 from oxyrl import survival
 from oxyrl.survival import (
-    CoxModel, ElasticNetGrid, FitError, SurvivalSample, concordance_index,
-    cosine_similarity, fit_cox, grid_search, paired_binary_test,
-    predict_mortality7, predict_survival, prune_correlated,
+    CoxDesign, CoxModel, ElasticNetGrid, FitError, SurvivalSample,
+    concordance_index, cosine_similarity, fit_cox, grid_search,
+    paired_binary_test, partial_loglik, predict_mortality7, predict_survival,
+    prune_correlated,
 )
 
 
@@ -98,6 +105,53 @@ def test_scale_covariance_of_unpenalized_fit():
     scaled = fit_cox(samples_from(scaled_x, t, e))
     np.testing.assert_allclose(scaled.coef[1], base.coef[1] / 10.0, atol=1e-6)
     np.testing.assert_allclose(scaled.risk(scaled_x), base.risk(x), atol=1e-6)
+
+
+# --- partial likelihood derivatives ----------------------------------------------
+
+@st.composite
+def tied_cox_data(draw):
+    """Small datasets whose durations come from four values, so ties and
+    tied events are common."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 12))
+    x = draw(arrays(np.float64, (n, p), elements=st.floats(-2.0, 2.0)))
+    t = draw(arrays(np.float64, n, elements=st.sampled_from([1.0, 2.0, 2.5, 4.0])))
+    e = draw(arrays(bool, n))
+    assume(e.any())
+    beta = draw(arrays(np.float64, p, elements=st.floats(-1.0, 1.0)))
+    return x, t, e, beta
+
+
+def design_of(x, t, e):
+    return CoxDesign.from_samples(samples_from(x, t, e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_cox_data())
+def test_presorted_loglik_matches_double_loop(data):
+    x, t, e, beta = data
+    ll, _, _ = partial_loglik(design_of(x, t, e), beta)
+    np.testing.assert_allclose(ll, breslow_loglik_loop(x, t, e, beta),
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_cox_data())
+def test_gradient_and_information_match_central_differences(data):
+    x, t, e, beta = data
+    design = design_of(x, t, e)
+    _, grad, info = partial_loglik(design, beta)
+    h = 1e-6
+    for j in range(len(beta)):
+        step = np.zeros_like(beta)
+        step[j] = h
+        ll_hi, grad_hi, _ = partial_loglik(design, beta + step)
+        ll_lo, grad_lo, _ = partial_loglik(design, beta - step)
+        np.testing.assert_allclose(grad[j], (ll_hi - ll_lo) / (2 * h),
+                                   rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(info[:, j], -(grad_hi - grad_lo) / (2 * h),
+                                   rtol=1e-6, atol=1e-6)
 
 
 # --- prediction -------------------------------------------------------------------
@@ -253,6 +307,35 @@ def test_grid_search_records_all_25_default_cells():
     assert (l1, l2) == tied[0]
 
 
+@pytest.mark.parametrize("train_seed, val_seed, n", [(3, 4, 60), (9, 10, 150)])
+def test_warm_newton_grid_matches_cold_proximal_gradient(monkeypatch, train_seed,
+                                                         val_seed, n):
+    train, val = grid_data(train_seed, n), grid_data(val_seed, n)
+    models = []
+    fit = survival.fit_cox
+    monkeypatch.setattr(survival, "fit_cox",
+                        lambda *a, **k: models.append(fit(*a, **k)) or models[-1])
+    grid = ElasticNetGrid()
+    l1, l2, _ = grid_search(train, val, grid)
+    assert len(models) == 25
+
+    x = np.array([s.covariates for s in train])
+    t = np.array([s.duration for s in train])
+    e = np.array([s.event for s in train])
+    xv = np.array([s.covariates for s in val])
+    tv = np.array([s.duration for s in val])
+    ev = np.array([s.event for s in val])
+    best = None
+    for cell, model in zip(grid.results, models):
+        coef, converged = proximal_gradient_cox(x, t, e, cell.l1, cell.l2)
+        np.testing.assert_allclose(model.coef, coef, rtol=0, atol=1e-5)
+        assert cell.converged == converged
+        score = concordance_loop(np.exp(xv @ coef), tv, ev)
+        if converged and (best is None or score > best[0]):
+            best = (score, cell.l1, cell.l2)
+    assert (l1, l2) == best[1:]
+
+
 def test_grid_search_tie_break_prefers_smaller_l1_then_l2():
     # all-zero covariates make every fit score exactly 0.5, so every cell ties
     x = np.zeros((12, 2))
@@ -365,5 +448,9 @@ def test_grid_report_csv(tmp_path):
     path = tmp_path / "grid.csv"
     survival.write_grid_report(path, grid)
     lines = path.read_text().splitlines()
-    assert lines[0] == "l1,l2,concordance,converged"
+    assert lines[0] == "l1,l2,concordance,converged,iterations,residual"
     assert len(lines) == 3
+    for line, cell in zip(lines[1:], grid.results):
+        fields = line.split(",")
+        assert int(fields[4]) == cell.iterations
+        assert float(fields[5]) == cell.residual <= 1e-6
