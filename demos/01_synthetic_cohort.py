@@ -39,8 +39,11 @@ cohort.write_schema("demo_schema.txt", schema)
 reloaded = cohort.load_cohort("demo_cohort.csv", schema)
 print(f"\nwrote demo_cohort.csv and demo_schema.txt; reloaded {len(reloaded)} records")
 
-# compile one patient into learning-ready transitions
-trajectory = cohort.resample_trajectory(example, 8.0, schema)
-transitions = cohort.build_transitions(trajectory)
-print(f"trajectory steps: {len(trajectory.times)}, transitions: {len(transitions)}, "
-      f"terminal reward: {transitions[-1].reward:+.0f}")
+# resample every patient once onto an 8 h grid and stack the trajectories
+# into one matrix; transitions are row indices into it
+matrix = cohort.stack_trajectories(records, schema, 8.0)
+transitions = cohort.build_transitions(matrix, [0])
+print(f"stacked {matrix.n_patients} patients into {len(matrix.states)} rows; "
+      f"patient {example.patient_id}: {matrix.offsets[1]} steps, "
+      f"{len(transitions)} transitions, "
+      f"terminal reward: {transitions.rewards[-1]:+.0f}")

@@ -8,18 +8,16 @@ target copies, and the actor climbs the critic's action gradient.
 
 import numpy as np
 
-from oxyrl import cohort, ddpg
+from oxyrl import cohort, ddpg, evaluation
 
 config = cohort.GeneratorConfig(n_patients=1500, seed=7)
 schema = cohort.default_schema()
 records = cohort.generate_synthetic_cohort(config, schema)
-normalized, stats = cohort.normalize_features(records, schema)
+stats = cohort.compute_feature_stats(records, schema)
+matrix = cohort.stack_trajectories(records, schema, 8.0)
+normalized = cohort.apply_feature_stats(matrix, stats)
 
-transitions = []
-for record in normalized:
-    trajectory = cohort.resample_trajectory(record, 8.0, schema)
-    transitions.extend(cohort.build_transitions(trajectory))
-memory = ddpg.ReplayMemory.from_transitions(transitions, seed=0)
+memory = evaluation.replay_memory(normalized, np.arange(len(records)), seed=0)
 print(f"replay memory: {len(memory)} transitions from {len(records)} patients")
 
 train_config = ddpg.TrainingConfig(max_iterations=10000, patience=10000, seed=11)
@@ -30,15 +28,13 @@ td = np.asarray(log.td_mse)
 print(f"mean squared TD error: first 50 iters {td[:50].mean():.2f}, "
       f"last 50 iters {td[-50:].mean():.2f}")
 
-raw_by_id = {r.patient_id: r for r in records}
 rows = []
-for record in normalized[:300]:
-    trajectory = cohort.resample_trajectory(record, 8.0, schema)
-    recommended = result.actor.act(trajectory.states).mean()
-    raw = raw_by_id[record.patient_id]
-    optimum = cohort.optimal_dose(config, raw.static_covariates["age"])
-    rows.append((raw.static_covariates["age"], recommended,
-                 trajectory.actions.mean(), optimum))
+for i, record in enumerate(records[:300]):
+    steps = slice(matrix.offsets[i], matrix.offsets[i + 1])
+    recommended = result.actor.act(normalized.states[steps]).mean()
+    age = record.static_covariates["age"]
+    rows.append((age, recommended, matrix.actions[steps].mean(),
+                 cohort.optimal_dose(config, age)))
 
 rows = np.asarray(rows)
 print("\n  age band      recommended   logged   optimal")

@@ -3,10 +3,11 @@ evaluated against logged care with a proportional-hazards survival model."""
 
 from . import cli, cohort, ddpg, evaluation, figures, nn, survival
 from .cohort import (
-    FeatureSchema, GeneratorConfig, PatientRecord, Trajectory, Transition,
-    build_transitions, default_schema, generate_synthetic_cohort,
-    impute_linear, load_cohort, normalize_features, resample_trajectory,
-    split_by_hospital, write_cohort_csv,
+    CohortMatrix, FeatureSchema, GeneratorConfig, IndexedTransitions,
+    PatientRecord, Trajectory, apply_feature_stats, build_transitions,
+    compute_feature_stats, default_schema, generate_synthetic_cohort,
+    impute_linear, load_cohort, resample_trajectory, split_by_hospital,
+    stack_trajectories, write_cohort_csv,
 )
 from .ddpg import (
     ActorNet, CriticNet, ReplayMemory, TargetPair, TrainingConfig,

@@ -202,12 +202,9 @@ def cmd_train(args) -> int:
     out = _ensure_dir(args.out)
     try:
         stats = cohort.compute_feature_stats(records, schema)
-        normalized = cohort.apply_feature_stats(records, schema, stats)
-        transitions = []
-        for record in normalized:
-            traj = cohort.resample_trajectory(record, interval, schema)
-            transitions.extend(cohort.build_transitions(traj))
-        memory = ddpg.ReplayMemory.from_transitions(transitions, seed=0)
+        normalized = cohort.apply_feature_stats(
+            cohort.stack_trajectories(records, schema, interval), stats)
+        memory = evaluation.replay_memory(normalized, np.arange(len(records)), seed=0)
     except cohort.CohortError as err:
         raise StageError("impute", err) from err
     try:
@@ -274,12 +271,14 @@ def cmd_evaluate(args) -> int:
     try:
         stats = cohort.FeatureStats(schema.names, bundle.feature_means,
                                     bundle.feature_sds)
-        normalized = cohort.apply_feature_stats(records, schema, stats)
+        matrix = cohort.stack_trajectories(records, schema, bundle.interval_hours)
+        everyone = np.arange(matrix.n_patients)
         model, grid, retained, flow_stats = evaluation.fit_outcome_model(
-            normalized, schema, bundle.interval_hours, seed=options.seed)
+            cohort.apply_feature_stats(matrix, stats), everyone, schema,
+            seed=options.seed)
         fold = evaluation.evaluate_patients(
-            "all", records, schema, stats, _policy_fn_from_bundle(bundle),
-            model, retained, flow_stats, bundle.interval_hours, grid=grid)
+            "all", matrix, everyone, schema, stats, _policy_fn_from_bundle(bundle),
+            model, retained, flow_stats, grid=grid)
         report = evaluation.build_report([fold], options)
         for path in evaluation.write_report_files(out, report):
             tracker.register(path)
@@ -293,14 +292,6 @@ def cmd_evaluate(args) -> int:
         raise StageError("evaluate", err) from err
     print(f"evaluated {report.n_patients} patients; report in {out}")
     return 0
-
-
-def _fold_worker(payload):
-    records, schema, config, interval, index, label = payload
-    train_raw = [r for r in records if r.hospital_id != label]
-    test_raw = [r for r in records if r.hospital_id == label]
-    return evaluation.run_fold(records, schema, config, interval, index,
-                               train_raw, test_raw)
 
 
 def cmd_loho(args) -> int:
@@ -320,10 +311,10 @@ def cmd_loho(args) -> int:
     tracker = _OutputTracker()
     try:
         if args.parallel_folds:
-            payloads = [(records, schema, config, interval, index, label)
-                        for index, label in enumerate(labels)]
             with ProcessPoolExecutor(max_workers=4) as pool:
-                runs = list(pool.map(_fold_worker, payloads))
+                runs = evaluation.loho_cross_validate(
+                    records, schema, config, interval_hours=interval,
+                    labels=labels, map_fn=pool.map)
         else:
             runs = evaluation.loho_cross_validate(
                 records, schema, config, interval_hours=interval, labels=labels)

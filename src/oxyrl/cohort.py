@@ -2,9 +2,11 @@
 
 A cohort is a list of :class:`PatientRecord`: static covariates plus
 irregularly sampled lab/vital series, an oxygen-flow series, and a terminal
-outcome. Records are resampled onto a uniform time grid to form
-trajectories, which compile into the one-step transition tuples consumed by
-the policy learner.
+outcome. Each record is resampled once, in raw units, onto a uniform time
+grid, and the trajectories are stacked into one :class:`CohortMatrix`.
+Everything downstream works on that matrix through patient index arrays:
+per-fold normalization, hospital folds, and the one-step transitions
+consumed by the policy learner, which are row indices into it.
 
 The synthetic generator replaces unavailable hospital data: covariates are
 drawn to configured moments, a behavior policy doses with noise around a
@@ -16,6 +18,7 @@ hazard-minimizing flow rate is known exactly and can serve as ground truth.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -176,22 +179,56 @@ class PatientRecord:
 
 @dataclass
 class Trajectory:
-    """Resampled record: uniform grid times, complete states, held flows."""
+    """Resampled record: uniform grid times, raw states (NaN where a feature
+    was never observed), held flows."""
 
-    patient_id: str
     times: np.ndarray            # (T,)
     states: np.ndarray           # (T, n_features)
     actions: np.ndarray          # (T,)
-    outcome: str
 
 
 @dataclass
-class Transition:
-    state: np.ndarray
-    action: float
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
+class CohortMatrix:
+    """Every patient's trajectory stacked row-wise, states in raw units
+    (apply_feature_stats returns a normalized copy). Patient i owns rows
+    offsets[i]:offsets[i + 1]; patients are addressed by index arrays."""
+
+    interval_hours: float
+    offsets: np.ndarray          # (n_patients + 1,)
+    states: np.ndarray           # (n_rows, n_features)
+    actions: np.ndarray          # (n_rows,)
+    patient_ids: tuple[str, ...]
+    hospital_ids: np.ndarray     # (n_patients,)
+    outcomes: np.ndarray         # (n_patients,)
+    event_times: np.ndarray      # (n_patients,)
+
+    @property
+    def n_patients(self) -> int:
+        return len(self.offsets) - 1
+
+    def segments(self, patients):
+        """Rows of the given patients, concatenated in order, plus each
+        patient's start within that concatenation and its row count."""
+        patients = np.asarray(patients, dtype=np.intp)
+        first = self.offsets[patients]
+        lengths = self.offsets[patients + 1] - first
+        starts = np.cumsum(lengths) - lengths
+        rows = np.arange(lengths.sum()) + np.repeat(first - starts, lengths)
+        return rows, starts, lengths
+
+
+@dataclass
+class IndexedTransitions:
+    """One-step transitions as row indices into a CohortMatrix, in
+    patient-then-time order."""
+
+    rows: np.ndarray             # state row
+    next_rows: np.ndarray        # next-state row
+    rewards: np.ndarray
+    terminal: np.ndarray
+
+    def __len__(self):
+        return len(self.rows)
 
 
 # --- imputation and resampling ----------------------------------------------
@@ -207,77 +244,88 @@ def impute_linear(series, grid):
     return np.interp(np.asarray(grid, dtype=np.float64), times, values)
 
 
-def flow_at(oxygen_series, t: float) -> float:
-    """Flow in force at time t: last setting at or before t, 0 before any."""
-    flow = 0.0
-    for time, value in oxygen_series:
-        if time <= t:
-            flow = value
-        else:
-            break
-    return flow
+def held_flows(oxygen_series, grid) -> np.ndarray:
+    """Flow in force at each grid time: the last setting at or before it,
+    0 before any."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if not oxygen_series:
+        return np.zeros(len(grid))
+    times = np.asarray([t for t, _ in oxygen_series], dtype=np.float64)
+    values = np.asarray([v for _, v in oxygen_series], dtype=np.float64)
+    last = np.searchsorted(times, grid, side="right") - 1
+    return np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
 
 
 def resample_trajectory(record: PatientRecord, interval_hours: float,
-                        schema: FeatureSchema, missing_fill: float = 0.0) -> Trajectory:
-    """Assemble states on the uniform grid [0, event_time] at the given
-    interval. Features with no observations take `missing_fill` (zero equals
-    the training mean once records are normalized)."""
+                        schema: FeatureSchema) -> Trajectory:
+    """Assemble raw states on the uniform grid [0, event_time] at the given
+    interval. Features with no observations are NaN."""
     if interval_hours <= 0:
         raise ValueError("interval_hours must be positive")
     n_steps = int(np.floor(record.event_time / interval_hours + 1e-9)) + 1
     grid = np.arange(n_steps, dtype=np.float64) * interval_hours
 
     observed = 0
-    states = np.empty((n_steps, len(schema)), dtype=np.float64)
+    states = np.full((n_steps, len(schema)), np.nan)
     for j, name in enumerate(schema.names):
         if schema.is_pointwise(name):
             value = record.static_covariates.get(name)
-            if value is None or not np.isfinite(value):
-                states[:, j] = missing_fill
-            else:
+            if value is not None and np.isfinite(value):
                 states[:, j] = value
                 observed += 1
         else:
             obs = record.series.get(name, [])
-            if not obs:
-                states[:, j] = missing_fill
-            else:
+            if obs:
                 states[:, j] = impute_linear(obs, grid)
                 observed += 1
     if observed == 0:
         raise UnusableRecordError(
             f"patient {record.patient_id}: no observed state features")
-
-    actions = np.array([flow_at(record.oxygen_series, t) for t in grid])
-    return Trajectory(record.patient_id, grid, states, actions, record.outcome)
+    return Trajectory(grid, states, held_flows(record.oxygen_series, grid))
 
 
-def build_transitions(trajectory: Trajectory, reward_scheme: str = "terminal"):
-    """Compile a trajectory into one-step tuples. Consecutive step pairs get
-    reward zero; the final transition is terminal and carries the outcome
-    reward, with next_state equal to the trajectory's last state."""
+def stack_trajectories(records, schema: FeatureSchema,
+                       interval_hours: float) -> CohortMatrix:
+    """Resample every record once and stack the trajectories in record
+    order."""
+    trajectories = [resample_trajectory(r, interval_hours, schema) for r in records]
+    lengths = [len(t.times) for t in trajectories]
+    return CohortMatrix(
+        interval_hours=float(interval_hours),
+        offsets=np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)]),
+        states=np.concatenate(
+            [np.empty((0, len(schema)))] + [t.states for t in trajectories]),
+        actions=np.concatenate([np.empty(0)] + [t.actions for t in trajectories]),
+        patient_ids=tuple(r.patient_id for r in records),
+        hospital_ids=np.asarray([r.hospital_id for r in records], dtype=str),
+        outcomes=np.asarray([r.outcome for r in records], dtype=str),
+        event_times=np.asarray([r.event_time for r in records], dtype=np.float64),
+    )
+
+
+def build_transitions(matrix: CohortMatrix, patients,
+                      reward_scheme: str = "terminal") -> IndexedTransitions:
+    """Compile the given patients' trajectories into one-step transitions.
+    Consecutive step pairs get reward zero; each patient's final transition
+    is terminal and carries the outcome reward. A single-step patient gives
+    one terminal transition whose next state is its only state."""
     if reward_scheme == "seven_day":
         raise NotImplementedError(
             "seven_day reward scheme is a declared stub; only 'terminal' is implemented")
     if reward_scheme != "terminal":
         raise ValueError(f"unknown reward scheme {reward_scheme!r}")
-    n = len(trajectory.times)
-    if n == 0:
-        raise ValueError("empty trajectory")
-    reward = TERMINAL_REWARD[trajectory.outcome]
-    states, actions = trajectory.states, trajectory.actions
-    out = []
-    if n == 1:
-        out.append(Transition(states[0], float(actions[0]), reward, states[0], True))
-        return out
-    for i in range(n - 1):
-        last = i == n - 2
-        out.append(Transition(
-            states[i], float(actions[i]),
-            reward if last else 0.0,
-            states[i + 1], last))
-    return out
+    patients = np.asarray(patients, dtype=np.intp)
+    first = matrix.offsets[patients]
+    steps = matrix.offsets[patients + 1] - first
+    counts = np.maximum(steps - 1, 1)
+    ends = np.cumsum(counts)
+    rows = np.arange(counts.sum()) + np.repeat(first - (ends - counts), counts)
+    next_rows = rows + np.repeat(steps > 1, counts)
+    terminal = np.zeros(len(rows), dtype=bool)
+    terminal[ends - 1] = True
+    rewards = np.zeros(len(rows))
+    rewards[ends - 1] = [TERMINAL_REWARD[o] for o in matrix.outcomes[patients]]
+    return IndexedTransitions(rows, next_rows, rewards, terminal)
 
 
 # --- normalization -----------------------------------------------------------
@@ -320,64 +368,35 @@ def compute_feature_stats(records, schema: FeatureSchema) -> FeatureStats:
     return FeatureStats(schema.names, means, sds)
 
 
-def _transform_record(record: PatientRecord, schema: FeatureSchema,
-                      stats: FeatureStats, invert: bool) -> PatientRecord:
-    statics = dict(record.static_covariates)
-    series = {}
-    for j, name in enumerate(schema.names):
-        mu, sd = stats.means[j], stats.sds[j]
-        if schema.is_pointwise(name):
-            if name in statics:
-                statics[name] = (statics[name] * sd + mu) if invert \
-                    else (statics[name] - mu) / sd
-        elif name in record.series:
-            if invert:
-                series[name] = [(t, v * sd + mu) for t, v in record.series[name]]
-            else:
-                series[name] = [(t, (v - mu) / sd) for t, v in record.series[name]]
-    for name in record.series:
-        series.setdefault(name, list(record.series[name]))
-    return replace(record, static_covariates=statics, series=series,
-                   oxygen_series=list(record.oxygen_series))
-
-
-def apply_feature_stats(records, schema, stats: FeatureStats):
-    """Z-score records with previously computed statistics (used verbatim on
-    validation folds)."""
-    return [_transform_record(r, schema, stats, invert=False) for r in records]
-
-
-def invert_feature_stats(records, schema, stats: FeatureStats):
-    return [_transform_record(r, schema, stats, invert=True) for r in records]
-
-
-def normalize_features(records, schema: FeatureSchema):
-    """Compute stats on the given records and z-score them; returns
-    (normalized records, stats)."""
-    stats = compute_feature_stats(records, schema)
-    return apply_feature_stats(records, schema, stats), stats
+def apply_feature_stats(matrix: CohortMatrix, stats: FeatureStats) -> CohortMatrix:
+    """Z-score the states with previously computed statistics (used verbatim
+    on validation folds); never-observed values become 0, the mean."""
+    z = matrix.states - stats.means
+    z /= stats.sds
+    z[np.isnan(z)] = 0.0
+    return replace(matrix, states=z)
 
 
 # --- folds -------------------------------------------------------------------
 
-def split_by_hospital(records, labels=None):
-    """One (train, test) fold per hospital: fold i tests hospital i and
-    trains on the rest. Folds partition the cohort."""
+def split_by_hospital(hospital_ids, labels=None):
+    """One (train, test) pair of patient index arrays per hospital: fold i
+    tests hospital i and trains on the rest. Folds partition the cohort."""
+    hospital_ids = np.asarray(hospital_ids, dtype=str)
     if labels is None:
-        labels = sorted({r.hospital_id for r in records})
+        labels = sorted(set(hospital_ids.tolist()))
     labels = list(labels)
-    known = set(labels)
-    for r in records:
-        if r.hospital_id not in known:
-            raise PartitionError(f"unknown hospital label {r.hospital_id!r}")
+    known = np.isin(hospital_ids, labels)
+    if not known.all():
+        raise PartitionError(
+            f"unknown hospital label {str(hospital_ids[np.argmin(known)])!r}")
     folds = []
     for label in labels:
-        test = [r for r in records if r.hospital_id == label]
-        train = [r for r in records if r.hospital_id != label]
-        if not test:
+        in_test = hospital_ids == label
+        if not in_test.any():
             warnings.warn(f"hospital {label!r} has no records; empty test fold",
                           CohortDataWarning)
-        folds.append((train, test))
+        folds.append((np.flatnonzero(~in_test), np.flatnonzero(in_test)))
     return folds
 
 
@@ -440,6 +459,9 @@ def load_cohort(path, schema: FeatureSchema):
             except ValueError:
                 raise CohortFormatError(
                     f"line {lineno}: unparseable numeric {time_s!r}/{value_s!r}") from None
+            if not (math.isfinite(t) and math.isfinite(value)):
+                raise CohortFormatError(
+                    f"line {lineno}: non-finite numeric {time_s!r}/{value_s!r}")
             entry = raw.setdefault(pid, {
                 "hospital": hospital, "rows": [], "outcome": None, "event_time": None})
             if entry["hospital"] != hospital:

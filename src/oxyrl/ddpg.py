@@ -63,39 +63,16 @@ class Batch:
     next_states: np.ndarray
     terminal: np.ndarray
 
-    @classmethod
-    def from_transitions(cls, transitions):
-        return cls(
-            states=np.asarray([t.state for t in transitions], dtype=np.float64),
-            actions=np.asarray([t.action for t in transitions], dtype=np.float64),
-            rewards=np.asarray([t.reward for t in transitions], dtype=np.float64),
-            next_states=np.asarray([t.next_state for t in transitions], dtype=np.float64),
-            terminal=np.asarray([t.terminal for t in transitions], dtype=bool),
-        )
-
     def __len__(self):
         return len(self.actions)
 
 
 @dataclass
-class ReplayMemory:
-    """Static store of logged one-step transitions plus the sampler seed."""
+class ReplayMemory(Batch):
+    """Static store of every logged one-step transition plus the sampler
+    seed."""
 
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-    terminal: np.ndarray
     seed: int = 0
-
-    @classmethod
-    def from_transitions(cls, transitions, seed: int = 0):
-        batch = Batch.from_transitions(transitions)
-        return cls(batch.states, batch.actions, batch.rewards,
-                   batch.next_states, batch.terminal, seed)
-
-    def __len__(self):
-        return len(self.actions)
 
     @property
     def state_dim(self):

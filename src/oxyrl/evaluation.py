@@ -12,6 +12,7 @@ resamples so policy differences are resampled consistently.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -95,49 +96,43 @@ class FlowStats:
 
 # --- outcome-model construction ------------------------------------------------
 
-def patient_state_means(records, schema, interval_hours):
-    """Per-patient time-averaged state matrix on the resampling grid."""
-    rows = []
-    flows = []
-    for record in records:
-        traj = cohort.resample_trajectory(record, interval_hours, schema)
-        rows.append(traj.states.mean(axis=0))
-        flows.append(traj.actions.mean())
-    return np.asarray(rows), np.asarray(flows)
+def patient_state_means(matrix: cohort.CohortMatrix, patients):
+    """Per-patient time-averaged states and flows of the given patients."""
+    rows, starts, lengths = matrix.segments(patients)
+    states = np.add.reduceat(matrix.states[rows], starts, axis=0) / lengths[:, None]
+    flows = np.add.reduceat(matrix.actions[rows], starts) / lengths
+    return states, flows
 
 
-def build_survival_samples(records, schema, interval_hours, retained_idx,
+def build_survival_samples(matrix: cohort.CohortMatrix, patients, retained_idx,
                            flow_stats: FlowStats):
     """One sample per patient: averaged normalized state (pruned columns)
     plus the standardized mean flow; durations capped at the seven-day
     window."""
-    states, flows = patient_state_means(records, schema, interval_hours)
-    flows_std = flow_stats.transform(flows)
-    samples = []
-    for i, record in enumerate(records):
-        covars = np.append(states[i, retained_idx], flows_std[i])
-        duration = min(record.event_time, WINDOW_HOURS) / 24.0
-        event = record.outcome == cohort.DIED and record.event_time <= WINDOW_HOURS
-        samples.append(survival.SurvivalSample(covars, duration, event))
-    return samples
+    states, flows = patient_state_means(matrix, patients)
+    covars = np.column_stack([states[:, retained_idx], flow_stats.transform(flows)])
+    event_times = matrix.event_times[patients]
+    durations = np.minimum(event_times, WINDOW_HOURS) / 24.0
+    events = (matrix.outcomes[patients] == cohort.DIED) & (event_times <= WINDOW_HOURS)
+    return [survival.SurvivalSample(covars[i], float(durations[i]), bool(events[i]))
+            for i in range(len(durations))]
 
 
-def fit_outcome_model(train_records, schema, interval_hours, seed,
+def fit_outcome_model(normalized: cohort.CohortMatrix, patients, schema, seed,
                       grid: survival.ElasticNetGrid | None = None):
     """Prune correlated state features, then grid-search the elastic-net
-    penalties on an inner 80/20 split of the training hospitals.
+    penalties on an inner 80/20 split of the given (training) patients.
 
-    `train_records` must already be normalized with the training-fold
+    `normalized` must hold states normalized with the training-fold
     statistics. Returns (model, grid, retained names, flow stats).
     """
     if grid is None:
         grid = survival.ElasticNetGrid()
-    states, flows = patient_state_means(train_records, schema, interval_hours)
+    states, flows = patient_state_means(normalized, patients)
     retained = survival.prune_correlated(states, list(schema.names))
     retained_idx = [schema.index(name) for name in retained]
     flow_stats = FlowStats(float(flows.mean()), float(flows.std()) or 1.0)
-    samples = build_survival_samples(train_records, schema, interval_hours,
-                                     retained_idx, flow_stats)
+    samples = build_survival_samples(normalized, patients, retained_idx, flow_stats)
     # stratified 80/20 split keeps events on both sides of the grid search
     rng = np.random.default_rng(seed)
     events = [i for i, s in enumerate(samples) if s.event]
@@ -177,89 +172,101 @@ def mirror_policy():
     return fn
 
 
-def evaluate_patients(fold_id, test_records, schema, stats, recommend_fn,
-                      model, retained, flow_stats, interval_hours,
+def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, stats,
+                      recommend_fn, model, retained, flow_stats,
                       grid=None) -> FoldResult:
-    """Score held-out patients decision point by decision point.
+    """Score held-out patients at every decision point.
 
-    `test_records` are raw; they are normalized here with the training-fold
-    statistics. The outcome model sees identical covariates for both
-    policies except for the flow coordinate.
+    `matrix` is raw; the patients' rows are normalized here with the
+    training-fold statistics. The outcome model sees identical covariates
+    for both policies except for the flow coordinate, and scores the logged
+    and recommended rows of the whole fold in one batch (risk is computed
+    row by row, so equal rows score bit-identically wherever they sit).
     """
     retained_idx = [schema.index(name) for name in retained]
-    normalized = cohort.apply_feature_stats(test_records, schema, stats)
-    patients = []
-    for raw, record in zip(test_records, normalized):
-        traj = cohort.resample_trajectory(record, interval_hours, schema)
-        logged = traj.actions
-        recommended = np.clip(recommend_fn(traj.states, logged),
-                              cohort.FLOW_MIN, cohort.FLOW_MAX)
-        pruned = traj.states[:, retained_idx]
-        covars_logged = np.column_stack([pruned, flow_stats.transform(logged)])
-        covars_rl = np.column_stack([pruned, flow_stats.transform(recommended)])
-        m_logged = float(mortality7_batch(model, covars_logged).mean())
-        m_rl = float(mortality7_batch(model, covars_rl).mean())
-        statics = raw.static_covariates
-        comorbidities = {
-            name: bool(statics.get(name, 0.0))
-            for name, kind in zip(schema.names, schema.kinds)
-            if kind == cohort.COMORBIDITY
-        }
-        patients.append(PatientEval(
-            patient_id=raw.patient_id,
-            hospital_id=raw.hospital_id,
-            logged_flows=logged,
-            recommended_flows=np.asarray(recommended, dtype=np.float64),
-            mortality_rl=m_rl,
-            mortality_logged=m_logged,
-            observed_death7=(raw.outcome == cohort.DIED
-                            and raw.event_time <= WINDOW_HOURS),
-            age=float(statics.get("age", np.nan)),
-            male=bool(statics.get("male", 0.0)),
-            bmi=float(statics.get("bmi", np.nan)),
-            comorbidities=comorbidities,
-        ))
-    test_samples = build_survival_samples(normalized, schema, interval_hours,
-                                          retained_idx, flow_stats)
+    normalized = cohort.apply_feature_stats(matrix, stats)
+    rows, starts, lengths = matrix.segments(patients)
+    states = normalized.states[rows]
+    logged = matrix.actions[rows]
+    recommended = np.asarray(np.clip(recommend_fn(states, logged),
+                                     cohort.FLOW_MIN, cohort.FLOW_MAX), dtype=np.float64)
+    pruned = states[:, retained_idx]
+    covars = np.column_stack([
+        np.concatenate([pruned, pruned]),
+        flow_stats.transform(np.concatenate([logged, recommended]))])
+    sums = np.add.reduceat(mortality7_batch(model, covars),
+                           np.concatenate([starts, starts + len(rows)]))
+    m_logged = sums[:len(patients)] / lengths
+    m_rl = sums[len(patients):] / lengths
+
+    # static covariates in raw units from each patient's first row; a flag
+    # that was never observed reads as absent
+    first = matrix.states[matrix.offsets[patients]]
+    statics = dict(zip(schema.names, first.T))
+    missing = np.full(len(patients), np.nan)
+    flags = [name for name, kind in zip(schema.names, schema.kinds)
+             if kind == cohort.COMORBIDITY]
+    present = {name: np.nan_to_num(statics[name]) != 0.0 for name in flags}
+    male = np.nan_to_num(statics.get("male", missing)) != 0.0
+    died7 = ((matrix.outcomes[patients] == cohort.DIED)
+             & (matrix.event_times[patients] <= WINDOW_HOURS))
+    scored = [PatientEval(
+        patient_id=matrix.patient_ids[patient],
+        hospital_id=str(matrix.hospital_ids[patient]),
+        logged_flows=logged[start:start + n],
+        recommended_flows=recommended[start:start + n],
+        mortality_rl=float(m_rl[i]),
+        mortality_logged=float(m_logged[i]),
+        observed_death7=bool(died7[i]),
+        age=float(statics.get("age", missing)[i]),
+        male=bool(male[i]),
+        bmi=float(statics.get("bmi", missing)[i]),
+        comorbidities={name: bool(present[name][i]) for name in flags},
+    ) for i, (patient, start, n) in enumerate(zip(patients, starts, lengths))]
+    test_samples = build_survival_samples(normalized, patients, retained_idx,
+                                          flow_stats)
     try:
         concordance = survival.concordance_index(model, test_samples)
     except ValueError:
         concordance = float("nan")
-    return FoldResult(fold_id, patients, model, grid, list(retained), concordance)
+    return FoldResult(fold_id, scored, model, grid, list(retained), concordance)
 
 
 # --- fold orchestration -----------------------------------------------------------
 
-def run_fold(records, schema, training_config: ddpg.TrainingConfig,
-             interval_hours: float, fold_index: int, train_raw, test_raw,
-             grid_template: survival.ElasticNetGrid | None = None) -> FoldRun:
-    """Train the policy and the outcome model on `train_raw` and score every
-    record of `test_raw`."""
-    fold_id = test_raw[0].hospital_id if test_raw else f"fold{fold_index}"
-    if not train_raw:
-        raise cohort.PartitionError(f"fold {fold_id}: empty training set")
-    stats = cohort.compute_feature_stats(train_raw, schema)
-    train_norm = cohort.apply_feature_stats(train_raw, schema, stats)
+def replay_memory(normalized: cohort.CohortMatrix, patients, seed: int) -> ddpg.ReplayMemory:
+    """The given patients' one-step transitions over normalized states."""
+    transitions = cohort.build_transitions(normalized, patients)
+    return ddpg.ReplayMemory(
+        normalized.states[transitions.rows], normalized.actions[transitions.rows],
+        transitions.rewards, normalized.states[transitions.next_rows],
+        transitions.terminal, seed)
 
-    transitions = []
-    for record in train_norm:
-        traj = cohort.resample_trajectory(record, interval_hours, schema)
-        transitions.extend(cohort.build_transitions(traj))
-    memory = ddpg.ReplayMemory.from_transitions(transitions, seed=fold_index)
-    result = ddpg.train(memory, training_config)
+
+def run_fold(records, matrix: cohort.CohortMatrix, schema,
+             training_config: ddpg.TrainingConfig, fold_index: int, train, test,
+             grid_template: survival.ElasticNetGrid | None = None) -> FoldRun:
+    """Train the policy and the outcome model on the `train` patients and
+    score every `test` patient (index arrays into `records` and `matrix`)."""
+    fold_id = str(matrix.hospital_ids[test[0]]) if len(test) else f"fold{fold_index}"
+    if not len(train):
+        raise cohort.PartitionError(f"fold {fold_id}: empty training set")
+    stats = cohort.compute_feature_stats([records[i] for i in train], schema)
+    normalized = cohort.apply_feature_stats(matrix, stats)
+    result = ddpg.train(replay_memory(normalized, train, seed=fold_index),
+                        training_config)
 
     grid = survival.ElasticNetGrid() if grid_template is None else \
         survival.ElasticNetGrid(grid_template.l1_values, grid_template.l2_values)
     model, grid, retained, flow_stats = fit_outcome_model(
-        train_norm, schema, interval_hours,
-        seed=training_config.seed + fold_index, grid=grid)
+        normalized, train, schema, seed=training_config.seed + fold_index, grid=grid)
 
     fold = evaluate_patients(
-        fold_id, test_raw, schema, stats, actor_policy(result.actor),
-        model, retained, flow_stats, interval_hours, grid=grid)
+        fold_id, matrix, test, schema, stats, actor_policy(result.actor),
+        model, retained, flow_stats, grid=grid)
     bundle = ddpg.PolicyBundle(
         actor=result.actor, critic=result.critic, targets=result.targets,
-        config=training_config, interval_hours=interval_hours,
+        config=training_config, interval_hours=matrix.interval_hours,
         feature_names=schema.names, feature_means=stats.means,
         feature_sds=stats.sds)
     return FoldRun(fold, bundle, result.log)
@@ -268,33 +275,43 @@ def run_fold(records, schema, training_config: ddpg.TrainingConfig,
 def loho_cross_validate(records, schema, training_config: ddpg.TrainingConfig,
                         interval_hours: float = 4.0,
                         grid_template: survival.ElasticNetGrid | None = None,
-                        labels=None):
+                        labels=None, map_fn=map):
     """Train and evaluate once per hospital. Returns a list of FoldRun with
-    every test set scored by a policy that never saw its hospital."""
-    folds = cohort.split_by_hospital(records, labels=labels)
-    return [
-        run_fold(records, schema, training_config, interval_hours, index,
-                 train_raw, test_raw, grid_template=grid_template)
-        for index, (train_raw, test_raw) in enumerate(folds)
-    ]
+    every test set scored by a policy that never saw its hospital. Folds
+    run through `map_fn` (an executor's `map` runs them in parallel)."""
+    matrix = cohort.stack_trajectories(records, schema, interval_hours)
+    folds = cohort.split_by_hospital(matrix.hospital_ids, labels=labels)
+    fold = functools.partial(run_fold, records, matrix, schema, training_config,
+                             grid_template=grid_template)
+    return list(map_fn(fold, range(len(folds)), *zip(*folds)))
 
 
 # --- aggregation -------------------------------------------------------------------
 
 def _all_patients(fold_results):
-    patients = []
-    for fold in fold_results:
-        patients.extend(fold.patients)
-    return patients
-
-
-def _bootstrap_indices(n, options: EvalOptions):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(options.seed, n)))
-    return rng.integers(0, n, size=(options.n_bootstrap, n))
+    return [p for fold in fold_results for p in fold.patients]
 
 
 def _percentile_ci(samples):
     return float(np.percentile(samples, 2.5)), float(np.percentile(samples, 97.5))
+
+
+def _bootstrap_means(arrays, options: EvalOptions):
+    """Patient-level bootstrap: the mean of every per-patient array over the
+    same resamples, so differences between them are paired."""
+    n = len(arrays[0])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(options.seed, n)))
+    idx = rng.integers(0, n, size=(options.n_bootstrap, n))
+    return [arr[idx].mean(axis=1) for arr in arrays]
+
+
+def _policy_arrays(patients):
+    """Per-patient mortality and mean flow, recommended then logged:
+    (m_rl, m_lg, f_rl, f_lg)."""
+    return (np.asarray([p.mortality_rl for p in patients]),
+            np.asarray([p.mortality_logged for p in patients]),
+            np.asarray([float(np.mean(p.recommended_flows)) for p in patients]),
+            np.asarray([float(np.mean(p.logged_flows)) for p in patients]))
 
 
 def estimate_policy_mortality(fold_results, policy: str, options: EvalOptions):
@@ -310,8 +327,7 @@ def estimate_policy_mortality(fold_results, policy: str, options: EvalOptions):
         raise ValueError("no patients to evaluate")
     key = {"rl": "mortality_rl", "logged": "mortality_logged"}[policy.lower()]
     values = np.asarray([getattr(p, key) for p in patients])
-    idx = _bootstrap_indices(len(values), options)
-    boot = values[idx].mean(axis=1)
+    (boot,) = _bootstrap_means([values], options)
     return float(values.mean()), _percentile_ci(boot)
 
 
@@ -359,8 +375,7 @@ def difference_mortality_curve(fold_results, options: EvalOptions):
         mask = lows == low
         count = int(mask.sum())
         values = observed[mask]
-        idx = _bootstrap_indices(count, options)
-        boot = values[idx].mean(axis=1)
+        (boot,) = _bootstrap_means([values], options)
         ci_lo, ci_hi = _percentile_ci(boot)
         points.append(CurvePoint(
             center=float(low + width / 2), low=float(low),
@@ -389,16 +404,10 @@ class SubgroupRow:
 def _subgroup_row(name, patients, options: EvalOptions) -> SubgroupRow:
     if not patients:
         return SubgroupRow(name, 0, *([float("nan")] * 8), False)
-    m_rl = np.asarray([p.mortality_rl for p in patients])
-    m_lg = np.asarray([p.mortality_logged for p in patients])
-    f_rl = np.asarray([float(np.mean(p.recommended_flows)) for p in patients])
-    f_lg = np.asarray([float(np.mean(p.logged_flows)) for p in patients])
-    idx = _bootstrap_indices(len(patients), options)
-    boots = {key: arr[idx].mean(axis=1)
-             for key, arr in (("m_rl", m_rl), ("m_lg", m_lg),
-                              ("f_rl", f_rl), ("f_lg", f_lg))}
-    diff = boots["m_rl"] - boots["m_lg"]
-    sd = float(diff.std())
+    arrays = _policy_arrays(patients)
+    m_rl, m_lg, f_rl, f_lg = arrays
+    b_m_rl, b_m_lg, b_f_rl, b_f_lg = _bootstrap_means(arrays, options)
+    sd = float((b_m_rl - b_m_lg).std())
     if sd == 0.0:
         significant = False
     else:
@@ -406,10 +415,10 @@ def _subgroup_row(name, patients, options: EvalOptions) -> SubgroupRow:
         significant = math.erfc(abs(z) / math.sqrt(2.0)) < options.significance_p
     return SubgroupRow(
         name, len(patients),
-        float(m_rl.mean()), float(boots["m_rl"].std()),
-        float(m_lg.mean()), float(boots["m_lg"].std()),
-        float(f_rl.mean()), float(boots["f_rl"].std()),
-        float(f_lg.mean()), float(boots["f_lg"].std()),
+        float(m_rl.mean()), float(b_m_rl.std()),
+        float(m_lg.mean()), float(b_m_lg.std()),
+        float(f_rl.mean()), float(b_f_rl.std()),
+        float(f_lg.mean()), float(b_f_lg.std()),
         significant)
 
 
@@ -486,14 +495,9 @@ def build_report(fold_results, options: EvalOptions) -> EvalReport:
     patients = _all_patients(fold_results)
     if not patients:
         raise ValueError("no patients to report on")
-    m_rl = np.asarray([p.mortality_rl for p in patients])
-    m_lg = np.asarray([p.mortality_logged for p in patients])
-    f_rl = np.asarray([float(np.mean(p.recommended_flows)) for p in patients])
-    f_lg = np.asarray([float(np.mean(p.logged_flows)) for p in patients])
-    idx = _bootstrap_indices(len(patients), options)
-    boot = {key: arr[idx].mean(axis=1)
-            for key, arr in (("m_rl", m_rl), ("m_lg", m_lg),
-                             ("f_rl", f_rl), ("f_lg", f_lg))}
+    arrays = _policy_arrays(patients)
+    m_rl, m_lg, f_rl, f_lg = arrays
+    b_m_rl, b_m_lg, b_f_rl, b_f_lg = _bootstrap_means(arrays, options)
 
     predicted_dead = m_lg >= options.mortality_label_threshold
     actual_dead = np.asarray([p.observed_death7 for p in patients])
@@ -521,12 +525,12 @@ def build_report(fold_results, options: EvalOptions) -> EvalReport:
     return EvalReport(
         n_patients=len(patients),
         n_decision_points=int(sum(len(p.logged_flows) for p in patients)),
-        rl_mortality=float(m_rl.mean()), rl_ci=_percentile_ci(boot["m_rl"]),
-        logged_mortality=float(m_lg.mean()), logged_ci=_percentile_ci(boot["m_lg"]),
+        rl_mortality=float(m_rl.mean()), rl_ci=_percentile_ci(b_m_rl),
+        logged_mortality=float(m_lg.mean()), logged_ci=_percentile_ci(b_m_lg),
         reduction=float(m_lg.mean() - m_rl.mean()),
-        reduction_ci=_percentile_ci(boot["m_lg"] - boot["m_rl"]),
-        rl_flow=float(f_rl.mean()), rl_flow_ci=_percentile_ci(boot["f_rl"]),
-        logged_flow=float(f_lg.mean()), logged_flow_ci=_percentile_ci(boot["f_lg"]),
+        reduction_ci=_percentile_ci(b_m_lg - b_m_rl),
+        rl_flow=float(f_rl.mean()), rl_flow_ci=_percentile_ci(b_f_rl),
+        logged_flow=float(f_lg.mean()), logged_flow_ci=_percentile_ci(b_f_lg),
         consistency=consistency_rate(fold_results, options.consistency_threshold),
         cosine_similarity=cosine,
         accuracy=accuracy,

@@ -11,7 +11,6 @@ running statistics are carried in that cache and applied explicitly with
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +108,9 @@ class NetworkParams:
         return validate_specs(self.specs)[1]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.specs, copy.deepcopy(self.layers))
+        """Fresh layer dicts sharing the arrays: every update rebinds arrays
+        and none writes into one, so sharing is safe."""
+        return NetworkParams(self.specs, [dict(layer) for layer in self.layers])
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: partial likelihood
 by double loop, maximization by zooming grid, concordance by exhaustive
-pair counting, and the penalized Cox fit by cold-start proximal gradient."""
+pair counting, the penalized Cox fit by cold-start proximal gradient, and
+held flows and one-step transitions by per-step loops."""
 
 import math
 
@@ -107,3 +108,29 @@ def proximal_gradient_cox(x, t, e, l1, l2, max_iterations=10000, tolerance=1e-6)
             return beta, True
         step *= 1.5
     return beta, False
+
+
+def flow_at_loop(oxygen_series, t):
+    """Flow in force at time t: last setting at or before t, 0 before any."""
+    flow = 0.0
+    for time, value in oxygen_series:
+        if time <= t:
+            flow = value
+        else:
+            break
+    return flow
+
+
+def transitions_loop(states, actions, reward):
+    """One trajectory's one-step transitions as (state, action, reward,
+    next_state, terminal) tuples: zero reward until the terminal step, and a
+    single-step trajectory maps its only state onto itself."""
+    n = len(actions)
+    if n == 1:
+        return [(states[0], float(actions[0]), reward, states[0], True)]
+    out = []
+    for i in range(n - 1):
+        last = i == n - 2
+        out.append((states[i], float(actions[i]), reward if last else 0.0,
+                    states[i + 1], last))
+    return out

@@ -6,6 +6,7 @@ seed-frozen; every tolerance is fixed here, none are tuned at runtime.
 
 import os
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 
 import numpy as np
@@ -213,7 +214,10 @@ def test_criterion_4_exact_identities():
         # hospital partition is exact
         records = cohort.generate_synthetic_cohort(
             cohort.GeneratorConfig(n_patients=60, seed=6))
-        folds = cohort.split_by_hospital(records)
+        schema = cohort.default_schema()
+        matrix = cohort.stack_trajectories(records, schema, 8.0)
+        folds = [([records[i] for i in train], [records[i] for i in test])
+                 for train, test in cohort.split_by_hospital(matrix.hospital_ids)]
         collected = sorted(r.patient_id for _, test in folds for r in test)
         assert collected == sorted(r.patient_id for r in records)
         for train, test in folds:
@@ -221,14 +225,14 @@ def test_criterion_4_exact_identities():
                 {r.patient_id for r in test})
 
         # null-policy evaluation identities
-        schema = cohort.default_schema()
+        everyone = np.arange(len(records))
         stats = cohort.compute_feature_stats(records, schema)
-        normalized = cohort.apply_feature_stats(records, schema, stats)
+        normalized = cohort.apply_feature_stats(matrix, stats)
         model, grid_obj, retained, fstats = evaluation.fit_outcome_model(
-            normalized, schema, 8.0, seed=0)
+            normalized, everyone, schema, seed=0)
         fold = evaluation.evaluate_patients(
-            "all", records, schema, stats, evaluation.mirror_policy(),
-            model, retained, fstats, 8.0, grid=grid_obj)
+            "all", matrix, everyone, schema, stats, evaluation.mirror_policy(),
+            model, retained, fstats, grid=grid_obj)
         report = evaluation.build_report(
             [fold], evaluation.EvalOptions(n_bootstrap=100, seed=0))
         assert report.consistency == 1.0
@@ -247,6 +251,8 @@ TOY_GAMMA = 0.99
 TOY_A = np.array([1.0, 0.0])
 TOY_B = np.array([0.0, 1.0])
 TOY_CENTER_A, TOY_CENTER_B, TOY_WINDOW = 20.0, 40.0, 10.0
+ToyTransition = namedtuple("ToyTransition",
+                           "state action reward next_state terminal")
 
 
 def toy_transitions():
@@ -254,12 +260,12 @@ def toy_transitions():
     dose at A leads to B, anything else is an absorbing death; at B an
     in-window dose discharges (+15), anything else dies (-15)."""
     return [
-        cohort.Transition(TOY_A, 20.0, 0.0, TOY_B, False),
-        cohort.Transition(TOY_A, 0.0, -15.0, TOY_A, True),
-        cohort.Transition(TOY_A, 45.0, -15.0, TOY_A, True),
-        cohort.Transition(TOY_B, 40.0, 15.0, TOY_B, True),
-        cohort.Transition(TOY_B, 15.0, -15.0, TOY_B, True),
-        cohort.Transition(TOY_B, 59.0, -15.0, TOY_B, True),
+        ToyTransition(TOY_A, 20.0, 0.0, TOY_B, False),
+        ToyTransition(TOY_A, 0.0, -15.0, TOY_A, True),
+        ToyTransition(TOY_A, 45.0, -15.0, TOY_A, True),
+        ToyTransition(TOY_B, 40.0, 15.0, TOY_B, True),
+        ToyTransition(TOY_B, 15.0, -15.0, TOY_B, True),
+        ToyTransition(TOY_B, 59.0, -15.0, TOY_B, True),
     ]
 
 
@@ -274,7 +280,13 @@ def toy_q_star(state, action):
 def test_criterion_5_toy_mdp_value_recovery():
     with criterion(5, "toy-MDP value and policy recovery"):
         start = time.time()
-        memory = ddpg.ReplayMemory.from_transitions(toy_transitions(), seed=0)
+        toy = toy_transitions()
+        memory = ddpg.ReplayMemory(
+            states=np.asarray([t.state for t in toy], dtype=np.float64),
+            actions=np.asarray([t.action for t in toy], dtype=np.float64),
+            rewards=np.asarray([t.reward for t in toy], dtype=np.float64),
+            next_states=np.asarray([t.next_state for t in toy], dtype=np.float64),
+            terminal=np.asarray([t.terminal for t in toy], dtype=bool), seed=0)
         config = ddpg.TrainingConfig(max_iterations=30000, patience=30000, seed=1)
         result = ddpg.train(memory, config)
         # the polyak-averaged value function is the algorithm's stabilized

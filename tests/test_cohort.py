@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oxyrl import cohort
+from _oracles import flow_at_loop, transitions_loop
+from oxyrl import cohort, evaluation
 from oxyrl.cohort import (
     CENSORED, DIED, DISCHARGED, CohortDataWarning, CohortFormatError,
     FeatureSchema, GeneratorConfig, GeneratorConfigError, MissingFeatureError,
-    PartitionError, PatientRecord, SchemaMismatchError, Trajectory,
-    UnusableRecordError,
+    PartitionError, PatientRecord, SchemaMismatchError, UnusableRecordError,
 )
 
 
@@ -102,10 +104,31 @@ def test_resample_matches_per_feature_imputation():
 
 
 def test_resample_fills_missing_feature_with_zero():
+    # resampling leaves a never-observed feature NaN; normalization maps it
+    # to 0, the training mean
     record = make_record(ph=[])
     record.series.pop("ph")
-    traj = cohort.resample_trajectory(record, 4.0, tiny_schema())
-    np.testing.assert_array_equal(traj.states[:, tiny_schema().index("ph")], 0.0)
+    schema = tiny_schema()
+    traj = cohort.resample_trajectory(record, 4.0, schema)
+    assert np.isnan(traj.states[:, schema.index("ph")]).all()
+    matrix = cohort.stack_trajectories([record], schema, 4.0)
+    stats = cohort.FeatureStats(schema.names, np.array([70.0, 85.0, 7.4]),
+                                np.array([10.0, 5.0, 0.1]))
+    normalized = cohort.apply_feature_stats(matrix, stats)
+    np.testing.assert_array_equal(normalized.states[:, schema.index("ph")], 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(settings_at=st.lists(st.integers(0, 48), unique=True, max_size=8),
+       flows=st.lists(st.floats(0.0, 60.0), min_size=8, max_size=8),
+       n_steps=st.integers(1, 14))
+def test_held_flows_match_loop(settings_at, flows, n_steps):
+    # settings on a half-hour lattice and a 2 h grid, so settings often
+    # fall exactly on grid times; an empty series is included
+    series = [(0.5 * t, v) for t, v in zip(sorted(settings_at), flows)]
+    grid = np.arange(n_steps) * 2.0
+    expected = np.array([flow_at_loop(series, t) for t in grid])
+    np.testing.assert_array_equal(cohort.held_flows(series, grid), expected)
 
 
 def test_resample_rejects_record_with_no_features():
@@ -118,57 +141,138 @@ def test_resample_rejects_record_with_no_features():
 
 # --- build_transitions ----------------------------------------------------------
 
-def traj_3step(outcome):
+def matrix_of(*patients):
+    """CohortMatrix from (states, actions, outcome) per patient."""
+    lengths = [len(actions) for _, actions, _ in patients]
+    return cohort.CohortMatrix(
+        interval_hours=4.0,
+        offsets=np.concatenate([[0], np.cumsum(lengths)]),
+        states=np.concatenate([np.asarray(states, dtype=float)
+                               for states, _, _ in patients]),
+        actions=np.concatenate([np.asarray(a, dtype=float) for _, a, _ in patients]),
+        patient_ids=tuple(f"p{i}" for i in range(len(patients))),
+        hospital_ids=np.array(["H1"] * len(patients)),
+        outcomes=np.array([outcome for _, _, outcome in patients]),
+        event_times=np.array([4.0 * (n - 1) for n in lengths]))
+
+
+def matrix_3step(outcome):
     states = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
-    return Trajectory("p", np.array([0.0, 4.0, 8.0]), states,
-                      np.array([5.0, 10.0, 15.0]), outcome)
+    return matrix_of((states, [5.0, 10.0, 15.0], outcome))
 
 
 def test_transitions_died_rewards():
-    ts = cohort.build_transitions(traj_3step(DIED))
-    assert [t.reward for t in ts] == [0.0, -15.0]
-    assert [t.terminal for t in ts] == [False, True]
+    ts = cohort.build_transitions(matrix_3step(DIED), [0])
+    assert ts.rewards.tolist() == [0.0, -15.0]
+    assert ts.terminal.tolist() == [False, True]
+    assert ts.rows.tolist() == [0, 1] and ts.next_rows.tolist() == [1, 2]
 
 
 def test_transitions_discharged_rewards():
-    ts = cohort.build_transitions(traj_3step(DISCHARGED))
-    assert [t.reward for t in ts] == [0.0, 15.0]
+    ts = cohort.build_transitions(matrix_3step(DISCHARGED), [0])
+    assert ts.rewards.tolist() == [0.0, 15.0]
 
 
 def test_transitions_censored_reward_zero():
-    ts = cohort.build_transitions(traj_3step(CENSORED))
-    assert [t.reward for t in ts] == [0.0, 0.0]
-    assert ts[-1].terminal
+    ts = cohort.build_transitions(matrix_3step(CENSORED), [0])
+    assert ts.rewards.tolist() == [0.0, 0.0]
+    assert ts.terminal[-1]
 
 
 def test_transitions_single_step_degenerate():
-    traj = Trajectory("p", np.array([0.0]), np.array([[1.0, 2.0]]),
-                      np.array([7.0]), DISCHARGED)
-    ts = cohort.build_transitions(traj)
+    matrix = matrix_of(([[1.0, 2.0]], [7.0], DISCHARGED))
+    ts = cohort.build_transitions(matrix, [0])
     assert len(ts) == 1
-    assert ts[0].reward == 15.0
-    assert ts[0].terminal
-    np.testing.assert_array_equal(ts[0].next_state, ts[0].state)
+    assert ts.rewards[0] == 15.0
+    assert ts.terminal[0]
+    np.testing.assert_array_equal(matrix.states[ts.next_rows[0]],
+                                  matrix.states[ts.rows[0]])
 
 
 def test_transitions_chain_and_reward_sum():
     rng = np.random.default_rng(1)
+    patients = []
     for outcome in (DIED, DISCHARGED, CENSORED):
         n = rng.integers(2, 8)
-        traj = Trajectory("p", np.arange(n) * 4.0,
-                          rng.normal(size=(n, 3)), rng.uniform(0, 60, n), outcome)
-        ts = cohort.build_transitions(traj)
-        assert len(ts) == n - 1
-        for a, b in zip(ts, ts[1:]):
-            np.testing.assert_array_equal(a.next_state, b.state)
-        total = sum(t.reward for t in ts)
+        patients.append((rng.normal(size=(n, 3)), rng.uniform(0, 60, n), outcome))
+    matrix = matrix_of(*patients)
+    for i, (states, _, _) in enumerate(patients):
+        ts = cohort.build_transitions(matrix, [i])
+        assert len(ts) == len(states) - 1
+        np.testing.assert_array_equal(ts.next_rows[:-1], ts.rows[1:])
+        total = ts.rewards.sum()
         assert total in (15.0, -15.0, 0.0)
-        assert all(t.reward == 0.0 for t in ts if not t.terminal)
+        assert np.all(ts.rewards[~ts.terminal] == 0.0)
+        assert ts.terminal.tolist() == [False] * (len(ts) - 1) + [True]
+    everyone = cohort.build_transitions(matrix, [0, 1, 2])
+    assert len(everyone) == sum(len(states) - 1 for states, _, _ in patients)
 
 
 def test_seven_day_reward_scheme_is_declared_stub():
     with pytest.raises(NotImplementedError):
-        cohort.build_transitions(traj_3step(DIED), reward_scheme="seven_day")
+        cohort.build_transitions(matrix_3step(DIED), [0], reward_scheme="seven_day")
+
+
+@st.composite
+def small_cohorts(draw):
+    """Records on the tiny schema; any feature may go unobserved (for one
+    patient or the whole cohort) and short stays give single-step patients."""
+    drop_everywhere = draw(st.sampled_from((None, "hr", "ph")))
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        event_time = draw(st.floats(0.001, 20.0))
+
+        def series():
+            times = draw(st.lists(st.floats(0.0, event_time), unique=True,
+                                  max_size=4))
+            return [(t, draw(st.floats(-50.0, 150.0))) for t in sorted(times)]
+
+        statics = {"age": draw(st.floats(40.0, 95.0))} if draw(st.booleans()) else {}
+        observed = {name: series() for name in ("hr", "ph")
+                    if name != drop_everywhere}
+        observed = {name: obs for name, obs in observed.items() if obs}
+        if not statics and not observed:
+            statics = {"age": 70.0}
+        oxygen = [(t, draw(st.floats(0.0, 60.0))) for t in sorted(draw(
+            st.lists(st.floats(0.0, event_time), unique=True, max_size=4)))]
+        records.append(PatientRecord(f"p{i}", f"H{i % 2}", statics, observed,
+                                     oxygen, draw(st.sampled_from(
+                                         (DIED, DISCHARGED, CENSORED))), event_time))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=small_cohorts())
+def test_stacked_cohort_matches_per_record_resampling(records):
+    schema = tiny_schema()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CohortDataWarning)
+        stats = cohort.compute_feature_stats(records, schema)
+    matrix = cohort.stack_trajectories(records, schema, 4.0)
+    normalized = cohort.apply_feature_stats(matrix, stats)
+
+    assert matrix.offsets[0] == 0 and matrix.offsets[-1] == len(matrix.states)
+    assert np.all(np.diff(matrix.offsets) >= 1)
+    everyone = np.arange(len(records))
+    memory = evaluation.replay_memory(normalized, everyone, seed=0)
+    expected = []
+    for i, record in enumerate(records):
+        traj = cohort.resample_trajectory(record, 4.0, schema)
+        rows = slice(matrix.offsets[i], matrix.offsets[i + 1])
+        assert len(traj.times) == rows.stop - rows.start
+        z = (traj.states - stats.means) / stats.sds
+        z[np.isnan(z)] = 0.0
+        np.testing.assert_allclose(normalized.states[rows], z, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(matrix.actions[rows], traj.actions)
+        expected.extend(transitions_loop(normalized.states[rows], traj.actions,
+                                         cohort.TERMINAL_REWARD[record.outcome]))
+    assert len(memory) == len(expected)
+    for k, (state, action, reward, next_state, terminal) in enumerate(expected):
+        np.testing.assert_array_equal(memory.states[k], state)
+        assert memory.actions[k] == action
+        assert memory.rewards[k] == reward
+        np.testing.assert_array_equal(memory.next_states[k], next_state)
+        assert memory.terminal[k] == terminal
 
 
 # --- CSV round trip --------------------------------------------------------------
@@ -247,6 +351,22 @@ def test_unparseable_numeric_names_line(tmp_path):
         cohort.load_cohort(path, tiny_schema())
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["time_hours", "value"])
+@pytest.mark.parametrize("field", ["hr", "event_time"])
+def test_non_finite_numeric_names_line(tmp_path, token, column, field):
+    row = {"time_hours": "4.0", "value": "8.0"}
+    row[column] = token
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "patient_id,hospital_id,time_hours,field,value\n"
+        "p0,H1,8.0,outcome,1\n"
+        "p0,H1,0.0,ph,7.4\n"
+        f"p0,H1,{row['time_hours']},{field},{row['value']}\n")
+    with pytest.raises(CohortFormatError, match="line 4"):
+        cohort.load_cohort(path, tiny_schema())
+
+
 def test_missing_outcome_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -267,10 +387,13 @@ def test_schema_file_round_trip(tmp_path):
 
 def test_constant_feature_normalizes_to_zero_with_warning():
     records = [make_record(pid=f"p{i}", age=70.0) for i in range(3)]
+    schema = tiny_schema()
     with pytest.warns(CohortDataWarning, match="zero variance"):
-        normalized, stats = cohort.normalize_features(records, tiny_schema())
-    assert all(r.static_covariates["age"] == 0.0 for r in normalized)
-    assert stats.sds[tiny_schema().index("age")] == 1.0
+        stats = cohort.compute_feature_stats(records, schema)
+    normalized = cohort.apply_feature_stats(
+        cohort.stack_trajectories(records, schema, 4.0), stats)
+    np.testing.assert_array_equal(normalized.states[:, schema.index("age")], 0.0)
+    assert stats.sds[schema.index("age")] == 1.0
 
 
 def test_normalize_then_invert_round_trips():
@@ -281,22 +404,22 @@ def test_normalize_then_invert_round_trips():
                     ph=[(0.0, rng.uniform(7.2, 7.6))])
         for i in range(5)
     ]
-    normalized, stats = cohort.normalize_features(records, tiny_schema())
-    restored = cohort.invert_feature_stats(normalized, tiny_schema(), stats)
-    for a, b in zip(records, restored):
-        assert abs(a.static_covariates["age"] - b.static_covariates["age"]) < 1e-12
-        for name in ("hr", "ph"):
-            for (t1, v1), (t2, v2) in zip(a.series[name], b.series[name]):
-                assert t1 == t2 and abs(v1 - v2) < 1e-12
+    schema = tiny_schema()
+    stats = cohort.compute_feature_stats(records, schema)
+    matrix = cohort.stack_trajectories(records, schema, 4.0)
+    normalized = cohort.apply_feature_stats(matrix, stats)
+    restored = normalized.states * stats.sds + stats.means
+    np.testing.assert_allclose(restored, matrix.states, rtol=0, atol=1e-12)
 
 
 def test_validation_fold_mean_not_zero_under_train_stats():
     rng = np.random.default_rng(4)
     train = [make_record(pid=f"t{i}", age=float(rng.normal(70, 10))) for i in range(20)]
     val = [make_record(pid=f"v{i}", age=float(rng.normal(80, 10))) for i in range(20)]
-    _, stats = cohort.normalize_features(train, tiny_schema())
-    val_n = cohort.apply_feature_stats(val, tiny_schema(), stats)
-    mean_age = np.mean([r.static_covariates["age"] for r in val_n])
+    schema = tiny_schema()
+    stats = cohort.compute_feature_stats(train, schema)
+    val_n = cohort.apply_feature_stats(cohort.stack_trajectories(val, schema, 4.0), stats)
+    mean_age = val_n.states[val_n.offsets[:-1], schema.index("age")].mean()
     assert abs(mean_age) > 0.05
 
 
@@ -305,27 +428,31 @@ def test_validation_fold_mean_not_zero_under_train_stats():
 def test_split_four_hospitals():
     records = [make_record(pid=f"p{h}{i}", hospital=f"H{h}")
                for h in range(1, 5) for i in range(10)]
-    folds = cohort.split_by_hospital(records)
+    folds = cohort.split_by_hospital([r.hospital_id for r in records])
     assert len(folds) == 4
     seen = []
-    for train, test in folds:
+    for label, (train, test) in zip(("H1", "H2", "H3", "H4"), folds):
         assert len(train) == 30 and len(test) == 10
-        seen.extend(r.patient_id for r in test)
+        assert {records[i].hospital_id for i in test} == {label}
+        assert label not in {records[i].hospital_id for i in train}
+        seen.extend(records[i].patient_id for i in test)
     assert sorted(seen) == sorted(r.patient_id for r in records)
 
 
 def test_split_unknown_label_rejected():
     records = [make_record(hospital="H9")]
-    with pytest.raises(PartitionError):
-        cohort.split_by_hospital(records, labels=("H1", "H2", "H3", "H4"))
+    with pytest.raises(PartitionError, match="H9"):
+        cohort.split_by_hospital([r.hospital_id for r in records],
+                                 labels=("H1", "H2", "H3", "H4"))
 
 
 def test_split_empty_hospital_warns():
     records = [make_record(pid=f"p{i}", hospital="H1") for i in range(3)]
     with pytest.warns(CohortDataWarning, match="empty test fold"):
-        folds = cohort.split_by_hospital(records, labels=("H1", "H2"))
-    assert folds[1][1] == []
-    assert len(folds[1][0]) == 3
+        folds = cohort.split_by_hospital([r.hospital_id for r in records],
+                                         labels=("H1", "H2"))
+    assert len(folds[1][1]) == 0
+    assert folds[1][0].tolist() == [0, 1, 2]
 
 
 # --- synthetic generator ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -196,15 +197,24 @@ def small_cohort(n=140, seed=5):
     return cohort.generate_synthetic_cohort(config, schema), schema
 
 
+def outcome_model_setup(records, schema, interval_hours=4.0):
+    """Stack the cohort, normalize it with its own statistics and fit the
+    outcome model on every patient."""
+    stats = cohort.compute_feature_stats(records, schema)
+    matrix = cohort.stack_trajectories(records, schema, interval_hours)
+    everyone = np.arange(len(records))
+    model, grid, retained, flow_stats = evaluation.fit_outcome_model(
+        cohort.apply_feature_stats(matrix, stats), everyone, schema, seed=0)
+    return matrix, everyone, stats, model, grid, retained, flow_stats
+
+
 def test_null_policy_identities_end_to_end():
     records, schema = small_cohort()
-    stats = cohort.compute_feature_stats(records, schema)
-    normalized = cohort.apply_feature_stats(records, schema, stats)
-    model, grid, retained, flow_stats = evaluation.fit_outcome_model(
-        normalized, schema, 4.0, seed=0)
+    matrix, everyone, stats, model, grid, retained, flow_stats = \
+        outcome_model_setup(records, schema)
     fold = evaluation.evaluate_patients(
-        "all", records, schema, stats, mirror_policy(), model, retained,
-        flow_stats, 4.0, grid=grid)
+        "all", matrix, everyone, schema, stats, mirror_policy(), model, retained,
+        flow_stats, grid=grid)
     report = build_report([fold], options())
     assert report.consistency == 1.0
     assert report.reduction == 0.0
@@ -221,9 +231,8 @@ def test_null_policy_identities_end_to_end():
 
 def test_zero_flow_coefficient_makes_policies_indistinguishable():
     records, schema = small_cohort(n=60, seed=9)
-    stats = cohort.compute_feature_stats(records, schema)
-    model, grid, retained, flow_stats = evaluation.fit_outcome_model(
-        cohort.apply_feature_stats(records, schema, stats), schema, 4.0, seed=0)
+    matrix, everyone, stats, model, grid, retained, flow_stats = \
+        outcome_model_setup(records, schema)
     coef = model.coef.copy()
     coef[-1] = 0.0  # flow coordinate is last
     flat = survival.CoxModel(model.feature_names, coef, model.baseline_times,
@@ -233,16 +242,15 @@ def test_zero_flow_coefficient_makes_policies_indistinguishable():
         return np.clip(np.asarray(logged) - 12.0, 0.0, 60.0)
 
     fold = evaluation.evaluate_patients(
-        "all", records, schema, stats, shifted, flat, retained, flow_stats, 4.0)
+        "all", matrix, everyone, schema, stats, shifted, flat, retained, flow_stats)
     for p in fold.patients:
         assert p.mortality_rl == pytest.approx(p.mortality_logged, abs=1e-15)
 
 
 def test_monotone_sensitivity_with_positive_flow_coefficient():
     records, schema = small_cohort(n=80, seed=11)
-    stats = cohort.compute_feature_stats(records, schema)
-    model, grid, retained, flow_stats = evaluation.fit_outcome_model(
-        cohort.apply_feature_stats(records, schema, stats), schema, 4.0, seed=0)
+    matrix, everyone, stats, model, grid, retained, flow_stats = \
+        outcome_model_setup(records, schema)
     coef = model.coef.copy()
     coef[-1] = abs(coef[-1]) or 0.1
     up = survival.CoxModel(model.feature_names, coef, model.baseline_times,
@@ -252,10 +260,10 @@ def test_monotone_sensitivity_with_positive_flow_coefficient():
         return np.clip(np.asarray(logged) - 8.0, 0.0, 60.0)
 
     fold_logged = evaluation.evaluate_patients(
-        "all", records, schema, stats, mirror_policy(), up, retained,
-        flow_stats, 4.0)
+        "all", matrix, everyone, schema, stats, mirror_policy(), up, retained,
+        flow_stats)
     fold_lower = evaluation.evaluate_patients(
-        "all", records, schema, stats, lowered, up, retained, flow_stats, 4.0)
+        "all", matrix, everyone, schema, stats, lowered, up, retained, flow_stats)
     m_logged = np.mean([p.mortality_rl for p in fold_logged.patients])
     m_lower = np.mean([p.mortality_rl for p in fold_lower.patients])
     assert m_lower < m_logged
@@ -300,6 +308,51 @@ def test_pooled_mortality_is_patient_weighted_fold_mean():
     weighted = sum(n * m for _, n, m, _, _ in report.fold_summaries)
     total = sum(n for _, n, _, _, _ in report.fold_summaries)
     assert report.rl_mortality == pytest.approx(weighted / total, abs=1e-12)
+
+
+# --- report bytes ------------------------------------------------------------------
+
+def mixed_folds():
+    """Three folds of seeded patients with varied flows, deaths, subgroups."""
+    rng = np.random.default_rng(23)
+    folds = []
+    for h in range(3):
+        patients = []
+        for i in range(40):
+            n = int(rng.integers(1, 8))
+            logged = rng.uniform(0.0, 60.0, n)
+            patients.append(make_patient(
+                pid=f"h{h}p{i}", hospital=f"H{h}", logged=logged,
+                rec=np.clip(logged + rng.normal(-5.0, 8.0, n), 0.0, 60.0),
+                m_rl=float(rng.uniform(0, 0.4)), m_lg=float(rng.uniform(0, 0.4)),
+                dead=bool(rng.random() < 0.2), age=float(rng.uniform(50, 95)),
+                male=bool(rng.random() < 0.6), bmi=float(rng.uniform(18, 42)),
+                comorbidities={"hypertension": bool(rng.random() < 0.8),
+                               "diabetes": bool(rng.random() < 0.5)}))
+        folds.append(fold_of(patients, fold_id=f"H{h}"))
+    return folds
+
+
+def report_digest(folds, opt, outdir):
+    """SHA-256 over the report files and a one-policy estimate."""
+    report = build_report(folds, opt)
+    digest = hashlib.sha256()
+    for path in sorted(evaluation.write_report_files(outdir, report)):
+        digest.update(path.split("/")[-1].encode())
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    digest.update(repr(estimate_policy_mortality(folds, "logged", opt)).encode())
+    return digest.hexdigest()
+
+
+# written by the code that kept a separate bootstrap block in build_report,
+# the subgroup rows, the curve and estimate_policy_mortality
+REPORT_DIGEST = "786480edbdb868f09f37852116702635d5488d403d6042a7ec04912e475d5e5c"
+
+
+def test_report_bytes_match_pinned_digest(tmp_path):
+    assert report_digest(mixed_folds(), options(n_boot=200, seed=5),
+                         tmp_path) == REPORT_DIGEST
 
 
 # --- report files and figures -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,55 @@ def test_update_is_deterministic():
     assert o1.step == o2.step == 1
     for (_, _, u), (_, _, v) in zip(nn.iter_arrays(a1), nn.iter_arrays(a2)):
         np.testing.assert_array_equal(u, v)
+
+
+def reachable_arrays(*objs):
+    """Every array reachable from the objects through dataclass fields,
+    dicts, lists and tuples, in a fixed order."""
+    out = []
+
+    def visit(o):
+        if isinstance(o, np.ndarray):
+            out.append(o)
+        elif isinstance(o, dict):
+            for key in sorted(o):
+                visit(o[key])
+        elif isinstance(o, (list, tuple)):
+            for item in o:
+                visit(item)
+        elif dataclasses.is_dataclass(o):
+            for f in dataclasses.fields(o):
+                visit(getattr(o, f.name))
+
+    for o in objs:
+        visit(o)
+    return out
+
+
+def test_updates_leave_input_arrays_unchanged():
+    # NetworkParams.copy shares arrays between the old and the new container,
+    # which is only safe while no update writes into an input array
+    params = small_net(seed=1)
+    other = small_net(seed=2)
+    opt = nn.init_optimizer(params)
+    x = np.random.default_rng(0).normal(size=(5, 4))
+    out, cache = nn.forward(params, x, nn.TRAIN)
+    grads, _ = nn.backward(params, cache, np.ones_like(out))
+    params, opt = nn.apply_update(params, grads, opt, 0.002)  # non-zero moments
+    calls = (
+        (nn.apply_update, (params, grads, opt, 0.002)),
+        (nn.commit_running_stats, (params, cache)),
+        (nn.blend_params, (params, other, 0.9)),
+    )
+    for fn, args in calls:
+        before = reachable_arrays(*args)
+        snapshot = [a.copy() for a in before]
+        fn(*args)
+        after = reachable_arrays(*args)
+        assert len(after) == len(before)
+        for a, b, copy in zip(after, before, snapshot):
+            assert a is b, fn.__name__
+            np.testing.assert_array_equal(a, copy, err_msg=fn.__name__)
 
 
 def test_adam_converges_on_scalar_quadratic():
