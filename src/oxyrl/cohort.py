@@ -18,6 +18,7 @@ hazard-minimizing flow rate is known exactly and can serve as ground truth.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -111,9 +112,15 @@ class FeatureSchema:
     def kind_of(self, name: str) -> str:
         return self.kinds[self.index(name)]
 
+    @functools.cached_property
+    def pointwise_names(self) -> frozenset:
+        """Names of the features carried as a single per-patient value."""
+        return frozenset(name for name, kind in zip(self.names, self.kinds)
+                         if kind in (STATIC, COMORBIDITY))
+
     def is_pointwise(self, name: str) -> bool:
         """True for features carried as a single per-patient value."""
-        return self.kind_of(name) in (STATIC, COMORBIDITY)
+        return name in self.pointwise_names
 
 
 def write_schema(path, schema: FeatureSchema) -> None:

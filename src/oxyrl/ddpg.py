@@ -83,6 +83,22 @@ class ReplayMemory(Batch):
                      self.next_states[idx], self.terminal[idx])
 
 
+def actor_specs(state_dim: int):
+    return (nn.dense(state_dim, STATE_HIDDEN), nn.batchnorm(STATE_HIDDEN),
+            nn.activation("relu"), nn.dense(STATE_HIDDEN, 1),
+            nn.activation("sigmoid"))
+
+
+def critic_state_specs(state_dim: int):
+    return (nn.dense(state_dim, STATE_HIDDEN), nn.batchnorm(STATE_HIDDEN),
+            nn.activation("relu"))
+
+
+def critic_trunk_specs():
+    return (nn.dense(STATE_HIDDEN + 1, TRUNK_HIDDEN), nn.batchnorm(TRUNK_HIDDEN),
+            nn.activation("relu"), nn.dense(TRUNK_HIDDEN, 1))
+
+
 @dataclass
 class ActorNet:
     """Deterministic policy: dense(32)+batchnorm+relu into a single output
@@ -93,14 +109,7 @@ class ActorNet:
 
     @classmethod
     def build(cls, state_dim: int, seed) -> "ActorNet":
-        specs = [
-            nn.dense(state_dim, STATE_HIDDEN),
-            nn.batchnorm(STATE_HIDDEN),
-            nn.activation("relu"),
-            nn.dense(STATE_HIDDEN, 1),
-            nn.activation("sigmoid"),
-        ]
-        return cls(state_dim, nn.init_params(specs, seed))
+        return cls(state_dim, nn.init_params(actor_specs(state_dim), seed))
 
     def forward_train(self, states):
         out, cache = nn.forward(self.net, states, nn.TRAIN)
@@ -131,19 +140,8 @@ class CriticNet:
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         seeds = seed.spawn(2)
-        state_specs = [
-            nn.dense(state_dim, STATE_HIDDEN),
-            nn.batchnorm(STATE_HIDDEN),
-            nn.activation("relu"),
-        ]
-        trunk_specs = [
-            nn.dense(STATE_HIDDEN + 1, TRUNK_HIDDEN),
-            nn.batchnorm(TRUNK_HIDDEN),
-            nn.activation("relu"),
-            nn.dense(TRUNK_HIDDEN, 1),
-        ]
-        return cls(state_dim, nn.init_params(state_specs, seeds[0]),
-                   nn.init_params(trunk_specs, seeds[1]))
+        return cls(state_dim, nn.init_params(critic_state_specs(state_dim), seeds[0]),
+                   nn.init_params(critic_trunk_specs(), seeds[1]))
 
     def forward_train(self, states, actions):
         h, cache_s = nn.forward(self.state_net, states, nn.TRAIN)
@@ -212,11 +210,11 @@ class TrainResult:
 def td_target(batch: Batch, targets: TargetPair, discount: float) -> np.ndarray:
     """Bootstrapped regression target: r + discount * Q~(s', pi~(s')), with
     the bootstrap truncated to r at terminal (absorbing) transitions."""
-    out = batch.rewards.astype(np.float64).copy()
+    out = batch.rewards.astype(np.float64)
     live = ~batch.terminal
     if np.any(live) and discount != 0.0:
-        next_actions = targets.actor.act(batch.next_states[live])
-        q_next = targets.critic.q_values(batch.next_states[live], next_actions)
+        next_states = batch.next_states[live]
+        q_next = targets.critic.q_values(next_states, targets.actor.act(next_states))
         out[live] += discount * q_next
     return out
 
@@ -410,24 +408,46 @@ def save_policy(path, bundle: PolicyBundle) -> None:
 
 
 def load_policy(path) -> PolicyBundle:
+    """Read a policy checkpoint, checking its structure: any truncated,
+    mis-shaped, unknown, non-finite or trailing content raises ValueError."""
     with open(path) as fh:
         if fh.readline().strip() != POLICY_MAGIC:
             raise ValueError("unrecognized policy checkpoint")
-        policy_kind = fh.readline().split()[1]
-        interval_hours = float(fh.readline().split()[1])
-        raw = fh.readline().split()[1:]
+        (policy_kind,) = nn.read_fields(fh, "policy_kind", 1)
+        if policy_kind not in (POLICY_KIND_ACTOR, POLICY_KIND_MIRROR):
+            raise ValueError(f"unknown policy kind {policy_kind!r}")
+        interval_hours = float(nn.read_fields(fh, "interval_hours", 1)[0])
+        if not (np.isfinite(interval_hours) and interval_hours > 0):
+            raise ValueError(f"invalid interval_hours {interval_hours!r}")
+        raw = nn.read_fields(fh, "config", len(_CONFIG_FIELDS))
         config = TrainingConfig(
             discount=float(raw[0]), batch_size=int(raw[1]), critic_lr=float(raw[2]),
             actor_lr=float(raw[3]), polyak=float(raw[4]), max_iterations=int(raw[5]),
             patience=int(raw[6]), consistency_every=int(raw[7]), seed=int(raw[8]))
-        feature_names = tuple(fh.readline().split()[1:])
-        _, means = nn._read_array(fh.readline(), fh)
-        _, sds = nn._read_array(fh.readline(), fh)
-        nets = [nn.read_params(fh) for _ in range(6)]
-    state_dim = len(feature_names)
+        config.validate()
+        feature_names = tuple(nn.read_fields(fh, "features"))
+        state_dim = len(feature_names)
+        stats = []
+        for name in ("feature_means", "feature_sds"):
+            got, arr = nn._read_array(fh)
+            if got != name or arr.shape != (state_dim,):
+                raise ValueError(f"expected {name} of shape ({state_dim},), "
+                                 f"got {got} of shape {arr.shape}")
+            stats.append(arr)
+        expected = (actor_specs(state_dim), critic_state_specs(state_dim),
+                    critic_trunk_specs()) * 2
+        nets = []
+        for specs in expected:
+            net = nn.read_params(fh)
+            if net.specs != specs:
+                raise ValueError("checkpoint layer chain does not match the "
+                                 f"{state_dim} features")
+            nets.append(net)
+        if fh.read():
+            raise ValueError("malformed policy checkpoint: trailing data")
     actor = ActorNet(state_dim, nets[0])
     critic = CriticNet(state_dim, nets[1], nets[2])
     targets = TargetPair(CriticNet(state_dim, nets[4], nets[5]),
                          ActorNet(state_dim, nets[3]))
     return PolicyBundle(actor, critic, targets, config, interval_hours,
-                        feature_names, means, sds, policy_kind)
+                        feature_names, stats[0], stats[1], policy_kind)

@@ -401,11 +401,11 @@ class SubgroupRow:
     significant: bool
 
 
-def _subgroup_row(name, patients, options: EvalOptions) -> SubgroupRow:
-    if not patients:
-        return SubgroupRow(name, 0, *([float("nan")] * 8), False)
-    arrays = _policy_arrays(patients)
+def _subgroup_row(name, arrays, options: EvalOptions) -> SubgroupRow:
+    """One subgroup's row from its slices of the report's policy arrays."""
     m_rl, m_lg, f_rl, f_lg = arrays
+    if len(m_rl) == 0:
+        return SubgroupRow(name, 0, *([float("nan")] * 8), False)
     b_m_rl, b_m_lg, b_f_rl, b_f_lg = _bootstrap_means(arrays, options)
     sd = float((b_m_rl - b_m_lg).std())
     if sd == 0.0:
@@ -414,7 +414,7 @@ def _subgroup_row(name, patients, options: EvalOptions) -> SubgroupRow:
         z = float(m_rl.mean() - m_lg.mean()) / sd
         significant = math.erfc(abs(z) / math.sqrt(2.0)) < options.significance_p
     return SubgroupRow(
-        name, len(patients),
+        name, len(m_rl),
         float(m_rl.mean()), float(b_m_rl.std()),
         float(m_lg.mean()), float(b_m_lg.std()),
         float(f_rl.mean()), float(b_f_rl.std()),
@@ -422,24 +422,29 @@ def _subgroup_row(name, patients, options: EvalOptions) -> SubgroupRow:
         significant)
 
 
+def _subgroup_rows(patients, arrays, options: EvalOptions):
+    def row(name, member):
+        idx = np.flatnonzero(np.asarray(member, dtype=bool))
+        return _subgroup_row(name, [arr[idx] for arr in arrays], options)
+
+    rows = [row("overall", [True] * len(patients))]
+    rows.append(row("male", [p.male for p in patients]))
+    rows.append(row("female", [not p.male for p in patients]))
+    for name, lo, hi in AGE_BANDS:
+        rows.append(row(name, [lo <= p.age < hi for p in patients]))
+    for name, lo, hi in BMI_BANDS:
+        rows.append(row(name, [lo <= p.bmi < hi for p in patients]))
+    flags = sorted({name for p in patients for name in p.comorbidities})
+    for flag in flags:
+        rows.append(row(flag, [bool(p.comorbidities.get(flag)) for p in patients]))
+    return rows
+
+
 def subgroup_table(fold_results, options: EvalOptions):
     """Overall, sex, age-band, BMI-band and comorbidity rows (comorbidity
     rows may overlap; a patient counts in each flag it carries)."""
     patients = _all_patients(fold_results)
-    rows = [_subgroup_row("overall", patients, options)]
-    rows.append(_subgroup_row("male", [p for p in patients if p.male], options))
-    rows.append(_subgroup_row("female", [p for p in patients if not p.male], options))
-    for name, lo, hi in AGE_BANDS:
-        rows.append(_subgroup_row(
-            name, [p for p in patients if lo <= p.age < hi], options))
-    for name, lo, hi in BMI_BANDS:
-        rows.append(_subgroup_row(
-            name, [p for p in patients if lo <= p.bmi < hi], options))
-    flags = sorted({name for p in patients for name in p.comorbidities})
-    for flag in flags:
-        rows.append(_subgroup_row(
-            flag, [p for p in patients if p.comorbidities.get(flag)], options))
-    return rows
+    return _subgroup_rows(patients, _policy_arrays(patients), options)
 
 
 def flow_histograms(fold_results, options: EvalOptions):
@@ -537,7 +542,7 @@ def build_report(fold_results, options: EvalOptions) -> EvalReport:
         concordance=concordance,
         mcnemar_statistic=statistic,
         mcnemar_p=p_value,
-        subgroups=subgroup_table(fold_results, options),
+        subgroups=_subgroup_rows(patients, arrays, options),
         curve=difference_mortality_curve(fold_results, options),
         histograms=flow_histograms(fold_results, options),
         fold_summaries=fold_summaries,

@@ -1,17 +1,31 @@
 """Minimal feed-forward network engine: dense layers, batch normalization,
 manual backpropagation and Adam updates.
 
-Everything is float64 and functional: forward/backward never mutate their
-inputs, and parameter updates return fresh containers. Train-mode forward
-passes return a cache holding per-layer inputs, pre-activations and the
-batch statistics needed for the exact batch-norm backward pass; the updated
-running statistics are carried in that cache and applied explicitly with
-:func:`commit_running_stats`.
+Everything is float64. A :class:`NetworkParams` holds one contiguous
+parameter buffer laid out by its :class:`Layout`: first the trainable arrays
+in layer order (dense ``W`` then ``b``, batch-norm ``gamma`` then ``beta``),
+then the batch-norm running statistics (``running_mean`` then
+``running_var`` per batch-norm layer). Its ``layers`` entries are views into
+that buffer, one read-only mapping per layer: a test or demo may write into
+a view in place, but an entry cannot be rebound. Adam moments are two flat
+vectors over the trainable part of the same layout.
+
+The engine is functional: no function writes into an array it was given.
+:func:`apply_update`, :func:`commit_running_stats` and :func:`blend_params`
+each return a container with a fresh buffer, computed by whole-vector
+operations whose per-element arithmetic is the same as a per-array update.
+Train-mode forward passes return a cache holding per-layer inputs,
+pre-activations and the batch statistics needed for the exact batch-norm
+backward pass; the momentum-advanced running statistics are carried in that
+cache and applied explicitly with :func:`commit_running_stats`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,81 +106,132 @@ def validate_specs(specs) -> tuple[int, int]:
     return in_dim, width
 
 
-@dataclass
-class NetworkParams:
-    """Layered parameter container mirroring a LayerSpec chain."""
+TRAINABLE_KEYS = {DENSE: ("W", "b"), BATCHNORM: ("gamma", "beta"), ACTIVATION: ()}
+RUNNING_KEYS = ("running_mean", "running_var")
 
-    specs: tuple[LayerSpec, ...]
-    layers: list[dict]
+
+class Layout:
+    """Where every array of a validated spec chain sits in the flat buffer:
+    the trainable arrays first, then the running statistics. Built once per
+    chain and shared by every container derived from it."""
+
+    def __init__(self, specs):
+        self.specs = tuple(specs)
+        self.in_dim, self.out_dim = validate_specs(self.specs)
+        # per layer: (key, slice, shape) in the layer's key order
+        self.entries = [[] for _ in self.specs]
+        self.trainable = []   # (layer, key, shape) in buffer order
+        offset = 0
+        for i, spec in enumerate(self.specs):
+            for key in TRAINABLE_KEYS[spec.kind]:
+                shape = (spec.in_dim, spec.out_dim) if key == "W" else (spec.out_dim,)
+                size = math.prod(shape)
+                self.entries[i].append((key, slice(offset, offset + size), shape))
+                self.trainable.append((i, key, shape))
+                offset += size
+        self.n_trainable = offset
+        for i, spec in enumerate(self.specs):
+            if spec.kind == BATCHNORM:
+                for key in RUNNING_KEYS:
+                    self.entries[i].append(
+                        (key, slice(offset, offset + spec.out_dim), (spec.out_dim,)))
+                    offset += spec.out_dim
+        self.size = offset
+
+    def views(self, buffer, trainable_only=False):
+        """One read-only mapping of key -> view into `buffer` per layer."""
+        out = []
+        for entries in self.entries:
+            layer = {}
+            for key, where, shape in entries:
+                if trainable_only and where.stop > self.n_trainable:
+                    break
+                view = buffer[where]
+                layer[key] = view if len(shape) == 1 else view.reshape(shape)
+            out.append(MappingProxyType(layer))
+        return out
+
+
+@dataclass(eq=False)
+class NetworkParams:
+    """Parameters of a LayerSpec chain in one flat buffer; `layers` holds
+    per-layer views into it, made on first use."""
+
+    layout: Layout
+    buffer: np.ndarray
+
+    def __post_init__(self):
+        if self.buffer.shape != (self.layout.size,):
+            raise ValueError(f"parameter buffer of shape {self.buffer.shape} "
+                             f"does not match the layout size {self.layout.size}")
+
+    @functools.cached_property
+    def layers(self) -> list:
+        return self.layout.views(self.buffer)
+
+    def __getstate__(self):
+        # pickle the buffer alone; the views are remade on first use
+        return {"layout": self.layout, "buffer": self.buffer}
+
+    @property
+    def specs(self) -> tuple[LayerSpec, ...]:
+        return self.layout.specs
 
     @property
     def in_dim(self) -> int:
-        return validate_specs(self.specs)[0]
+        return self.layout.in_dim
 
     @property
     def out_dim(self) -> int:
-        return validate_specs(self.specs)[1]
+        return self.layout.out_dim
 
     def copy(self) -> "NetworkParams":
-        """Fresh layer dicts sharing the arrays: every update rebinds arrays
-        and none writes into one, so sharing is safe."""
-        return NetworkParams(self.specs, [dict(layer) for layer in self.layers])
+        return NetworkParams(self.layout, self.buffer.copy())
 
 
 @dataclass
 class ForwardCache:
-    """Per-layer intermediates recorded for a backward pass."""
+    """Per-layer intermediates recorded for a backward pass; `running` holds
+    the momentum-advanced running statistics of a train-mode pass, flat in
+    layout order (None when the chain has no batch norm or in infer mode)."""
 
     layers: list[dict]
     batch_size: int
     mode: str = TRAIN
+    running: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
-    """Adam first/second moment accumulators plus the step counter."""
+    """Adam first/second moments, flat over the trainable part of the
+    layout, plus the step counter."""
 
-    moments: list[dict]
+    layout: Layout
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-
-
-TRAINABLE_KEYS = {DENSE: ("W", "b"), BATCHNORM: ("gamma", "beta"), ACTIVATION: ()}
 
 
 def init_params(specs, seed: int) -> NetworkParams:
     """Seeded init: dense weights uniform in +-1/sqrt(fan_in), biases zero,
     batch-norm at the identity transform."""
-    specs = tuple(specs)
-    validate_specs(specs)
+    layout = Layout(specs)
     rng = np.random.default_rng(seed)
-    layers = []
-    for spec in specs:
+    buffer = np.zeros(layout.size)
+    params = NetworkParams(layout, buffer)
+    for spec, layer in zip(layout.specs, params.layers):
         if spec.kind == DENSE:
             bound = 1.0 / np.sqrt(spec.in_dim)
-            layers.append({
-                "W": rng.uniform(-bound, bound, size=(spec.in_dim, spec.out_dim)),
-                "b": np.zeros(spec.out_dim),
-            })
+            layer["W"][...] = rng.uniform(-bound, bound, size=(spec.in_dim, spec.out_dim))
         elif spec.kind == BATCHNORM:
-            layers.append({
-                "gamma": np.ones(spec.out_dim),
-                "beta": np.zeros(spec.out_dim),
-                "running_mean": np.zeros(spec.out_dim),
-                "running_var": np.ones(spec.out_dim),
-            })
-        else:
-            layers.append({})
-    return NetworkParams(specs, layers)
+            layer["gamma"][...] = 1.0
+            layer["running_var"][...] = 1.0
+    return params
 
 
 def init_optimizer(params: NetworkParams) -> OptimizerState:
-    moments = []
-    for spec, layer in zip(params.specs, params.layers):
-        entry = {}
-        for key in TRAINABLE_KEYS[spec.kind]:
-            entry[key] = (np.zeros_like(layer[key]), np.zeros_like(layer[key]))
-        moments.append(entry)
-    return OptimizerState(moments)
+    n = params.layout.n_trainable
+    return OptimizerState(params.layout, np.zeros(n), np.zeros(n))
 
 
 def _activate(name, z):
@@ -179,109 +244,112 @@ def _activate(name, z):
     return z
 
 
-def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN):
-    """Run the network on a batch of rows.
+def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
+            want_cache: bool = False):
+    """Run the network on a batch of rows; returns (output, cache).
 
-    Train mode normalizes with batch statistics, records a ForwardCache and
-    stores momentum-updated running statistics in the cache (apply them with
-    commit_running_stats). Infer mode uses running statistics and is a pure,
-    row-independent function of (params, batch); its cache is None.
+    Train mode normalizes with batch statistics, always records a
+    ForwardCache and stores momentum-updated running statistics in it (apply
+    them with commit_running_stats). Infer mode uses running statistics and
+    is a pure, row-independent function of (params, batch); its cache is
+    None unless `want_cache`. Infer-mode batch norm is affine in its input,
+    so that cache's backward pass carries no batch coupling.
     """
-    if mode == TRAIN:
-        return _forward_impl(params, batch, TRAIN, want_cache=True)
-    y, _ = _forward_impl(params, batch, mode, want_cache=False)
-    return y, None
-
-
-def forward_cached(params: NetworkParams, batch: np.ndarray, mode: str):
-    """Like :func:`forward` but always returns a backward-capable cache, in
-    either mode. Infer-mode batch norm is affine in its input, so its
-    backward pass carries no batch coupling."""
-    return _forward_impl(params, batch, mode, want_cache=True)
-
-
-def _forward_impl(params: NetworkParams, batch, mode, want_cache):
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("batch must be 2-D (rows x features)")
-    if x.shape[1] != params.in_dim:
-        raise ValueError(f"batch width {x.shape[1]} != input dim {params.in_dim}")
-    if mode not in (TRAIN, INFER):
+    layout = params.layout
+    if x.shape[1] != layout.in_dim:
+        raise ValueError(f"batch width {x.shape[1]} != input dim {layout.in_dim}")
+    if mode == TRAIN:
+        if x.shape[0] < 2:
+            raise ValueError("train mode needs a batch of at least 2 rows")
+        want_cache = True
+    elif mode != INFER:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == TRAIN and x.shape[0] < 2:
-        raise ValueError("train mode needs a batch of at least 2 rows")
 
-    caches = [] if want_cache else None
-    for spec, layer in zip(params.specs, params.layers):
+    caches = []
+    stats = []
+    for spec, layer in zip(layout.specs, params.layers):
         if spec.kind == DENSE:
-            z = x @ layer["W"] + layer["b"]
             if want_cache:
                 caches.append({"x": x})
-            x = z
+            x = x @ layer["W"]
+            x += layer["b"]
         elif spec.kind == BATCHNORM:
             if mode == TRAIN:
-                mean = x.mean(axis=0)
-                var = x.var(axis=0)
+                # numpy's mean and var, operation for operation
+                n = x.shape[0]
+                mean = np.add.reduce(x, axis=0) / n
+                centered = x - mean
+                var = np.add.reduce(centered * centered, axis=0) / n
                 ivar = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = (x - mean) * ivar
-                if want_cache:
-                    caches.append({
-                        "xhat": xhat,
-                        "ivar": ivar,
-                        "new_running_mean": BN_MOMENTUM * layer["running_mean"]
-                        + (1.0 - BN_MOMENTUM) * mean,
-                        "new_running_var": BN_MOMENTUM * layer["running_var"]
-                        + (1.0 - BN_MOMENTUM) * var,
-                    })
+                xhat = centered
+                stats += (mean, var)
             else:
                 ivar = 1.0 / np.sqrt(layer["running_var"] + BN_EPS)
-                xhat = (x - layer["running_mean"]) * ivar
-                if want_cache:
-                    caches.append({"xhat": xhat, "ivar": ivar})
-            x = layer["gamma"] * xhat + layer["beta"]
+                xhat = x - layer["running_mean"]
+            xhat *= ivar
+            if want_cache:
+                caches.append({"xhat": xhat, "ivar": ivar})
+            x = layer["gamma"] * xhat
+            x += layer["beta"]
         else:
             out = _activate(spec.activation, x)
             if want_cache:
                 caches.append({"z": x, "out": out})
             x = out
-    if want_cache:
-        return x, ForwardCache(caches, x.shape[0], mode)
-    return x, None
+    if not want_cache:
+        return x, None
+    running = None
+    if stats:
+        running = (BN_MOMENTUM * params.buffer[layout.n_trainable:]
+                   + (1.0 - BN_MOMENTUM) * np.concatenate(stats))
+    return x, ForwardCache(caches, x.shape[0], mode, running)
+
+
+# forward with a backward-capable cache in either mode
+forward_cached = functools.partial(forward, want_cache=True)
 
 
 def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarray):
-    """Exact gradients of the train-mode forward map.
+    """Exact gradients of the forward map recorded in `cache`.
 
     Returns (grads, input_grad) where grads mirrors the trainable entries of
-    `params` (dense W/b, batch-norm gamma/beta). Batch-norm gradients include
-    the dependence of the batch statistics on the inputs.
+    `params` (dense W/b, batch-norm gamma/beta). Train-mode batch-norm
+    gradients include the dependence of the batch statistics on the inputs.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a train-mode forward")
     dy = np.asarray(upstream_grad, dtype=np.float64)
-    if len(cache.layers) != len(params.specs):
+    specs = params.layout.specs
+    if len(cache.layers) != len(specs):
         raise ValueError("cache does not match the parameter container")
-    grads = [dict() for _ in params.specs]
-    for i in range(len(params.specs) - 1, -1, -1):
-        spec, layer, lcache = params.specs[i], params.layers[i], cache.layers[i]
+    grads = [{} for _ in specs]
+    for i in range(len(specs) - 1, -1, -1):
+        spec, layer, lcache = specs[i], params.layers[i], cache.layers[i]
         if spec.kind == DENSE:
-            x = lcache["x"]
-            grads[i]["W"] = x.T @ dy
-            grads[i]["b"] = dy.sum(axis=0)
+            grads[i]["W"] = lcache["x"].T @ dy
+            grads[i]["b"] = np.add.reduce(dy, axis=0)
             dy = dy @ layer["W"].T
         elif spec.kind == BATCHNORM:
             xhat, ivar = lcache["xhat"], lcache["ivar"]
             n = cache.batch_size
-            grads[i]["gamma"] = (dy * xhat).sum(axis=0)
-            grads[i]["beta"] = dy.sum(axis=0)
+            grads[i]["gamma"] = np.add.reduce(dy * xhat, axis=0)
+            grads[i]["beta"] = np.add.reduce(dy, axis=0)
             dxhat = dy * layer["gamma"]
             if cache.mode == TRAIN:
-                dy = (ivar / n) * (
-                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-                )
+                # (ivar / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+                # operation for operation, in one fresh array
+                dy = n * dxhat
+                dy -= np.add.reduce(dxhat, axis=0)
+                dxhat *= xhat
+                dy -= xhat * np.add.reduce(dxhat, axis=0)
+                dy *= ivar / n
             else:
                 # running statistics are constants; the map is affine
-                dy = dxhat * ivar
+                dxhat *= ivar
+                dy = dxhat
         else:
             z, out = lcache["z"], lcache["out"]
             if spec.activation == "relu":
@@ -298,40 +366,35 @@ def commit_running_stats(params: NetworkParams, cache: ForwardCache) -> NetworkP
     """Return params with batch-norm running statistics advanced per the cache."""
     if cache.mode != TRAIN:
         raise ValueError("running statistics only advance on train-mode passes")
-    out = params.copy()
-    for spec, layer, lcache in zip(out.specs, out.layers, cache.layers):
-        if spec.kind == BATCHNORM:
-            layer["running_mean"] = lcache["new_running_mean"].copy()
-            layer["running_var"] = lcache["new_running_var"].copy()
-    return out
+    if cache.running is None:
+        return params.copy()
+    n = params.layout.n_trainable
+    return NetworkParams(params.layout,
+                         np.concatenate((params.buffer[:n], cache.running)))
 
 
 def apply_update(params: NetworkParams, grads, opt_state: OptimizerState,
                  learning_rate: float):
     """One Adam step with bias correction; returns (new_params, new_opt_state)."""
-    for entry in grads:
-        for g in entry.values():
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(
-                    "non-finite gradient encountered; update rejected")
-    new_params = params.copy()
+    layout = params.layout
+    flat = []
+    for i, key, shape in layout.trainable:
+        flat.append(grads[i][key])
+        if flat[-1].shape != shape:
+            raise ValueError(f"gradient {i}:{key} has shape {flat[-1].shape}, "
+                             f"the layer layout needs {shape}")
+    g = np.concatenate(flat, axis=None)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradientError("non-finite gradient encountered; update rejected")
     step = opt_state.step + 1
-    new_moments = []
     corr1 = 1.0 - ADAM_BETA1 ** step
     corr2 = 1.0 - ADAM_BETA2 ** step
-    for spec, layer, gentry, mentry in zip(
-            new_params.specs, new_params.layers, grads, opt_state.moments):
-        new_entry = {}
-        for key in TRAINABLE_KEYS[spec.kind]:
-            g = gentry[key]
-            m, v = mentry[key]
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            layer[key] = layer[key] - learning_rate * (m / corr1) / (
-                np.sqrt(v / corr2) + ADAM_EPS)
-            new_entry[key] = (m, v)
-        new_moments.append(new_entry)
-    return new_params, OptimizerState(new_moments, step)
+    m = ADAM_BETA1 * opt_state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * opt_state.v + (1.0 - ADAM_BETA2) * g * g
+    buffer = params.buffer.copy()
+    buffer[:layout.n_trainable] -= learning_rate * (m / corr1) / (
+        np.sqrt(v / corr2) + ADAM_EPS)
+    return NetworkParams(layout, buffer), OptimizerState(layout, m, v, step)
 
 
 def blend_params(target: NetworkParams, online: NetworkParams, rho: float) -> NetworkParams:
@@ -339,11 +402,9 @@ def blend_params(target: NetworkParams, online: NetworkParams, rho: float) -> Ne
     statistics included."""
     if target.specs != online.specs:
         raise ValueError("parameter containers have different layer specs")
-    out = target.copy()
-    for layer_t, layer_o in zip(out.layers, online.layers):
-        for key in layer_t:
-            layer_t[key] = rho * layer_t[key] + (1.0 - rho) * layer_o[key]
-    return out
+    buffer = rho * target.buffer
+    buffer += (1.0 - rho) * online.buffer
+    return NetworkParams(target.layout, buffer)
 
 
 def iter_arrays(params: NetworkParams, trainable_only: bool = False):
@@ -365,6 +426,22 @@ def zero_grads(params: NetworkParams):
 #
 # Layout: a magic line, the layer chain, then one block per array. Floats
 # are written with repr() so the write->read round trip is bit exact.
+# Readers check the structure and raise ValueError on any deviation.
+
+
+def read_fields(fh, label, count=None):
+    """The fields after `label` on the next line, which must be complete
+    (newline-terminated) and, when `count` is given, hold that many."""
+    line = fh.readline()
+    if not line.endswith("\n"):
+        raise ValueError(f"truncated checkpoint: expected a {label!r} line")
+    parts = line.split()
+    if not parts or parts[0] != label:
+        raise ValueError(f"malformed checkpoint: expected {label!r}, got {line[:60]!r}")
+    if count is not None and len(parts) - 1 != count:
+        raise ValueError(f"malformed checkpoint: {label!r} line holds "
+                         f"{len(parts) - 1} fields, expected {count}")
+    return parts[1:]
 
 
 def _write_array(fh, name, arr):
@@ -376,16 +453,42 @@ def _write_array(fh, name, arr):
     fh.write("\n")
 
 
-def _read_array(line, fh):
-    parts = line.split()
-    if parts[0] != "array":
-        raise ValueError(f"expected array block, got {line!r}")
-    name = parts[1]
-    ndim = int(parts[2])
-    shape = tuple(int(p) for p in parts[3:3 + ndim])
-    values = fh.readline().split()
-    arr = np.array([float(v) for v in values], dtype=np.float64).reshape(shape)
-    return name, arr
+def _read_array(fh):
+    """Read one array block; returns (name, array)."""
+    fields = read_fields(fh, "array")
+    if len(fields) < 2:
+        raise ValueError("malformed checkpoint: array header without name or rank")
+    name, ndim = fields[0], int(fields[1])
+    if ndim < 0 or len(fields) != 2 + ndim:
+        raise ValueError(f"malformed checkpoint: array {name} declares rank {ndim} "
+                         f"with {len(fields) - 2} dimensions")
+    shape = tuple(int(d) for d in fields[2:])
+    if any(d < 0 for d in shape):
+        raise ValueError(f"malformed checkpoint: array {name} has shape {shape}")
+    line = fh.readline()
+    if not line.endswith("\n"):
+        raise ValueError(f"truncated checkpoint: values of array {name}")
+    values = np.array([float(v) for v in line.split()], dtype=np.float64)
+    if values.size != math.prod(shape):
+        raise ValueError(f"malformed checkpoint: array {name} holds {values.size} "
+                         f"values, shape {shape} needs {math.prod(shape)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"malformed checkpoint: array {name} has non-finite values")
+    return name, values.reshape(shape)
+
+
+def _read_into(fh, named_views):
+    """Read one array block per named view, in any order, into the views."""
+    pending = dict(named_views)
+    for _ in range(len(named_views)):
+        name, arr = _read_array(fh)
+        if name not in pending:
+            raise ValueError(f"malformed checkpoint: unexpected array {name!r}")
+        view = pending.pop(name)
+        if arr.shape != view.shape:
+            raise ValueError(f"malformed checkpoint: array {name} has shape "
+                             f"{arr.shape}, the layer layout needs {view.shape}")
+        view[...] = arr
 
 
 def write_params(fh, params: NetworkParams) -> None:
@@ -397,46 +500,44 @@ def write_params(fh, params: NetworkParams) -> None:
 
 
 def read_params(fh) -> NetworkParams:
-    header = fh.readline().split()
-    if not header or header[0] != "specs":
-        raise ValueError("malformed checkpoint: missing spec header")
-    n = int(header[1])
+    (n,) = read_fields(fh, "specs", 1)
     specs = []
-    for _ in range(n):
-        kind, in_dim, out_dim, act = fh.readline().split()
+    for _ in range(int(n)):
+        line = fh.readline()
+        parts = line.split()
+        if not line.endswith("\n") or len(parts) != 4:
+            raise ValueError("malformed checkpoint: truncated layer spec")
+        kind, in_dim, out_dim, act = parts
         specs.append(LayerSpec(kind, int(in_dim), int(out_dim), act))
-    params = init_params(specs, seed=0)
-    count = sum(len(layer) for layer in params.layers)
-    for _ in range(count):
-        name, arr = _read_array(fh.readline(), fh)
-        idx, key = name.split(":")
-        params.layers[int(idx)][key] = arr
+    layout = Layout(specs)
+    params = NetworkParams(layout, np.zeros(layout.size))
+    _read_into(fh, {f"{i}:{key}": arr for i, key, arr in iter_arrays(params)})
     return params
 
 
 def write_optimizer(fh, opt_state: OptimizerState) -> None:
     fh.write(f"optimizer {opt_state.step}\n")
-    for i, entry in enumerate(opt_state.moments):
-        for key in sorted(entry):
-            m, v = entry[key]
-            _write_array(fh, f"{i}:{key}:m", m)
-            _write_array(fh, f"{i}:{key}:v", v)
+    layout = opt_state.layout
+    for i, (m, v) in enumerate(zip(layout.views(opt_state.m, trainable_only=True),
+                                   layout.views(opt_state.v, trainable_only=True))):
+        for key in sorted(m):
+            _write_array(fh, f"{i}:{key}:m", m[key])
+            _write_array(fh, f"{i}:{key}:v", v[key])
 
 
 def read_optimizer(fh, params: NetworkParams) -> OptimizerState:
-    header = fh.readline().split()
-    if not header or header[0] != "optimizer":
-        raise ValueError("malformed checkpoint: missing optimizer header")
+    (step,) = read_fields(fh, "optimizer", 1)
     opt = init_optimizer(params)
-    opt.step = int(header[1])
-    pending = {}
-    n_arrays = 2 * sum(len(entry) for entry in opt.moments)
-    for _ in range(n_arrays):
-        name, arr = _read_array(fh.readline(), fh)
-        pending[name] = arr
-    for i, entry in enumerate(opt.moments):
-        for key in entry:
-            entry[key] = (pending[f"{i}:{key}:m"], pending[f"{i}:{key}:v"])
+    opt.step = int(step)
+    if opt.step < 0:
+        raise ValueError(f"malformed checkpoint: optimizer step {opt.step}")
+    layout = params.layout
+    named = {}
+    for suffix, flat in (("m", opt.m), ("v", opt.v)):
+        for i, layer in enumerate(layout.views(flat, trainable_only=True)):
+            for key, view in layer.items():
+                named[f"{i}:{key}:{suffix}"] = view
+    _read_into(fh, named)
     return opt
 
 
@@ -455,8 +556,9 @@ def load_checkpoint(path):
             raise ValueError(f"unrecognized checkpoint format {magic!r}")
         params = read_params(fh)
         pos = fh.tell()
-        nxt = fh.readline()
-        if nxt.startswith("optimizer"):
-            fh.seek(pos)
-            return params, read_optimizer(fh, params)
-    return params, None
+        has_optimizer = fh.readline().startswith("optimizer")
+        fh.seek(pos)
+        opt = read_optimizer(fh, params) if has_optimizer else None
+        if fh.read():
+            raise ValueError("malformed checkpoint: trailing data")
+    return params, opt

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: partial likelihood
 by double loop, maximization by zooming grid, concordance by exhaustive
-pair counting, the penalized Cox fit by cold-start proximal gradient, and
-held flows and one-step transitions by per-step loops."""
+pair counting, the penalized Cox fit by cold-start proximal gradient,
+held flows and one-step transitions by per-step loops, and the network
+engine by per-layer, per-array loops over lists of parameter dicts."""
 
 import math
 
@@ -134,3 +135,133 @@ def transitions_loop(states, actions, reward):
         out.append((states[i], float(actions[i]), reward if last else 0.0,
                     states[i + 1], last))
     return out
+
+
+# --- per-array network engine ----------------------------------------------
+#
+# Parameters are a list of per-layer dicts of separate arrays, Adam moments a
+# list of per-layer dicts of (m, v) pairs; every update loops over layers and
+# keys and uses numpy's mean/var/sum methods.
+
+BN_MOMENTUM = 0.99
+BN_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+TRAINABLE = {"dense": ("W", "b"), "batchnorm": ("gamma", "beta"), "activation": ()}
+
+
+def _activate(name, z):
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    return z
+
+
+def forward_loop(specs, layers, batch, mode):
+    """Returns (output, per-layer caches); train-mode batch-norm caches
+    carry the momentum-advanced running statistics."""
+    x = np.asarray(batch, dtype=np.float64)
+    caches = []
+    for spec, layer in zip(specs, layers):
+        if spec.kind == "dense":
+            z = x @ layer["W"] + layer["b"]
+            caches.append({"x": x})
+            x = z
+        elif spec.kind == "batchnorm":
+            if mode == "train":
+                mean = x.mean(axis=0)
+                var = x.var(axis=0)
+                ivar = 1.0 / np.sqrt(var + BN_EPS)
+                xhat = (x - mean) * ivar
+                caches.append({
+                    "xhat": xhat, "ivar": ivar,
+                    "new_running_mean": BN_MOMENTUM * layer["running_mean"]
+                    + (1.0 - BN_MOMENTUM) * mean,
+                    "new_running_var": BN_MOMENTUM * layer["running_var"]
+                    + (1.0 - BN_MOMENTUM) * var,
+                })
+            else:
+                ivar = 1.0 / np.sqrt(layer["running_var"] + BN_EPS)
+                xhat = (x - layer["running_mean"]) * ivar
+                caches.append({"xhat": xhat, "ivar": ivar})
+            x = layer["gamma"] * xhat + layer["beta"]
+        else:
+            out = _activate(spec.activation, x)
+            caches.append({"z": x, "out": out})
+            x = out
+    return x, caches
+
+
+def backward_loop(specs, layers, caches, mode, upstream_grad):
+    """Returns (per-layer gradient dicts, input gradient)."""
+    dy = np.asarray(upstream_grad, dtype=np.float64)
+    grads = [dict() for _ in specs]
+    for i in range(len(specs) - 1, -1, -1):
+        spec, layer, lcache = specs[i], layers[i], caches[i]
+        if spec.kind == "dense":
+            grads[i]["W"] = lcache["x"].T @ dy
+            grads[i]["b"] = dy.sum(axis=0)
+            dy = dy @ layer["W"].T
+        elif spec.kind == "batchnorm":
+            xhat, ivar = lcache["xhat"], lcache["ivar"]
+            n = dy.shape[0]
+            grads[i]["gamma"] = (dy * xhat).sum(axis=0)
+            grads[i]["beta"] = dy.sum(axis=0)
+            dxhat = dy * layer["gamma"]
+            if mode == "train":
+                dy = (ivar / n) * (
+                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+            else:
+                dy = dxhat * ivar
+        else:
+            z, out = lcache["z"], lcache["out"]
+            if spec.activation == "relu":
+                dy = dy * (z > 0.0)
+            elif spec.activation == "tanh":
+                dy = dy * (1.0 - out * out)
+            elif spec.activation == "sigmoid":
+                dy = dy * out * (1.0 - out)
+    return grads, dy
+
+
+def adam_loop(specs, layers, grads, moments, step, learning_rate):
+    """One bias-corrected Adam step per array; `moments` holds per-layer
+    dicts of (m, v). Returns (layers, moments, step), all new."""
+    step += 1
+    corr1 = 1.0 - ADAM_BETA1 ** step
+    corr2 = 1.0 - ADAM_BETA2 ** step
+    new_layers = [dict(layer) for layer in layers]
+    new_moments = []
+    for spec, layer, gentry, mentry in zip(specs, new_layers, grads, moments):
+        entry = {}
+        for key in TRAINABLE[spec.kind]:
+            g = gentry[key]
+            m, v = mentry[key]
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            layer[key] = layer[key] - learning_rate * (m / corr1) / (
+                np.sqrt(v / corr2) + ADAM_EPS)
+            entry[key] = (m, v)
+        new_moments.append(entry)
+    return new_layers, new_moments, step
+
+
+def commit_loop(specs, layers, caches):
+    """Layers with each batch norm's running statistics taken from a
+    train-mode cache."""
+    out = [dict(layer) for layer in layers]
+    for spec, layer, lcache in zip(specs, out, caches):
+        if spec.kind == "batchnorm":
+            layer["running_mean"] = lcache["new_running_mean"].copy()
+            layer["running_var"] = lcache["new_running_var"].copy()
+    return out
+
+
+def blend_loop(target_layers, online_layers, rho):
+    """rho * target + (1 - rho) * online, array by array."""
+    return [{key: rho * layer_t[key] + (1.0 - rho) * layer_o[key] for key in layer_t}
+            for layer_t, layer_o in zip(target_layers, online_layers)]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import xml.etree.ElementTree as ET
 
@@ -104,6 +105,21 @@ def test_train_missing_schema_is_stage_labeled(tmp_path, cohort_dir, capsys):
     assert "[load]" in capsys.readouterr().err
 
 
+# SHA-256 over the name and bytes of each file the `trained_dir` fixture
+# writes, pinned to the output of the per-array network engine that the flat
+# parameter buffers replaced
+TRAIN_DIGEST = "75182cd554ae6568763599485238afabdfe3cc68604d4f58aac371c697fb88cd"
+
+
+def test_train_outputs_match_pinned_digest(trained_dir):
+    digest = hashlib.sha256()
+    for name in ("policy.ckpt", "training_log.csv"):
+        digest.update(name.encode())
+        digest.update(b"\0")
+        digest.update((trained_dir / name).read_bytes())
+    assert digest.hexdigest() == TRAIN_DIGEST
+
+
 def test_train_byte_deterministic(tmp_path, cohort_dir):
     outs = []
     for name in ("a", "b"):
@@ -160,6 +176,32 @@ def test_evaluate_mirror_checkpoint_consistency_one(tmp_path, cohort_dir, traine
                    in (out / "metrics.csv").read_text().splitlines()[1:])
     assert float(metrics["consistency_rate"]) == 1.0
     assert float(metrics["mortality_reduction"]) == 0.0
+
+
+def test_evaluate_truncated_checkpoint_is_load_error(tmp_path, cohort_dir, trained_dir,
+                                                    capsys):
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes((trained_dir / "policy.ckpt").read_bytes()[:120])
+    out = tmp_path / "report"
+    assert run(eval_args(out, cohort_dir, ckpt)) == 1
+    err = capsys.readouterr().err
+    assert "[load]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_misshaped_checkpoint_is_load_error(tmp_path, cohort_dir, trained_dir,
+                                                     capsys):
+    # same value count, transposed declared shape
+    text = (trained_dir / "policy.ckpt").read_text()
+    n_features = len(ddpg.load_policy(trained_dir / "policy.ckpt").feature_names)
+    header = f"array 0:W 2 {n_features} {ddpg.STATE_HIDDEN}\n"
+    assert header in text
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text(text.replace(
+        header, f"array 0:W 2 {ddpg.STATE_HIDDEN} {n_features}\n", 1))
+    assert run(eval_args(tmp_path / "report", cohort_dir, ckpt)) == 1
+    err = capsys.readouterr().err
+    assert "[load]" in err and "shape" in err
 
 
 def test_evaluate_figures_are_valid_svg(tmp_path, cohort_dir, trained_dir):

@@ -301,6 +301,16 @@ def test_cohort_csv_round_trip(tmp_path):
         assert records_equal(a, b)
 
 
+def test_pointwise_names_follow_feature_kinds():
+    for schema in (cohort.default_schema(), tiny_schema()):
+        expected = {name for name in schema.names
+                    if schema.kind_of(name) in (cohort.STATIC, cohort.COMORBIDITY)}
+        assert expected
+        assert schema.pointwise_names == expected
+        for name in schema.names:
+            assert schema.is_pointwise(name) == (name in expected)
+
+
 def test_malformed_header_is_schema_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("patient_id,hospital_id,time_hours,value\n")

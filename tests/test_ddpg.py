@@ -11,8 +11,8 @@ from oxyrl.ddpg import (
 
 def constant_critic(state_dim, value, seed=0):
     critic = CriticNet.build(state_dim, seed)
-    critic.trunk.layers[-1]["W"] = np.zeros_like(critic.trunk.layers[-1]["W"])
-    critic.trunk.layers[-1]["b"] = np.array([value])
+    critic.trunk.layers[-1]["W"][...] = np.zeros_like(critic.trunk.layers[-1]["W"])
+    critic.trunk.layers[-1]["b"][...] = np.array([value])
     return critic
 
 
@@ -267,8 +267,8 @@ def test_consistency_constant_actor_squared_gap():
     memory.actions = np.full(len(memory), 10.0)
     actor = ActorNet.build(3, 43)
     # saturate the output head so the policy pins at 0 L/min
-    actor.net.layers[-2]["W"] = np.zeros_like(actor.net.layers[-2]["W"])
-    actor.net.layers[-2]["b"] = np.array([-40.0])
+    actor.net.layers[-2]["W"][...] = np.zeros_like(actor.net.layers[-2]["W"])
+    actor.net.layers[-2]["b"][...] = np.array([-40.0])
     assert consistency_metric(actor, memory) == pytest.approx(100.0, abs=1e-12)
 
 
@@ -433,3 +433,73 @@ def test_policy_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(
         result.targets.critic.q_values(states, np.full(100, 20.0)),
         loaded.targets.critic.q_values(states, np.full(100, 20.0)))
+
+
+def _policy_text(tmp_path):
+    actor, critic = ActorNet.build(2, 1), CriticNet.build(2, 2)
+    bundle = PolicyBundle(
+        actor=actor, critic=critic, targets=TargetPair.from_online(critic, actor),
+        config=TrainingConfig(), interval_hours=4.0, feature_names=("a", "b"),
+        feature_means=np.zeros(2), feature_sds=np.ones(2))
+    path = tmp_path / "policy.ckpt"
+    ddpg.save_policy(path, bundle)
+    return path.read_text()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("truncated_header", "truncated"),
+    ("truncated_values", "truncated"),
+    ("missing_net", "truncated"),
+    ("unknown_name", "unexpected array"),
+    ("wrong_shape", "layer layout"),
+    ("wrong_count", "values"),
+    ("non_finite", "non-finite"),
+    ("trailing", "trailing"),
+    ("wrong_features", "feature_means"),
+    ("short_config", "config"),
+])
+def test_load_policy_rejects_structural_faults(tmp_path, fault, message):
+    text = _policy_text(tmp_path)
+    first_w = f"array 0:W 2 2 {ddpg.STATE_HIDDEN}\n"
+    assert first_w in text
+    values_start = text.index(first_w) + len(first_w)
+    values_end = text.index("\n", values_start)
+    values = text[values_start:values_end].split()
+    if fault == "truncated_header":
+        text = text[:120]
+    elif fault == "truncated_values":
+        text = text[:values_start + 10]
+    elif fault == "missing_net":
+        text = text[:text.rindex("specs ")]
+    elif fault == "unknown_name":
+        text = text.replace(first_w, f"array 0:Q 2 2 {ddpg.STATE_HIDDEN}\n", 1)
+    elif fault == "wrong_shape":
+        text = text.replace(first_w, f"array 0:W 2 {ddpg.STATE_HIDDEN} 2\n", 1)
+    elif fault == "wrong_count":
+        text = text[:values_start] + " ".join(values[:-1]) + text[values_end:]
+    elif fault == "non_finite":
+        text = text[:values_start] + " ".join(["nan"] + values[1:]) + text[values_end:]
+    elif fault == "trailing":
+        text += "array extra 1 1\n0.0\n"
+    elif fault == "wrong_features":
+        text = text.replace("features a b\n", "features a b c\n", 1)
+    elif fault == "short_config":
+        text = text.replace("config ", "config 0.5 ", 1)
+    path = tmp_path / "bad.ckpt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        ddpg.load_policy(path)
+
+
+def test_load_checkpoint_rejects_structural_faults(tmp_path):
+    params = nn.init_params([nn.dense(2, 3), nn.batchnorm(3)], seed=0)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(path, params, nn.init_optimizer(params))
+    text = path.read_text()
+    for bad, message in ((text[:-3], "truncated"),
+                         (text.replace(":m ", ":x ", 1), "unexpected array"),
+                         (text + "junk\n", "trailing"),
+                         (text.replace("optimizer 0", "optimizer -1"), "step")):
+        path.write_text(bad)
+        with pytest.raises(ValueError, match=message):
+            nn.load_checkpoint(path)

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import adam_loop, backward_loop, blend_loop, commit_loop, forward_loop
 from oxyrl import nn
 
 
@@ -78,8 +81,8 @@ def test_identity_batchnorm_infer_passes_input_through():
 
 def test_identity_dense_is_identity_map():
     params = nn.init_params([nn.dense(3, 3)], seed=0)
-    params.layers[0]["W"] = np.eye(3)
-    params.layers[0]["b"] = np.zeros(3)
+    params.layers[0]["W"][...] = np.eye(3)
+    params.layers[0]["b"][...] = np.zeros(3)
     x = np.array([[0.1, 2.0, -7.0], [4.0, 5.0, 6.0]])
     out, _ = nn.forward(params, x, nn.INFER)
     np.testing.assert_array_equal(out, x)
@@ -109,8 +112,8 @@ def test_forward_rejects_wrong_width():
 
 def test_train_batchnorm_output_statistics():
     params = nn.init_params([nn.batchnorm(2)], seed=0)
-    params.layers[0]["gamma"] = np.array([2.0, 0.5])
-    params.layers[0]["beta"] = np.array([-1.0, 3.0])
+    params.layers[0]["gamma"][...] = np.array([2.0, 0.5])
+    params.layers[0]["beta"][...] = np.array([-1.0, 3.0])
     rng = np.random.default_rng(11)
     # large variance keeps the eps correction below the 1e-6 tolerance
     x = rng.normal(scale=20.0, size=(64, 2))
@@ -267,7 +270,7 @@ def test_updates_leave_input_arrays_unchanged():
 def test_adam_converges_on_scalar_quadratic():
     # loss 0.5*(w - 0.5)^2, gradient (w - 0.5)
     params = nn.init_params([nn.dense(1, 1)], seed=0)
-    params.layers[0]["W"] = np.array([[0.2]])
+    params.layers[0]["W"][...] = np.array([[0.2]])
     opt = nn.init_optimizer(params)
     target = 0.5
     for _ in range(500):
@@ -324,8 +327,8 @@ def test_blend_endpoints():
 def test_blend_midpoint_scalar():
     a = nn.init_params([nn.dense(1, 1)], seed=0)
     b = nn.init_params([nn.dense(1, 1)], seed=0)
-    a.layers[0]["W"] = np.array([[2.0]])
-    b.layers[0]["W"] = np.array([[4.0]])
+    a.layers[0]["W"][...] = np.array([[2.0]])
+    b.layers[0]["W"][...] = np.array([[4.0]])
     mid = nn.blend_params(a, b, 0.5)
     assert mid.layers[0]["W"][0, 0] == 3.0
 
@@ -348,10 +351,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for (_, _, u), (_, _, v) in zip(nn.iter_arrays(params), nn.iter_arrays(loaded)):
         np.testing.assert_array_equal(u, v)
     assert loaded_opt.step == opt.step
-    for e1, e2 in zip(opt.moments, loaded_opt.moments):
-        for key in e1:
-            np.testing.assert_array_equal(e1[key][0], e2[key][0])
-            np.testing.assert_array_equal(e1[key][1], e2[key][1])
+    np.testing.assert_array_equal(opt.m, loaded_opt.m)
+    np.testing.assert_array_equal(opt.v, loaded_opt.v)
 
 
 def test_checkpoint_without_optimizer(tmp_path):
@@ -362,3 +363,102 @@ def test_checkpoint_without_optimizer(tmp_path):
     assert opt is None
     for (_, _, u), (_, _, v) in zip(nn.iter_arrays(params), nn.iter_arrays(loaded)):
         np.testing.assert_array_equal(u, v)
+
+
+# --- flat engine against the per-array oracle ------------------------------------
+
+@st.composite
+def layer_chains(draw):
+    """Valid dense/batchnorm/activation chains of one to six layers."""
+    width = draw(st.integers(1, 5))
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from((nn.DENSE, nn.BATCHNORM, nn.ACTIVATION)))
+        if kind == nn.DENSE:
+            out = draw(st.integers(1, 5))
+            specs.append(nn.dense(width, out))
+            width = out
+        elif kind == nn.BATCHNORM:
+            specs.append(nn.batchnorm(width))
+        else:
+            specs.append(nn.activation(draw(st.sampled_from(nn.ACTIVATIONS))))
+    if all(spec.kind == nn.ACTIVATION for spec in specs):
+        specs.append(nn.dense(width, draw(st.integers(1, 5))))
+    return specs
+
+
+def random_params(specs, rng):
+    """A container with every array random; running variances positive."""
+    params = nn.init_params(specs, seed=0)
+    params.buffer[...] = rng.normal(size=params.buffer.shape)
+    for layer in params.layers:
+        if "running_var" in layer:
+            layer["running_var"][...] = rng.uniform(0.2, 3.0, size=layer["running_var"].shape)
+    return params
+
+
+def as_dicts(params):
+    return [{key: arr.copy() for key, arr in layer.items()} for layer in params.layers]
+
+
+def assert_bits_equal(ours, oracle):
+    assert len(ours) == len(oracle)
+    for layer_a, layer_b in zip(ours, oracle):
+        assert sorted(layer_a) == sorted(layer_b)
+        for key in layer_a:
+            a, b = np.asarray(layer_a[key]), np.asarray(layer_b[key])
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=layer_chains(), mode=st.sampled_from((nn.TRAIN, nn.INFER)),
+       batch_size=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+       rho=st.floats(0.0, 1.0), lr=st.floats(1e-4, 0.1))
+def test_flat_engine_matches_per_array_oracle(specs, mode, batch_size, seed, rho, lr):
+    rng = np.random.default_rng(seed)
+    params = random_params(specs, rng)
+    other = random_params(specs, rng)
+    layers = as_dicts(params)
+    x = rng.normal(size=(batch_size, params.in_dim))
+    upstream = rng.normal(size=(batch_size, params.out_dim))
+    inputs = [arr.copy() for arr in (x, upstream, params.buffer, other.buffer)]
+
+    y, cache = nn.forward(params, x, mode)
+    y_oracle, caches = forward_loop(specs, layers, x, mode)
+    assert y.tobytes() == y_oracle.tobytes()
+    assert (cache is None) == (mode == nn.INFER)
+    y_cached, cache = nn.forward_cached(params, x, mode)
+    assert y_cached.tobytes() == y_oracle.tobytes()
+
+    grads, dx = nn.backward(params, cache, upstream)
+    grads_oracle, dx_oracle = backward_loop(specs, layers, caches, mode, upstream)
+    assert_bits_equal(grads, grads_oracle)
+    assert dx.tobytes() == dx_oracle.tobytes()
+
+    # two steps, so the second starts from non-zero moments
+    opt = nn.init_optimizer(params)
+    moments = [{key: (np.zeros_like(arr), np.zeros_like(arr))
+                for key, arr in layer.items() if key in grads[i]}
+               for i, layer in enumerate(layers)]
+    updated, step = params, 0
+    for scale in (1.0, -0.5):
+        scaled = [{key: scale * g for key, g in entry.items()} for entry in grads]
+        updated, opt = nn.apply_update(updated, scaled, opt, lr)
+        layers, moments, step = adam_loop(specs, layers, scaled, moments, step, lr)
+    assert opt.step == step == 2
+    assert_bits_equal(updated.layers, layers)
+    assert_bits_equal(
+        opt.layout.views(opt.m, trainable_only=True),
+        [{key: m for key, (m, _) in entry.items()} for entry in moments])
+    assert_bits_equal(
+        opt.layout.views(opt.v, trainable_only=True),
+        [{key: v for key, (_, v) in entry.items()} for entry in moments])
+
+    if mode == nn.TRAIN:
+        committed = nn.commit_running_stats(updated, cache)
+        assert_bits_equal(committed.layers, commit_loop(specs, layers, caches))
+
+    blended = nn.blend_params(updated, other, rho)
+    assert_bits_equal(blended.layers, blend_loop(layers, as_dicts(other), rho))
+    for before, after in zip(inputs, (x, upstream, params.buffer, other.buffer)):
+        assert before.tobytes() == after.tobytes()

@@ -4,23 +4,40 @@ the demos call the package's modules by attribute; a renamed or removed
 name would break either silently, so both sets are checked here."""
 
 import ast
+import functools
 import importlib.util
 import pathlib
 import sys
 
+import numpy as np
+
 import oxyrl
+from oxyrl import ddpg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 MODULES = ("cohort", "ddpg", "evaluation", "survival", "nn", "figures")
 
 
-def test_every_traced_function_resolves(monkeypatch):
+TRAINING_STEP = (
+    "nn.forward", "nn.forward_cached", "nn.backward", "nn.apply_update",
+    "nn.commit_running_stats", "nn.blend_params", "ddpg.td_target",
+    "ddpg.critic_step", "ddpg.actor_step", "ddpg.polyak_update",
+    "ddpg.consistency_metric",
+)
+
+
+def load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     # dataclasses resolve string annotations through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    tracing = load_tracing(monkeypatch)
     traced = [(module, name) for module, entries in tracing.TRACED.items()
               for name, _ in entries]
     assert traced
@@ -42,3 +59,31 @@ def test_every_demo_attribute_resolves():
     missing = [f"{demo}: {module}.{name}" for demo, module, name in sorted(referenced)
                if not hasattr(getattr(oxyrl, module), name)]
     assert missing == []
+
+
+def test_traced_training_step_functions_are_called(monkeypatch):
+    # the tracer swaps module attributes, so a step function the program
+    # reaches some other way would silently read 0 in the per-layer metrics
+    tracing = load_tracing(monkeypatch)
+    calls = {}
+
+    def counted(name, original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module_name in ("nn", "ddpg"):
+        module = getattr(oxyrl, module_name)
+        for name, _ in tracing.TRACED[module_name]:
+            monkeypatch.setattr(module, name,
+                                counted(f"{module_name}.{name}", getattr(module, name)))
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(40, 3))
+    memory = ddpg.ReplayMemory(states, rng.uniform(0, 60, 40), np.zeros(40),
+                               states[::-1].copy(), rng.random(40) < 0.2, seed=1)
+    config = ddpg.TrainingConfig(batch_size=8, max_iterations=4, consistency_every=2)
+    result = ddpg.train(memory, config)
+    assert result.log.n_iterations == 4
+    assert [name for name in TRAINING_STEP if not calls.get(name)] == []
