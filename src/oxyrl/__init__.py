@@ -11,7 +11,7 @@ from .cohort import (
 )
 from .ddpg import (
     ActorNet, CriticNet, ReplayMemory, TargetPair, TrainingConfig,
-    consistency_metric, polyak_update, recommend, td_target, train,
+    consistency_metric, polyak_update, recommend, td_target, train, train_folds,
 )
 from .evaluation import (
     EvalOptions, EvalReport, build_report, consistency_rate,

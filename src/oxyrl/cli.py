@@ -133,13 +133,27 @@ def _build_eval_options(args, file_values) -> evaluation.EvalOptions:
 
 
 class _OutputTracker:
-    """Collects written paths so a failing command can remove partial output."""
+    """Collects written paths and created directories so a failing command
+    can remove its partial output. Commands create their directories only
+    once their results are computed, just before writing them."""
 
     def __init__(self):
         self.paths = []
+        self.dirs = []
 
     def register(self, path):
         self.paths.append(path)
+        return path
+
+    def make_dir(self, path):
+        """Create `path` and any missing parents, remembering each one."""
+        missing = []
+        head = os.path.abspath(path)
+        while not os.path.isdir(head):
+            missing.append(head)
+            head = os.path.dirname(head)
+        os.makedirs(path, exist_ok=True)
+        self.dirs.extend(reversed(missing))
         return path
 
     def discard_all(self):
@@ -148,11 +162,11 @@ class _OutputTracker:
                 os.remove(path)
             except OSError:
                 pass
-
-
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+        for path in reversed(self.dirs):
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -164,11 +178,11 @@ def cmd_generate(args) -> int:
         config.validate()
     except (cohort.GeneratorConfigError, ValueError) as err:
         raise StageError("config", err) from err
-    out = _ensure_dir(args.out)
     tracker = _OutputTracker()
     try:
         schema = cohort.default_schema()
         records = cohort.generate_synthetic_cohort(config, schema)
+        out = tracker.make_dir(args.out)
         cohort.write_schema(tracker.register(os.path.join(out, "schema.txt")), schema)
         cohort.write_cohort_csv(
             tracker.register(os.path.join(out, "cohort.csv")), records, schema)
@@ -199,7 +213,6 @@ def cmd_train(args) -> int:
     except ValueError as err:
         raise StageError("config", err) from err
     schema, records = _load_inputs(args)
-    out = _ensure_dir(args.out)
     try:
         stats = cohort.compute_feature_stats(records, schema)
         normalized = cohort.apply_feature_stats(
@@ -217,6 +230,7 @@ def cmd_train(args) -> int:
             actor=result.actor, critic=result.critic, targets=result.targets,
             config=config, interval_hours=interval, feature_names=schema.names,
             feature_means=stats.means, feature_sds=stats.sds)
+        out = tracker.make_dir(args.out)
         ddpg.save_policy(tracker.register(os.path.join(out, "policy.ckpt")), bundle)
         ddpg.write_training_log(
             tracker.register(os.path.join(out, "training_log.csv")), result.log)
@@ -266,7 +280,6 @@ def cmd_evaluate(args) -> int:
     if bundle.feature_names != schema.names:
         raise StageError("load", ValueError(
             "checkpoint features do not match the schema"))
-    out = _ensure_dir(args.out)
     tracker = _OutputTracker()
     try:
         stats = cohort.FeatureStats(schema.names, bundle.feature_means,
@@ -280,6 +293,7 @@ def cmd_evaluate(args) -> int:
             "all", matrix, everyone, schema, stats, _policy_fn_from_bundle(bundle),
             model, retained, flow_stats, grid=grid)
         report = evaluation.build_report([fold], options)
+        out = tracker.make_dir(args.out)
         for path in evaluation.write_report_files(out, report):
             tracker.register(path)
         survival.write_grid_report(
@@ -303,15 +317,15 @@ def cmd_loho(args) -> int:
         raise StageError("config", err) from err
     schema, records = _load_inputs(args)
     labels = sorted({r.hospital_id for r in records})
-    if len(labels) != 4:
+    if len(labels) < 2:
         raise StageError("folds", ValueError(
-            f"leave-one-hospital-out needs a cohort spanning 4 hospitals, "
+            f"leave-one-hospital-out needs a cohort spanning at least 2 hospitals, "
             f"found {len(labels)}"))
-    out = _ensure_dir(args.out)
-    tracker = _OutputTracker()
     try:
         if args.parallel_folds:
-            with ProcessPoolExecutor(max_workers=4) as pool:
+            # the folds train together; the pool fits and scores them
+            workers = min(len(labels), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 runs = evaluation.loho_cross_validate(
                     records, schema, config, interval_hours=interval,
                     labels=labels, map_fn=pool.map)
@@ -320,9 +334,11 @@ def cmd_loho(args) -> int:
                 records, schema, config, interval_hours=interval, labels=labels)
     except Exception as err:
         raise StageError("folds", err) from err
+    tracker = _OutputTracker()
     try:
+        out = tracker.make_dir(args.out)
         for run in runs:
-            fold_dir = _ensure_dir(os.path.join(out, f"fold_{run.fold.fold_id}"))
+            fold_dir = tracker.make_dir(os.path.join(out, f"fold_{run.fold.fold_id}"))
             ddpg.save_policy(
                 tracker.register(os.path.join(fold_dir, "policy.ckpt")), run.bundle)
             ddpg.write_training_log(
@@ -337,7 +353,7 @@ def cmd_loho(args) -> int:
             fold_report = evaluation.build_report([run.fold], options)
             for path in evaluation.write_report_files(fold_dir, fold_report):
                 tracker.register(path)
-        pooled_dir = _ensure_dir(os.path.join(out, "pooled"))
+        pooled_dir = tracker.make_dir(os.path.join(out, "pooled"))
         report = evaluation.build_report([run.fold for run in runs], options)
         for path in evaluation.write_report_files(pooled_dir, report):
             tracker.register(path)

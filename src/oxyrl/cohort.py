@@ -643,10 +643,13 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.n_patients <= 0:
             raise GeneratorConfigError("n_patients must be positive")
-        if len(self.hospitals) != 4:
-            raise GeneratorConfigError("exactly 4 hospital labels required")
-        if len(self.hospital_weights) != 4 or min(self.hospital_weights) < 0:
-            raise GeneratorConfigError("need 4 non-negative hospital weights")
+        if len(self.hospitals) < 2:
+            raise GeneratorConfigError("at least 2 hospital labels required")
+        if len(self.hospital_weights) != len(self.hospitals):
+            raise GeneratorConfigError("need one hospital weight per hospital label")
+        if min(self.hospital_weights) < 0 or not sum(self.hospital_weights) > 0:
+            raise GeneratorConfigError(
+                "hospital weights must be non-negative with a positive sum")
         if self.horizon_hours <= 0 or self.dose_interval_hours <= 0:
             raise GeneratorConfigError("horizon and dose interval must be positive")
         if self.under_dose_curvature < 0 or self.over_dose_curvature < 0:
@@ -753,7 +756,7 @@ def generate_synthetic_cohort(config: GeneratorConfig, schema: FeatureSchema | N
     dose_times = [k * config.dose_interval_hours for k in range(n_dose_steps)]
     for i in range(config.n_patients):
         rng = np.random.default_rng(streams[i])
-        hospital = config.hospitals[rng.choice(4, p=weights)]
+        hospital = config.hospitals[rng.choice(len(weights), p=weights)]
         statics = _draw_statics(config, schema, rng)
 
         target_dose = optimal_dose(config, statics["age"])

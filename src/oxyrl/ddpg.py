@@ -7,6 +7,15 @@ is fixed logged experience: no environment interaction, no exploration
 noise. Early stopping watches the mean squared deviation between
 recommended and logged flows and halts once it stops improving for a
 configured number of iterations.
+
+:func:`train_folds` trains one policy per replay memory (one per
+cross-validation fold) in lockstep: every network is stacked along a
+leading fold axis (see :mod:`oxyrl.nn`), so one step makes about as many
+numpy calls as a single fold's, apart from the target networks' pass in
+:func:`td_target`, which runs fold by fold. Each fold keeps its own
+sampler, batch-norm statistics, Adam moments and early stop, and its result
+is bit-identical to training it alone. The step functions below take plain
+or stacked networks alike.
 """
 
 from __future__ import annotations
@@ -23,11 +32,15 @@ TRUNK_HIDDEN = 16
 
 
 class TrainingAbortedError(RuntimeError):
-    """Non-finite loss or objective; carries the failing iteration."""
+    """Non-finite loss or objective; carries the failing iteration and
+    fold. From :func:`train_folds` the fold is the index of the memory; from
+    a step function it is the row of the stacked fold axis (None for plain
+    networks) and the iteration is unknown."""
 
-    def __init__(self, message, iteration=None):
+    def __init__(self, message, iteration=None, fold=None):
         super().__init__(message)
         self.iteration = iteration
+        self.fold = fold
 
 
 @dataclass
@@ -83,6 +96,13 @@ class ReplayMemory(Batch):
                      self.next_states[idx], self.terminal[idx])
 
 
+def _stack_batches(batches) -> Batch:
+    """Equal-sized batches stacked along a leading fold axis."""
+    return Batch(*(np.stack([getattr(b, name) for b in batches])
+                   for name in ("states", "actions", "rewards", "next_states",
+                                "terminal")))
+
+
 def actor_specs(state_dim: int):
     return (nn.dense(state_dim, STATE_HIDDEN), nn.batchnorm(STATE_HIDDEN),
             nn.activation("relu"), nn.dense(STATE_HIDDEN, 1),
@@ -113,17 +133,21 @@ class ActorNet:
 
     def forward_train(self, states):
         out, cache = nn.forward(self.net, states, nn.TRAIN)
-        return FLOW_MAX * out[:, 0], cache
+        return FLOW_MAX * out[..., 0], cache
 
     def act(self, states) -> np.ndarray:
         out, _ = nn.forward(self.net, states, nn.INFER)
-        return FLOW_MAX * out[:, 0]
+        return FLOW_MAX * out[..., 0]
 
     def backward(self, cache, dflow):
-        return nn.backward(self.net, cache, FLOW_MAX * np.asarray(dflow)[:, None])[0]
+        return nn.backward(self.net, cache, FLOW_MAX * np.asarray(dflow)[..., None])[0]
 
     def copy(self) -> "ActorNet":
         return ActorNet(self.state_dim, self.net.copy())
+
+    def take(self, index) -> "ActorNet":
+        """Fold `index` of a stacked actor (see nn.NetworkParams.take)."""
+        return ActorNet(self.state_dim, self.net.take(index))
 
 
 @dataclass
@@ -145,34 +169,38 @@ class CriticNet:
 
     def forward_train(self, states, actions):
         h, cache_s = nn.forward(self.state_net, states, nn.TRAIN)
-        z = np.concatenate([h, np.asarray(actions, dtype=np.float64)[:, None]], axis=1)
+        z = np.concatenate([h, np.asarray(actions, dtype=np.float64)[..., None]], axis=-1)
         q, cache_t = nn.forward(self.trunk, z, nn.TRAIN)
-        return q[:, 0], (cache_s, cache_t)
+        return q[..., 0], (cache_s, cache_t)
 
     def forward_infer_cached(self, states, actions):
         """Deployment-mode value with a backward-capable cache (running
         statistics are constants, so the pass is row-independent)."""
         h, cache_s = nn.forward_cached(self.state_net, states, nn.INFER)
-        z = np.concatenate([h, np.asarray(actions, dtype=np.float64)[:, None]], axis=1)
+        z = np.concatenate([h, np.asarray(actions, dtype=np.float64)[..., None]], axis=-1)
         q, cache_t = nn.forward_cached(self.trunk, z, nn.INFER)
-        return q[:, 0], (cache_s, cache_t)
+        return q[..., 0], (cache_s, cache_t)
 
     def q_values(self, states, actions) -> np.ndarray:
         h, _ = nn.forward(self.state_net, states, nn.INFER)
-        z = np.concatenate([h, np.asarray(actions, dtype=np.float64)[:, None]], axis=1)
+        z = np.concatenate([h, np.asarray(actions, dtype=np.float64)[..., None]], axis=-1)
         q, _ = nn.forward(self.trunk, z, nn.INFER)
-        return q[:, 0]
+        return q[..., 0]
 
     def backward(self, caches, dq):
         cache_s, cache_t = caches
-        dq2d = np.asarray(dq, dtype=np.float64)[:, None]
+        dq2d = np.asarray(dq, dtype=np.float64)[..., None]
         trunk_grads, dz = nn.backward(self.trunk, cache_t, dq2d)
-        dh, daction = dz[:, :STATE_HIDDEN], dz[:, STATE_HIDDEN]
+        dh, daction = dz[..., :STATE_HIDDEN], dz[..., STATE_HIDDEN]
         state_grads, dstates = nn.backward(self.state_net, cache_s, dh)
         return (state_grads, trunk_grads), dstates, daction
 
     def copy(self) -> "CriticNet":
         return CriticNet(self.state_dim, self.state_net.copy(), self.trunk.copy())
+
+    def take(self, index) -> "CriticNet":
+        return CriticNet(self.state_dim, self.state_net.take(index),
+                         self.trunk.take(index))
 
 
 @dataclass
@@ -184,11 +212,17 @@ class TargetPair:
     def from_online(cls, critic: CriticNet, actor: ActorNet) -> "TargetPair":
         return cls(critic.copy(), actor.copy())
 
+    def take(self, index) -> "TargetPair":
+        return TargetPair(self.critic.take(index), self.actor.take(index))
+
 
 @dataclass
 class CriticOptState:
     state_net: nn.OptimizerState
     trunk: nn.OptimizerState
+
+    def take(self, index) -> "CriticOptState":
+        return CriticOptState(self.state_net.take(index), self.trunk.take(index))
 
 
 @dataclass
@@ -205,30 +239,51 @@ class TrainResult:
     critic: CriticNet
     targets: TargetPair
     log: TrainingLog
+    critic_opt: CriticOptState
+    actor_opt: nn.OptimizerState
+
+
+def _check_finite(values, what):
+    """Raise TrainingAbortedError naming the first fold whose value is not
+    finite (values is a scalar, or one value per stacked fold)."""
+    if np.isfinite(values).all():
+        return
+    first = int(np.flatnonzero(~np.isfinite(values))[0])
+    raise TrainingAbortedError(f"non-finite {what} {np.ravel(values)[first]}",
+                               fold=first if np.ndim(values) else None)
 
 
 def td_target(batch: Batch, targets: TargetPair, discount: float) -> np.ndarray:
     """Bootstrapped regression target: r + discount * Q~(s', pi~(s')), with
-    the bootstrap truncated to r at terminal (absorbing) transitions."""
+    the bootstrap truncated to r at terminal (absorbing) transitions.
+
+    The target networks see only the live next states, fold by fold: a
+    matrix-vector head does not give the same bits for a row when the row
+    count around it changes, so rows are never padded or shared."""
     out = batch.rewards.astype(np.float64)
+    if discount == 0.0:
+        return out
     live = ~batch.terminal
-    if np.any(live) and discount != 0.0:
-        next_states = batch.next_states[live]
-        q_next = targets.critic.q_values(next_states, targets.actor.act(next_states))
-        out[live] += discount * q_next
+    for fold in np.ndindex(out.shape[:-1]):
+        rows = live[fold]
+        if rows.any():
+            next_states = batch.next_states[fold][rows]
+            nets = targets.take(fold)
+            q_next = nets.critic.q_values(next_states, nets.actor.act(next_states))
+            out[fold][rows] += discount * q_next
     return out
 
 
 def critic_step(critic: CriticNet, batch: Batch, targets_vec, opt: CriticOptState,
                 lr: float):
     """One Adam step on the mean of half the squared TD error; the targets
-    are constants. Returns (critic, opt, pre-update mean squared TD error)."""
+    are constants. Returns (critic, opt, pre-update mean squared TD error,
+    one per stacked fold)."""
     q, caches = critic.forward_train(batch.states, batch.actions)
     diff = q - np.asarray(targets_vec, dtype=np.float64)
-    td_mse = float(np.mean(diff * diff))
-    if not np.isfinite(td_mse):
-        raise TrainingAbortedError(f"non-finite critic loss {td_mse}")
-    dq = diff / len(diff)
+    td_mse = np.mean(diff * diff, axis=-1)
+    _check_finite(td_mse, "critic loss")
+    dq = diff / diff.shape[-1]
     (state_grads, trunk_grads), _, _ = critic.backward(caches, dq)
     new_state, opt_state = nn.apply_update(critic.state_net, state_grads,
                                            opt.state_net, lr)
@@ -243,7 +298,7 @@ def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
                opt: nn.OptimizerState, lr: float):
     """One Adam ascent step on mean Q(s, pi(s)); the critic is frozen (its
     parameters receive no update). Returns (actor, opt, pre-update
-    objective).
+    objective, one per stacked fold).
 
     The critic is evaluated in deployment mode here: with train-mode batch
     statistics active after the action merge, the objective would be
@@ -252,10 +307,9 @@ def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
     """
     flows, actor_cache = actor.forward_train(batch.states)
     q, critic_caches = critic.forward_infer_cached(batch.states, flows)
-    objective = float(np.mean(q))
-    if not np.isfinite(objective):
-        raise TrainingAbortedError(f"non-finite actor objective {objective}")
-    dq = np.full(len(q), 1.0 / len(q))
+    objective = np.mean(q, axis=-1)
+    _check_finite(objective, "actor objective")
+    dq = np.full(q.shape, 1.0 / q.shape[-1])
     _, _, daction = critic.backward(critic_caches, dq)
     grads = actor.backward(actor_cache, daction)
     ascent = [{k: -g for k, g in entry.items()} for entry in grads]
@@ -297,38 +351,81 @@ def recommend(actor: ActorNet, state) -> float:
 
 def train(memory: ReplayMemory, config: TrainingConfig,
           consistency_fn=None) -> TrainResult:
-    """Run the offline training loop to early stop or the iteration cap.
+    """Train one policy on one replay memory: :func:`train_folds` with a
+    single fold."""
+    return train_folds([memory], config, consistency_fn)[0]
 
-    Per iteration: sample a uniform minibatch, regress the critic on its
-    bootstrapped targets, ascend the actor through the frozen critic, then
-    blend both target copies. `consistency_fn(actor, memory)` is evaluated
-    every `consistency_every` iterations (a hook mainly for tests; defaults
-    to :func:`consistency_metric`) and training halts once it has not
-    improved within `patience` iterations. Fully reproducible from the
-    config and memory seeds.
+
+def train_folds(memories, config: TrainingConfig,
+                consistency_fn=None) -> list[TrainResult]:
+    """Run the offline training loop, to early stop or the iteration cap,
+    once per replay memory and all in lockstep; returns one result per
+    memory, in order.
+
+    Per iteration, each fold samples a uniform minibatch from its memory
+    (sampler seed `(config.seed, memory.seed)`); then, for every fold at
+    once, the critic regresses on its bootstrapped targets, the actor
+    ascends through the frozen critic, and both target copies are blended.
+    `consistency_fn(actor, memory)` is evaluated per fold every
+    `consistency_every` iterations (a hook mainly for tests; defaults to
+    :func:`consistency_metric`), and a fold halts once it has not improved
+    within `patience` iterations; the others go on without it. Each result
+    is bit-identical to training its memory alone, and fully reproducible
+    from the config and memory seeds.
     """
     config.validate()
-    if len(memory) == 0:
+    memories = list(memories)
+    if not memories:
+        raise ValueError("no replay memories to train on")
+    if any(len(memory) == 0 for memory in memories):
         raise ValueError("replay memory is empty")
+    state_dim = memories[0].state_dim
+    if any(memory.state_dim != state_dim for memory in memories):
+        raise ValueError("replay memories differ in state dimension")
     if consistency_fn is None:
         consistency_fn = consistency_metric
 
+    # every fold starts from the same networks; a single memory trains
+    # plain ones, without a fold axis
     net_seeds = np.random.SeedSequence(config.seed).spawn(2)
-    critic = CriticNet.build(memory.state_dim, net_seeds[0])
-    actor = ActorNet.build(memory.state_dim, net_seeds[1])
+    critic = CriticNet.build(state_dim, net_seeds[0])
+    actor = ActorNet.build(state_dim, net_seeds[1])
+    n_folds = len(memories)
+    stacked = n_folds > 1
+    if stacked:
+        critic = CriticNet(
+            state_dim, nn.NetworkParams.stack([critic.state_net] * n_folds),
+            nn.NetworkParams.stack([critic.trunk] * n_folds))
+        actor = ActorNet(state_dim, nn.NetworkParams.stack([actor.net] * n_folds))
     targets = TargetPair.from_online(critic, actor)
     critic_opt = CriticOptState(nn.init_optimizer(critic.state_net),
                                 nn.init_optimizer(critic.trunk))
     actor_opt = nn.init_optimizer(actor.net)
-    sampler = np.random.default_rng(
+    samplers = [np.random.default_rng(
         np.random.SeedSequence(entropy=(config.seed, memory.seed)))
+        for memory in memories]
 
-    log = TrainingLog()
-    best = np.inf
-    best_iteration = 0
+    logs = [TrainingLog() for _ in memories]
+    best = [np.inf] * n_folds
+    best_iteration = [0] * n_folds
+    results = [None] * n_folds
+    # the index of each training fold in the stack (() when unstacked) and
+    # the memory it trains on
+    slots = list(np.ndindex(actor.net.buffer.shape[:-1]))
+    active = list(range(n_folds))
+
+    def finish(rows):
+        for row in rows:
+            slot = slots[row]
+            results[active[row]] = TrainResult(
+                actor.take(slot), critic.take(slot), targets.take(slot),
+                logs[active[row]], critic_opt.take(slot), actor_opt.take(slot))
+
     for iteration in range(1, config.max_iterations + 1):
-        idx = sampler.integers(0, len(memory), size=config.batch_size)
-        batch = memory.minibatch(idx)
+        batches = [memories[f].minibatch(
+            samplers[f].integers(0, len(memories[f]), size=config.batch_size))
+            for f in active]
+        batch = _stack_batches(batches) if stacked else batches[0]
         try:
             targets_vec = td_target(batch, targets, config.discount)
             critic, critic_opt, td_mse = critic_step(
@@ -336,20 +433,36 @@ def train(memory: ReplayMemory, config: TrainingConfig,
             actor, actor_opt, _ = actor_step(
                 actor, critic, batch, actor_opt, config.actor_lr)
         except TrainingAbortedError as err:
-            raise TrainingAbortedError(str(err), iteration=iteration) from None
+            fold = active[0 if err.fold is None else err.fold]
+            raise TrainingAbortedError(f"fold {fold}, iteration {iteration}: {err}",
+                                       iteration=iteration, fold=fold) from None
         targets = polyak_update(targets, critic, actor, config.polyak)
-        log.td_mse.append(td_mse)
-        log.n_iterations = iteration
-        if iteration % config.consistency_every == 0:
-            value = float(consistency_fn(actor, memory))
-            log.consistency.append((iteration, value))
-            if value < best:
-                best = value
-                best_iteration = iteration
-            elif iteration - best_iteration >= config.patience:
-                log.stop_reason = "early_stop"
-                break
-    return TrainResult(actor, critic, targets, log)
+        for slot, f in zip(slots, active):
+            logs[f].td_mse.append(float(td_mse[slot]))
+            logs[f].n_iterations = iteration
+        if iteration % config.consistency_every:
+            continue
+        stopped = []
+        for row, (slot, f) in enumerate(zip(slots, active)):
+            value = float(consistency_fn(actor.take(slot), memories[f]))
+            logs[f].consistency.append((iteration, value))
+            if value < best[f]:
+                best[f] = value
+                best_iteration[f] = iteration
+            elif iteration - best_iteration[f] >= config.patience:
+                logs[f].stop_reason = "early_stop"
+                stopped.append(row)
+        if stopped:
+            finish(stopped)
+            keep = np.array([row for row in range(len(active)) if row not in stopped])
+            if not keep.size:
+                return results
+            active = [active[row] for row in keep]
+            slots = slots[:len(keep)]
+            actor, critic, targets = actor.take(keep), critic.take(keep), targets.take(keep)
+            actor_opt, critic_opt = actor_opt.take(keep), critic_opt.take(keep)
+    finish(range(len(active)))
+    return results
 
 
 def write_training_log(path, log: TrainingLog) -> None:

@@ -1,7 +1,7 @@
 """Leave-one-hospital-out evaluation of a dosing policy against logged care.
 
-Each fold trains the policy and an outcome model on three hospitals and
-scores every patient of the held-out hospital: the outcome model predicts
+Each fold trains the policy and an outcome model on the other hospitals
+and scores every patient of the held-out hospital: the outcome model predicts
 seven-day mortality at every decision point twice, once with the logged
 flow in the covariates and once with the recommended flow, and the
 patient-level averages aggregate into pooled estimates, subgroup rows,
@@ -243,23 +243,19 @@ def replay_memory(normalized: cohort.CohortMatrix, patients, seed: int) -> ddpg.
         transitions.terminal, seed)
 
 
-def run_fold(records, matrix: cohort.CohortMatrix, schema,
+def run_fold(matrix: cohort.CohortMatrix, schema,
              training_config: ddpg.TrainingConfig, fold_index: int, train, test,
+             stats: cohort.FeatureStats, result: ddpg.TrainResult,
              grid_template: survival.ElasticNetGrid | None = None) -> FoldRun:
-    """Train the policy and the outcome model on the `train` patients and
-    score every `test` patient (index arrays into `records` and `matrix`)."""
-    fold_id = str(matrix.hospital_ids[test[0]]) if len(test) else f"fold{fold_index}"
-    if not len(train):
-        raise cohort.PartitionError(f"fold {fold_id}: empty training set")
-    stats = cohort.compute_feature_stats([records[i] for i in train], schema)
-    normalized = cohort.apply_feature_stats(matrix, stats)
-    result = ddpg.train(replay_memory(normalized, train, seed=fold_index),
-                        training_config)
-
+    """Fit the outcome model on the `train` patients and score every `test`
+    patient (index arrays into `matrix`) with the fold's trained policy;
+    `stats` are the training patients' feature statistics."""
+    fold_id = _fold_id(matrix, fold_index, test)
     grid = survival.ElasticNetGrid() if grid_template is None else \
         survival.ElasticNetGrid(grid_template.l1_values, grid_template.l2_values)
     model, grid, retained, flow_stats = fit_outcome_model(
-        normalized, train, schema, seed=training_config.seed + fold_index, grid=grid)
+        cohort.apply_feature_stats(matrix, stats), train, schema,
+        seed=training_config.seed + fold_index, grid=grid)
 
     fold = evaluate_patients(
         fold_id, matrix, test, schema, stats, actor_policy(result.actor),
@@ -272,18 +268,38 @@ def run_fold(records, matrix: cohort.CohortMatrix, schema,
     return FoldRun(fold, bundle, result.log)
 
 
+def _fold_id(matrix: cohort.CohortMatrix, fold_index: int, test) -> str:
+    """The held-out hospital's id (`fold<i>` for an empty test set)."""
+    return str(matrix.hospital_ids[test[0]]) if len(test) else f"fold{fold_index}"
+
+
 def loho_cross_validate(records, schema, training_config: ddpg.TrainingConfig,
                         interval_hours: float = 4.0,
                         grid_template: survival.ElasticNetGrid | None = None,
                         labels=None, map_fn=map):
     """Train and evaluate once per hospital. Returns a list of FoldRun with
-    every test set scored by a policy that never saw its hospital. Folds
-    run through `map_fn` (an executor's `map` runs them in parallel)."""
+    every test set scored by a policy that never saw its hospital.
+
+    The folds' policies train together in one lockstep loop
+    (:func:`ddpg.train_folds`); the outcome model and scoring then run per
+    fold through `map_fn` (an executor's `map` runs them in parallel)."""
     matrix = cohort.stack_trajectories(records, schema, interval_hours)
     folds = cohort.split_by_hospital(matrix.hospital_ids, labels=labels)
-    fold = functools.partial(run_fold, records, matrix, schema, training_config,
+    stats, memories = [], []
+    for fold_index, (train, test) in enumerate(folds):
+        if not len(train):
+            raise cohort.PartitionError(
+                f"fold {_fold_id(matrix, fold_index, test)}: empty training set")
+        stats.append(cohort.compute_feature_stats([records[i] for i in train], schema))
+        # only the replay memory outlives this loop: the per-fold stage
+        # normalizes again rather than keep one matrix per fold alive
+        memories.append(replay_memory(cohort.apply_feature_stats(matrix, stats[-1]),
+                                      train, seed=fold_index))
+    results = ddpg.train_folds(memories, training_config)
+    del memories    # nor are the memories kept through scoring
+    fold = functools.partial(run_fold, matrix, schema, training_config,
                              grid_template=grid_template)
-    return list(map_fn(fold, range(len(folds)), *zip(*folds)))
+    return list(map_fn(fold, range(len(folds)), *zip(*folds), stats, results))
 
 
 # --- aggregation -------------------------------------------------------------------

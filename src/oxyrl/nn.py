@@ -10,6 +10,18 @@ that buffer, one read-only mapping per layer: a test or demo may write into
 a view in place, but an entry cannot be rebound. Adam moments are two flat
 vectors over the trainable part of the same layout.
 
+A container may carry leading dimensions: a buffer of shape ``(F, size)``
+holds F independent networks of one layout (one per cross-validation fold),
+its views have shape ``(F, ...)``, its Adam moments ``(F, n_trainable)``,
+and its batches ``(F, rows, features)``. Every function here is written
+once for any leading shape, by ``...`` indexing, reductions over axis -2
+and swapped last axes, so a plain container is simply the case with no
+leading dimensions. Batch-norm statistics are per network. Stacked
+matrix products, axis -2 reductions and elementwise updates give each
+network the same bits as the same call on it alone (tests/test_nn.py
+checks this against one network at a time). :meth:`NetworkParams.stack`
+and :meth:`NetworkParams.take` move between the two forms.
+
 The engine is functional: no function writes into an array it was given.
 :func:`apply_update`, :func:`commit_running_stats` and :func:`blend_params`
 each return a container with a fresh buffer, computed by whole-vector
@@ -17,7 +29,9 @@ operations whose per-element arithmetic is the same as a per-array update.
 Train-mode forward passes return a cache holding per-layer inputs,
 pre-activations and the batch statistics needed for the exact batch-norm
 backward pass; the momentum-advanced running statistics are carried in that
-cache and applied explicitly with :func:`commit_running_stats`.
+cache and applied explicitly with :func:`commit_running_stats`. A caller
+may therefore keep any container or cache it was handed, or a view of one,
+without a copy.
 """
 
 from __future__ import annotations
@@ -139,31 +153,48 @@ class Layout:
         self.size = offset
 
     def views(self, buffer, trainable_only=False):
-        """One read-only mapping of key -> view into `buffer` per layer."""
+        """One read-only mapping of key -> view into `buffer` per layer; the
+        views keep the buffer's leading dimensions."""
+        lead = buffer.shape[:-1]
         out = []
         for entries in self.entries:
             layer = {}
             for key, where, shape in entries:
                 if trainable_only and where.stop > self.n_trainable:
                     break
-                view = buffer[where]
-                layer[key] = view if len(shape) == 1 else view.reshape(shape)
+                view = buffer[..., where]
+                layer[key] = view if len(shape) == 1 else view.reshape(lead + shape)
             out.append(MappingProxyType(layer))
         return out
 
 
 @dataclass(eq=False)
 class NetworkParams:
-    """Parameters of a LayerSpec chain in one flat buffer; `layers` holds
-    per-layer views into it, made on first use."""
+    """Parameters of a LayerSpec chain in one flat buffer, possibly behind
+    leading dimensions; `layers` holds per-layer views into it, made on
+    first use."""
 
     layout: Layout
     buffer: np.ndarray
 
     def __post_init__(self):
-        if self.buffer.shape != (self.layout.size,):
+        if self.buffer.shape[-1:] != (self.layout.size,):
             raise ValueError(f"parameter buffer of shape {self.buffer.shape} "
                              f"does not match the layout size {self.layout.size}")
+
+    @classmethod
+    def stack(cls, items) -> "NetworkParams":
+        """Containers of one layout stacked along a new leading axis."""
+        items = list(items)
+        if any(item.specs != items[0].specs for item in items):
+            raise ValueError("stacked containers need one layer chain")
+        return cls(items[0].layout, np.stack([item.buffer for item in items]))
+
+    def take(self, index) -> "NetworkParams":
+        """`buffer[index]` over the leading dimensions: one fold's plain
+        network (a view) for a fold index, a smaller stack (a copy) for an
+        index array, the container itself for `()`."""
+        return NetworkParams(self.layout, self.buffer[index])
 
     @functools.cached_property
     def layers(self) -> list:
@@ -204,12 +235,17 @@ class ForwardCache:
 @dataclass(eq=False)
 class OptimizerState:
     """Adam first/second moments, flat over the trainable part of the
-    layout, plus the step counter."""
+    layout (behind the parameters' leading dimensions), plus the step
+    counter they share."""
 
     layout: Layout
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+
+    def take(self, index) -> "OptimizerState":
+        """As :meth:`NetworkParams.take`, for both moments."""
+        return OptimizerState(self.layout, self.m[index], self.v[index], self.step)
 
 
 def init_params(specs, seed: int) -> NetworkParams:
@@ -230,8 +266,14 @@ def init_params(specs, seed: int) -> NetworkParams:
 
 
 def init_optimizer(params: NetworkParams) -> OptimizerState:
-    n = params.layout.n_trainable
-    return OptimizerState(params.layout, np.zeros(n), np.zeros(n))
+    shape = params.buffer.shape[:-1] + (params.layout.n_trainable,)
+    return OptimizerState(params.layout, np.zeros(shape), np.zeros(shape))
+
+
+def _row(vector):
+    """A per-feature vector broadcast over batch rows; behind leading dims
+    it needs a row axis of its own."""
+    return vector[..., None, :] if vector.ndim > 1 else vector
 
 
 def _activate(name, z):
@@ -248,6 +290,8 @@ def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
             want_cache: bool = False):
     """Run the network on a batch of rows; returns (output, cache).
 
+    The batch is (rows x features) behind the parameters' leading
+    dimensions; each network sees only its own rows.
     Train mode normalizes with batch statistics, always records a
     ForwardCache and stores momentum-updated running statistics in it (apply
     them with commit_running_stats). Infer mode uses running statistics and
@@ -256,13 +300,15 @@ def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
     so that cache's backward pass carries no batch coupling.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("batch must be 2-D (rows x features)")
     layout = params.layout
-    if x.shape[1] != layout.in_dim:
-        raise ValueError(f"batch width {x.shape[1]} != input dim {layout.in_dim}")
+    lead = params.buffer.shape[:-1]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
+        raise ValueError(f"batch of shape {x.shape} is not rows x features "
+                         f"behind the parameters' leading dims {lead}")
+    if x.shape[-1] != layout.in_dim:
+        raise ValueError(f"batch width {x.shape[-1]} != input dim {layout.in_dim}")
     if mode == TRAIN:
-        if x.shape[0] < 2:
+        if x.shape[-2] < 2:
             raise ValueError("train mode needs a batch of at least 2 rows")
         want_cache = True
     elif mode != INFER:
@@ -275,25 +321,25 @@ def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
             if want_cache:
                 caches.append({"x": x})
             x = x @ layer["W"]
-            x += layer["b"]
+            x += _row(layer["b"])
         elif spec.kind == BATCHNORM:
             if mode == TRAIN:
                 # numpy's mean and var, operation for operation
-                n = x.shape[0]
-                mean = np.add.reduce(x, axis=0) / n
+                n = x.shape[-2]
+                mean = np.add.reduce(x, axis=-2, keepdims=True) / n
                 centered = x - mean
-                var = np.add.reduce(centered * centered, axis=0) / n
+                var = np.add.reduce(centered * centered, axis=-2, keepdims=True) / n
                 ivar = 1.0 / np.sqrt(var + BN_EPS)
                 xhat = centered
                 stats += (mean, var)
             else:
-                ivar = 1.0 / np.sqrt(layer["running_var"] + BN_EPS)
-                xhat = x - layer["running_mean"]
+                ivar = 1.0 / np.sqrt(_row(layer["running_var"]) + BN_EPS)
+                xhat = x - _row(layer["running_mean"])
             xhat *= ivar
             if want_cache:
                 caches.append({"xhat": xhat, "ivar": ivar})
-            x = layer["gamma"] * xhat
-            x += layer["beta"]
+            x = _row(layer["gamma"]) * xhat
+            x += _row(layer["beta"])
         else:
             out = _activate(spec.activation, x)
             if want_cache:
@@ -303,9 +349,9 @@ def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
         return x, None
     running = None
     if stats:
-        running = (BN_MOMENTUM * params.buffer[layout.n_trainable:]
-                   + (1.0 - BN_MOMENTUM) * np.concatenate(stats))
-    return x, ForwardCache(caches, x.shape[0], mode, running)
+        running = (BN_MOMENTUM * params.buffer[..., layout.n_trainable:]
+                   + (1.0 - BN_MOMENTUM) * np.concatenate(stats, axis=-1)[..., 0, :])
+    return x, ForwardCache(caches, x.shape[-2], mode, running)
 
 
 # forward with a backward-capable cache in either mode
@@ -329,22 +375,22 @@ def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarr
     for i in range(len(specs) - 1, -1, -1):
         spec, layer, lcache = specs[i], params.layers[i], cache.layers[i]
         if spec.kind == DENSE:
-            grads[i]["W"] = lcache["x"].T @ dy
-            grads[i]["b"] = np.add.reduce(dy, axis=0)
-            dy = dy @ layer["W"].T
+            grads[i]["W"] = lcache["x"].swapaxes(-1, -2) @ dy
+            grads[i]["b"] = np.add.reduce(dy, axis=-2)
+            dy = dy @ layer["W"].swapaxes(-1, -2)
         elif spec.kind == BATCHNORM:
             xhat, ivar = lcache["xhat"], lcache["ivar"]
             n = cache.batch_size
-            grads[i]["gamma"] = np.add.reduce(dy * xhat, axis=0)
-            grads[i]["beta"] = np.add.reduce(dy, axis=0)
-            dxhat = dy * layer["gamma"]
+            grads[i]["gamma"] = np.add.reduce(dy * xhat, axis=-2)
+            grads[i]["beta"] = np.add.reduce(dy, axis=-2)
+            dxhat = dy * _row(layer["gamma"])
             if cache.mode == TRAIN:
                 # (ivar / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
                 # operation for operation, in one fresh array
                 dy = n * dxhat
-                dy -= np.add.reduce(dxhat, axis=0)
+                dy -= np.add.reduce(dxhat, axis=-2, keepdims=True)
                 dxhat *= xhat
-                dy -= xhat * np.add.reduce(dxhat, axis=0)
+                dy -= xhat * np.add.reduce(dxhat, axis=-2, keepdims=True)
                 dy *= ivar / n
             else:
                 # running statistics are constants; the map is affine
@@ -370,20 +416,22 @@ def commit_running_stats(params: NetworkParams, cache: ForwardCache) -> NetworkP
         return params.copy()
     n = params.layout.n_trainable
     return NetworkParams(params.layout,
-                         np.concatenate((params.buffer[:n], cache.running)))
+                         np.concatenate((params.buffer[..., :n], cache.running), axis=-1))
 
 
 def apply_update(params: NetworkParams, grads, opt_state: OptimizerState,
                  learning_rate: float):
     """One Adam step with bias correction; returns (new_params, new_opt_state)."""
     layout = params.layout
+    lead = params.buffer.shape[:-1]
     flat = []
     for i, key, shape in layout.trainable:
-        flat.append(grads[i][key])
-        if flat[-1].shape != shape:
-            raise ValueError(f"gradient {i}:{key} has shape {flat[-1].shape}, "
-                             f"the layer layout needs {shape}")
-    g = np.concatenate(flat, axis=None)
+        grad = grads[i][key]
+        if grad.shape != lead + shape:
+            raise ValueError(f"gradient {i}:{key} has shape {grad.shape}, "
+                             f"the layer layout needs {lead + shape}")
+        flat.append(grad.reshape(lead + (-1,)))
+    g = np.concatenate(flat, axis=-1)
     if not np.isfinite(g).all():
         raise NonFiniteGradientError("non-finite gradient encountered; update rejected")
     step = opt_state.step + 1
@@ -392,7 +440,7 @@ def apply_update(params: NetworkParams, grads, opt_state: OptimizerState,
     m = ADAM_BETA1 * opt_state.m + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * opt_state.v + (1.0 - ADAM_BETA2) * g * g
     buffer = params.buffer.copy()
-    buffer[:layout.n_trainable] -= learning_rate * (m / corr1) / (
+    buffer[..., :layout.n_trainable] -= learning_rate * (m / corr1) / (
         np.sqrt(v / corr2) + ADAM_EPS)
     return NetworkParams(layout, buffer), OptimizerState(layout, m, v, step)
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from oxyrl import cli, cohort, ddpg
+from oxyrl import cli, cohort, ddpg, evaluation
 
 
 def run(argv):
@@ -118,6 +118,31 @@ def test_train_outputs_match_pinned_digest(trained_dir):
         digest.update(b"\0")
         digest.update((trained_dir / name).read_bytes())
     assert digest.hexdigest() == TRAIN_DIGEST
+
+
+def poisoned_replay_memory(monkeypatch, fold_seed):
+    """Make the replay memory with sampler seed `fold_seed` hold an infinite
+    reward in every row."""
+    original = evaluation.replay_memory
+
+    def poisoned(normalized, patients, seed):
+        memory = original(normalized, patients, seed)
+        if seed == fold_seed:
+            memory.rewards = np.full(len(memory), np.inf)
+        return memory
+    monkeypatch.setattr(evaluation, "replay_memory", poisoned)
+
+
+def test_train_failure_leaves_no_output_directory(tmp_path, cohort_dir, capsys,
+                                                  monkeypatch):
+    poisoned_replay_memory(monkeypatch, fold_seed=0)
+    out = tmp_path / "a" / "policy"
+    code = run(["train", "--out", str(out),
+                "--cohort", str(cohort_dir / "cohort.csv"),
+                "--schema", str(cohort_dir / "schema.txt"), "--max-iterations", "3"])
+    assert code == 1
+    assert "[train]" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_train_byte_deterministic(tmp_path, cohort_dir):
@@ -277,4 +302,57 @@ def test_loho_rejects_single_hospital(tmp_path, cohort_dir, capsys):
                 "--schema", str(cohort_dir / "schema.txt")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "[folds]" in err and "4 hospitals" in err
+    assert "[folds]" in err and "at least 2 hospitals" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_loho_training_failure_names_fold_and_leaves_no_output(tmp_path, cohort_dir,
+                                                               capsys, monkeypatch):
+    poisoned_replay_memory(monkeypatch, fold_seed=2)
+    out = tmp_path / "loho"
+    assert run(loho_args(out, cohort_dir)) == 1
+    err = capsys.readouterr().err
+    assert "[folds]" in err and "fold 2, iteration 1:" in err
+    assert not out.exists()
+
+
+# SHA-256 over the relative path and bytes of every file a `loho` run on the
+# `cohort_dir` fixture writes, pinned to the output of training the folds one
+# after another; folds H1 and H2 stop early at iteration 12, H3 and H4 run
+# to the cap of 16
+LOHO_DIGEST = "d61597240600d3ce3db3b4038e7b7eaac8fdc83a961a7864471b3d84549c373a"
+
+
+def test_loho_outputs_match_pinned_digest(tmp_path, cohort_dir):
+    out = tmp_path / "loho"
+    assert run(loho_args(out, cohort_dir, extra=("--max-iterations", "16",
+                                                 "--patience", "8"))) == 0
+    files = read_all_bytes(out)
+    rows = {name: blob.count(b"\n") - 1 for name, blob in files.items()
+            if name.endswith("training_log.csv")}
+    assert sorted(rows.values()) == [12, 12, 16, 16]
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.replace(os.sep, "/").encode())
+        digest.update(b"\0")
+        digest.update(files[name])
+    assert digest.hexdigest() == LOHO_DIGEST
+
+
+@pytest.mark.parametrize("hospitals", [("A", "B"), ("V", "W", "X", "Y", "Z")])
+def test_loho_runs_one_fold_per_hospital(tmp_path, hospitals):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"hospitals = {','.join(hospitals)}\n"
+                   f"hospital_weights = {','.join(['1.0'] * len(hospitals))}\n")
+    cohort_out = tmp_path / "cohort"
+    assert run(["generate", "--out", str(cohort_out), "--config", str(cfg),
+                "--n-patients", "60", "--seed", "4", "--horizon-hours", "48.0"]) == 0
+    schema = cohort.read_schema(cohort_out / "schema.txt")
+    records = cohort.load_cohort(cohort_out / "cohort.csv", schema)
+    assert {r.hospital_id for r in records} == set(hospitals)
+    out = tmp_path / "loho"
+    assert run(loho_args(out, cohort_out)) == 0
+    assert set(os.listdir(out)) == {f"fold_{h}" for h in hospitals} | {"pooled"}
+    metrics = dict(line.split(",") for line
+                   in (out / "pooled" / "metrics.csv").read_text().splitlines()[1:])
+    assert int(float(metrics["n_patients"])) == len(records)

@@ -484,6 +484,25 @@ def test_generator_rejects_non_positive_n():
         cohort.generate_synthetic_cohort(GeneratorConfig(n_patients=0))
 
 
+@pytest.mark.parametrize("hospitals, weights, ok", [
+    (("A", "B"), (1.0, 3.0), True),
+    (("A", "B", "C", "D", "E"), (0.2, 0.2, 0.0, 0.3, 0.3), True),
+    (("A",), (1.0,), False),
+    (("A", "B", "C"), (0.5, 0.5), False),
+    (("A", "B"), (1.5, -0.5), False),
+    (("A", "B"), (0.0, 0.0), False),
+])
+def test_generator_hospital_labels_and_weights(hospitals, weights, ok):
+    config = GeneratorConfig(n_patients=20, seed=3, hospitals=hospitals,
+                             hospital_weights=weights)
+    if not ok:
+        with pytest.raises(GeneratorConfigError):
+            config.validate()
+        return
+    drawn = {r.hospital_id for r in cohort.generate_synthetic_cohort(config)}
+    assert drawn == {h for h, w in zip(hospitals, weights) if w > 0}
+
+
 def test_generated_records_satisfy_invariants():
     records = cohort.generate_synthetic_cohort(GeneratorConfig(n_patients=30, seed=5))
     assert len(records) == 30

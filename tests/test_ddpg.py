@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oxyrl import ddpg, nn
 from oxyrl.ddpg import (
     ActorNet, Batch, CriticNet, CriticOptState, PolicyBundle, ReplayMemory,
     TargetPair, TrainingConfig, actor_step, consistency_metric, critic_step,
-    polyak_update, recommend, td_target, train,
+    polyak_update, recommend, td_target, train, train_folds,
 )
 
 
@@ -406,6 +408,113 @@ def test_training_log_csv_layout(tmp_path):
     assert lines[1].endswith(",")            # no consistency at iteration 1
     assert not lines[5].endswith(",")        # evaluated at iteration 5
     assert not lines[10].endswith(",")
+
+
+# --- lockstep folds ------------------------------------------------------------------
+
+def result_bytes(result):
+    """Every buffer, both Adam moments and the log of a TrainResult."""
+    nets = (result.actor.net, result.critic.state_net, result.critic.trunk,
+            result.targets.actor.net, result.targets.critic.state_net,
+            result.targets.critic.trunk)
+    opts = (result.actor_opt, result.critic_opt.state_net, result.critic_opt.trunk)
+    log = result.log
+    return ([net.buffer.shape for net in nets] + [net.buffer.tobytes() for net in nets]
+            + [(opt.m.tobytes(), opt.v.tobytes(), opt.step) for opt in opts]
+            + [np.array(log.td_mse).tobytes(), np.array(log.consistency).tobytes(),
+               log.stop_reason, log.n_iterations])
+
+
+def staggered_consistency(evaluations):
+    """Consistency hook that follows the real metric for a memory's first
+    `evaluations[memory.seed]` calls and then never improves, so folds stop
+    at different iterations. State is per memory, so a fold sees the same
+    values whether it trains alone or with others."""
+    calls = {}
+
+    def fn(actor, memory):
+        calls[memory.seed] = calls.get(memory.seed, 0) + 1
+        if calls[memory.seed] > evaluations[memory.seed]:
+            return 1e9
+        return consistency_metric(actor, memory)
+    return fn
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 80), min_size=2, max_size=4),
+       terminal_rate=st.sampled_from((0.0, 0.5, 0.9, 1.0)),
+       batch_size=st.integers(2, 12), max_iterations=st.integers(0, 30),
+       every=st.integers(1, 5), patience=st.integers(1, 10),
+       improving=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+       seed=st.integers(0, 2**16))
+@example(sizes=[5, 60, 1], terminal_rate=0.9, batch_size=8, max_iterations=0,
+         every=1, patience=1, improving=[0, 0, 0, 0], seed=0)
+@example(sizes=[30, 7, 64, 2], terminal_rate=0.5, batch_size=64, max_iterations=24,
+         every=2, patience=3, improving=[0, 2, 5, 6], seed=1)
+def test_lockstep_folds_match_training_each_alone(sizes, terminal_rate, batch_size,
+                                                  max_iterations, every, patience,
+                                                  improving, seed):
+    rng = np.random.default_rng(seed)
+    memories = []
+    # sampler seeds that differ from the fold positions
+    for n, memory_seed in zip(sizes, (9, 4, 30, 1)):
+        memory = random_memory(rng, n=n, seed=memory_seed)
+        memory.terminal = rng.random(n) < terminal_rate
+        memories.append(memory)
+    evaluations = {memory.seed: k for memory, k in zip(memories, improving)}
+    config = TrainingConfig(batch_size=batch_size, max_iterations=max_iterations,
+                            consistency_every=every, patience=patience, seed=seed)
+    together = train_folds(memories, config, staggered_consistency(evaluations))
+    assert len(together) == len(memories)
+    for memory, result in zip(memories, together):
+        alone = train_folds([memory], config, staggered_consistency(evaluations))[0]
+        assert result_bytes(result) == result_bytes(alone)
+        assert result.actor.net.buffer.ndim == 1
+
+
+def test_lockstep_folds_stop_independently():
+    rng = np.random.default_rng(22)
+    memories = [random_memory(rng, n=50, seed=f) for f in range(3)]
+    config = TrainingConfig(batch_size=8, max_iterations=40, consistency_every=5,
+                            patience=10, seed=1)
+    improving = {0: 1, 1: 4, 2: 99}    # evaluations that improve, per memory
+    calls = dict.fromkeys(improving, 0)
+
+    def consistency(actor, memory):
+        calls[memory.seed] += 1
+        return 100.0 - calls[memory.seed] if calls[memory.seed] <= improving[memory.seed] \
+            else 1e9
+
+    results = train_folds(memories, config, consistency)
+    assert [r.log.n_iterations for r in results] == [15, 30, 40]
+    assert [r.log.stop_reason for r in results] == ["early_stop", "early_stop",
+                                                    "max_iterations"]
+
+
+def test_lockstep_non_finite_reward_names_fold_and_iteration():
+    rng = np.random.default_rng(23)
+    memories = [random_memory(rng, n=40, seed=f) for f in range(3)]
+    memories[1].rewards = memories[1].rewards.copy()
+    memories[1].rewards[7] = np.inf
+    config = TrainingConfig(batch_size=4, max_iterations=200, seed=5)
+    # the first iteration whose minibatch draws row 7 of fold 1
+    sampler = np.random.default_rng(np.random.SeedSequence(entropy=(5, 1)))
+    expected = next(i for i in range(1, 201)
+                    if 7 in sampler.integers(0, 40, size=config.batch_size))
+    with pytest.raises(ddpg.TrainingAbortedError) as caught:
+        train_folds(memories, config)
+    assert (caught.value.fold, caught.value.iteration) == (1, expected)
+    assert f"fold 1, iteration {expected}" in str(caught.value)
+    assert "critic loss" in str(caught.value)
+
+
+def test_train_folds_rejects_mismatched_memories():
+    rng = np.random.default_rng(24)
+    with pytest.raises(ValueError, match="state dimension"):
+        train_folds([random_memory(rng), random_memory(rng, state_dim=4)],
+                    TrainingConfig(max_iterations=1))
+    with pytest.raises(ValueError, match="no replay memories"):
+        train_folds([], TrainingConfig(max_iterations=1))
 
 
 # --- checkpoint ----------------------------------------------------------------------

@@ -462,3 +462,71 @@ def test_flat_engine_matches_per_array_oracle(specs, mode, batch_size, seed, rho
     assert_bits_equal(blended.layers, blend_loop(layers, as_dicts(other), rho))
     for before, after in zip(inputs, (x, upstream, params.buffer, other.buffer)):
         assert before.tobytes() == after.tobytes()
+
+
+# --- leading fold axis against one network at a time ------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(specs=layer_chains(), mode=st.sampled_from((nn.TRAIN, nn.INFER)),
+       n_folds=st.integers(1, 4), batch_size=st.integers(2, 9),
+       seed=st.integers(0, 2**32 - 1), rho=st.floats(0.0, 1.0),
+       lr=st.floats(1e-4, 0.1))
+def test_stacked_engine_matches_each_network_alone(specs, mode, n_folds, batch_size,
+                                                   seed, rho, lr):
+    rng = np.random.default_rng(seed)
+    plain = [random_params(specs, rng) for _ in range(n_folds)]
+    others = [random_params(specs, rng) for _ in range(n_folds)]
+    params = nn.NetworkParams.stack(plain)
+    other = nn.NetworkParams.stack(others)
+    x = rng.normal(size=(n_folds, batch_size, params.in_dim))
+    upstream = rng.normal(size=(n_folds, batch_size, params.out_dim))
+    inputs = [arr.copy() for arr in (x, upstream, params.buffer, other.buffer)]
+
+    y, cache = nn.forward_cached(params, x, mode)
+    grads, dx = nn.backward(params, cache, upstream)
+    opt = nn.init_optimizer(params)
+    updated = params
+    for scale in (1.0, -0.5):
+        scaled = [{key: scale * g for key, g in entry.items()} for entry in grads]
+        updated, opt = nn.apply_update(updated, scaled, opt, lr)
+    if mode == nn.TRAIN:
+        updated = nn.commit_running_stats(updated, cache)
+    blended = nn.blend_params(updated, other, rho)
+
+    for f in range(n_folds):
+        assert params.take(f).buffer.tobytes() == plain[f].buffer.tobytes()
+        y_f, cache_f = nn.forward_cached(plain[f], x[f], mode)
+        assert y[f].tobytes() == y_f.tobytes()
+        grads_f, dx_f = nn.backward(plain[f], cache_f, upstream[f])
+        assert_bits_equal([{k: g[f] for k, g in entry.items()} for entry in grads],
+                          grads_f)
+        assert dx[f].tobytes() == dx_f.tobytes()
+        opt_f = nn.init_optimizer(plain[f])
+        updated_f = plain[f]
+        for scale in (1.0, -0.5):
+            scaled = [{key: scale * g for key, g in entry.items()} for entry in grads_f]
+            updated_f, opt_f = nn.apply_update(updated_f, scaled, opt_f, lr)
+        if mode == nn.TRAIN:
+            updated_f = nn.commit_running_stats(updated_f, cache_f)
+        assert updated.take(f).buffer.tobytes() == updated_f.buffer.tobytes()
+        taken = opt.take(f)
+        assert (taken.m.tobytes(), taken.v.tobytes(), taken.step) == \
+            (opt_f.m.tobytes(), opt_f.v.tobytes(), opt_f.step)
+        blended_f = nn.blend_params(updated_f, others[f], rho)
+        assert blended.take(f).buffer.tobytes() == blended_f.buffer.tobytes()
+    for before, after in zip(inputs, (x, upstream, params.buffer, other.buffer)):
+        assert before.tobytes() == after.tobytes()
+
+
+def test_stacked_views_share_the_buffer():
+    params = nn.NetworkParams.stack([small_net(seed=s) for s in range(3)])
+    assert params.layers[0]["W"].shape == (3, 4, 8)
+    params.layers[0]["W"][1, 2, 3] = 7.0
+    assert params.take(1).layers[0]["W"][2, 3] == 7.0
+    smaller = params.take(np.array([2, 1]))
+    assert smaller.buffer.shape == (2, params.layout.size)
+    assert smaller.take(1).buffer.tobytes() == params.take(1).buffer.tobytes()
+    with pytest.raises(ValueError, match="leading dims"):
+        nn.forward(params, np.zeros((5, 4)), nn.INFER)
+    with pytest.raises(ValueError, match="one layer chain"):
+        nn.NetworkParams.stack([small_net(), small_net(state_dim=3)])

@@ -61,9 +61,9 @@ def test_every_demo_attribute_resolves():
     assert missing == []
 
 
-def test_traced_training_step_functions_are_called(monkeypatch):
-    # the tracer swaps module attributes, so a step function the program
-    # reaches some other way would silently read 0 in the per-layer metrics
+def count_step_calls(monkeypatch):
+    """Wrap every `nn` and `ddpg` entry of the tracer's list the way the
+    tracer does; returns the per-name call counts."""
     tracing = load_tracing(monkeypatch)
     calls = {}
 
@@ -79,11 +79,33 @@ def test_traced_training_step_functions_are_called(monkeypatch):
         for name, _ in tracing.TRACED[module_name]:
             monkeypatch.setattr(module, name,
                                 counted(f"{module_name}.{name}", getattr(module, name)))
-    rng = np.random.default_rng(0)
+    return calls
+
+
+def toy_memory(rng, seed):
     states = rng.normal(size=(40, 3))
-    memory = ddpg.ReplayMemory(states, rng.uniform(0, 60, 40), np.zeros(40),
-                               states[::-1].copy(), rng.random(40) < 0.2, seed=1)
+    return ddpg.ReplayMemory(states, rng.uniform(0, 60, 40), np.zeros(40),
+                             states[::-1].copy(), rng.random(40) < 0.2, seed=seed)
+
+
+def test_traced_training_step_functions_are_called(monkeypatch):
+    # the tracer swaps module attributes, so a step function the program
+    # reaches some other way would silently read 0 in the per-layer metrics
+    calls = count_step_calls(monkeypatch)
+    memory = toy_memory(np.random.default_rng(0), seed=1)
     config = ddpg.TrainingConfig(batch_size=8, max_iterations=4, consistency_every=2)
     result = ddpg.train(memory, config)
     assert result.log.n_iterations == 4
     assert [name for name in TRAINING_STEP if not calls.get(name)] == []
+
+
+def test_traced_training_step_functions_are_called_in_lockstep(monkeypatch):
+    calls = count_step_calls(monkeypatch)
+    rng = np.random.default_rng(0)
+    memories = [toy_memory(rng, seed) for seed in (1, 2)]
+    config = ddpg.TrainingConfig(batch_size=8, max_iterations=4, consistency_every=2)
+    results = ddpg.train_folds(memories, config)
+    assert [result.log.n_iterations for result in results] == [4, 4]
+    assert [name for name in TRAINING_STEP if not calls.get(name)] == []
+    # one call per lockstep iteration, not one per fold
+    assert calls["ddpg.critic_step"] == calls["ddpg.polyak_update"] == 4
