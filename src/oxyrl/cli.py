@@ -3,7 +3,7 @@ policy, and evaluate it against logged care.
 
 Every subcommand is byte-deterministic given its inputs and seed. Options
 resolve with precedence flag > config file > default, where the config file
-is flat `key = value` text mirroring the flag names.
+is flat `key = value` text over the keys in DEFAULTS and DOTTED.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,108 +28,99 @@ class StageError(Exception):
         self.cause = cause
 
 
-GENERATOR_KEYS = {k: v for k, v in cohort._SCALAR_KEYS.items() if k != "seed"}
-
-TRAIN_KEYS = {
-    "discount": float, "batch_size": int, "critic_lr": float, "actor_lr": float,
-    "polyak": float, "max_iterations": int, "patience": int,
-    "consistency_every": int, "interval_hours": float,
+# The settable keys. Every scalar key is also a flag (dashes for
+# underscores); the generator's tuple keys and the dotted keys exist only in
+# config files. A value takes the type of its key's default, and a tuple
+# default takes comma-separated items.
+_GENERATOR = cohort.GeneratorConfig(n_patients=1)
+GENERATOR_KEYS = tuple(f.name for f in fields(_GENERATOR)
+                       if not isinstance(getattr(_GENERATOR, f.name), dict))
+TRAIN_KEYS = ("discount", "batch_size", "critic_lr", "actor_lr", "polyak",
+              "max_iterations", "patience", "consistency_every", "seed")
+EVAL_KEYS = ("consistency_threshold", "curve_bin_width", "curve_min_count",
+             "hist_bin_width", "n_bootstrap", "mortality_label_threshold", "seed")
+DEFAULTS = {
+    **{key: getattr(_GENERATOR, key) for key in GENERATOR_KEYS},
+    **{key: getattr(ddpg.TrainingConfig(), key) for key in TRAIN_KEYS},
+    **{key: getattr(evaluation.EvalOptions(), key) for key in EVAL_KEYS},
+    "interval_hours": 4.0,
 }
 
-EVAL_KEYS = {
-    "consistency_threshold": float, "curve_bin_width": float,
-    "curve_min_count": int, "hist_bin_width": float, "n_bootstrap": int,
-    "mortality_label_threshold": float,
-}
+# `<table>.<name> = float` sets one entry of a generator table; the names are
+# those of the default table
+DOTTED = {"mean": cohort.DEFAULT_MOMENTS, "sd": cohort.DEFAULT_MOMENTS,
+          "coef": cohort.DEFAULT_HAZARD_COEFFICIENTS,
+          "optimal_dose": cohort.DEFAULT_OPTIMAL_DOSES}
 
-ALL_KEYS = {**GENERATOR_KEYS, **TRAIN_KEYS, **EVAL_KEYS, "seed": int}
 
-DOTTED_PREFIXES = ("mean.", "sd.", "coef.", "optimal_dose.")
+def _parse(default, raw):
+    if isinstance(default, tuple):
+        return tuple(_parse(default[0], item.strip()) for item in raw.split(","))
+    return type(default)(raw)
 
 
 def read_config_file(path):
-    """Flat `key = value` lines; '#' starts a comment. Dotted keys override
-    generator moments, hazard coefficients and the optimal-dose profile."""
+    """Flat `key = value` lines; '#' starts a comment. A malformed line, a
+    key outside DEFAULTS and DOTTED, or a value its type cannot parse raises
+    ValueError naming the line."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, raw = line.partition("=")
+            if not eq:
                 raise ValueError(f"config line {lineno}: expected key = value")
-            key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key in ALL_KEYS:
-                values[key] = ALL_KEYS[key](raw)
-            elif key in ("hospitals",):
-                values[key] = tuple(v.strip() for v in raw.split(","))
-            elif key == "hospital_weights":
-                values[key] = tuple(float(v) for v in raw.split(","))
-            elif key.startswith(DOTTED_PREFIXES):
-                values[key] = float(raw)
-            else:
+            table, _, name = key.partition(".")
+            default = 0.0 if name in DOTTED.get(table, ()) else DEFAULTS.get(key)
+            if default is None:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            try:
+                values[key] = _parse(default, raw)
+            except ValueError:
+                raise ValueError(f"config line {lineno}: {key} cannot be "
+                                 f"{raw!r}") from None
     return values
 
 
-def resolve(args, file_values, key, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        return file_values[key]
-    return default
+def _configure(target, keys, args, values):
+    """Set each of `keys` on `target` from its flag, else from the config
+    file's `values`, else leave the target's default."""
+    for key in keys:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            setattr(target, key, flag)
+        elif key in values:
+            setattr(target, key, values[key])
+    return target
 
 
-def _build_generator_config(args, file_values) -> cohort.GeneratorConfig:
-    config = cohort.GeneratorConfig(n_patients=1)
-    for key, kind in GENERATOR_KEYS.items():
-        setattr(config, key, kind(resolve(args, file_values, key,
-                                          getattr(config, key))))
-    config.seed = int(resolve(args, file_values, "seed", config.seed))
-    if "hospitals" in file_values:
-        config.hospitals = file_values["hospitals"]
-    if "hospital_weights" in file_values:
-        config.hospital_weights = file_values["hospital_weights"]
-    for key, value in file_values.items():
-        if key.startswith("optimal_dose."):
-            config.optimal_dose_profile[key.split(".", 1)[1]] = value
-        elif key.startswith("mean."):
-            name = key.split(".", 1)[1]
-            _, sd = config.covariate_moments.get(name, (0.0, 1.0))
-            config.covariate_moments[name] = (value, sd)
-        elif key.startswith("sd."):
-            name = key.split(".", 1)[1]
-            mean, _ = config.covariate_moments.get(name, (0.0, 1.0))
-            config.covariate_moments[name] = (mean, value)
-        elif key.startswith("coef."):
-            config.hazard_coefficients[key.split(".", 1)[1]] = value
+def _build_generator_config(args, values) -> cohort.GeneratorConfig:
+    config = _configure(cohort.GeneratorConfig(n_patients=1), GENERATOR_KEYS,
+                        args, values)
+    for key, value in values.items():
+        table, _, name = key.partition(".")
+        if table == "optimal_dose":
+            config.optimal_dose_profile[name] = value
+        elif table == "coef":
+            config.hazard_coefficients[name] = value
+        elif table == "mean":
+            config.covariate_moments[name] = (value, config.covariate_moments[name][1])
+        elif table == "sd":
+            config.covariate_moments[name] = (config.covariate_moments[name][0], value)
     return config
 
 
-def _build_training_config(args, file_values) -> tuple[ddpg.TrainingConfig, float]:
-    config = ddpg.TrainingConfig()
-    for key in ("discount", "batch_size", "critic_lr", "actor_lr", "polyak",
-                "max_iterations", "patience", "consistency_every"):
-        setattr(config, key, TRAIN_KEYS[key](
-            resolve(args, file_values, key, getattr(config, key))))
-    config.seed = int(resolve(args, file_values, "seed", config.seed))
-    interval = float(resolve(args, file_values, "interval_hours", 4.0))
+def _training_config(args, values) -> tuple[ddpg.TrainingConfig, float]:
+    config = _configure(ddpg.TrainingConfig(), TRAIN_KEYS, args, values)
+    config.validate()
+    resampling = argparse.Namespace(interval_hours=DEFAULTS["interval_hours"])
+    interval = _configure(resampling, ("interval_hours",), args, values).interval_hours
     if interval <= 0:
         raise ValueError("interval_hours must be positive")
-    config.validate()
     return config, interval
-
-
-def _build_eval_options(args, file_values) -> evaluation.EvalOptions:
-    options = evaluation.EvalOptions()
-    for key, kind in EVAL_KEYS.items():
-        setattr(options, key, kind(resolve(args, file_values, key,
-                                           getattr(options, key))))
-    options.seed = int(resolve(args, file_values, "seed", options.seed))
-    options.validate()
-    return options
 
 
 class _OutputTracker:
@@ -172,11 +163,11 @@ class _OutputTracker:
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
     try:
-        config = _build_generator_config(args, file_values)
+        values = read_config_file(args.config) if args.config else {}
+        config = _build_generator_config(args, values)
         config.validate()
-    except (cohort.GeneratorConfigError, ValueError) as err:
+    except (OSError, ValueError, cohort.GeneratorConfigError) as err:
         raise StageError("config", err) from err
     tracker = _OutputTracker()
     try:
@@ -207,10 +198,10 @@ def _load_inputs(args):
 
 
 def cmd_train(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
     try:
-        config, interval = _build_training_config(args, file_values)
-    except ValueError as err:
+        values = read_config_file(args.config) if args.config else {}
+        config, interval = _training_config(args, values)
+    except (OSError, ValueError) as err:
         raise StageError("config", err) from err
     schema, records = _load_inputs(args)
     try:
@@ -260,17 +251,12 @@ def _write_figures(outdir, report, tracker):
             "Flow difference", "recommended - logged (L/min)"))
 
 
-def _policy_fn_from_bundle(bundle):
-    if bundle.policy_kind == ddpg.POLICY_KIND_MIRROR:
-        return evaluation.mirror_policy()
-    return evaluation.actor_policy(bundle.actor)
-
-
 def cmd_evaluate(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
     try:
-        options = _build_eval_options(args, file_values)
-    except ValueError as err:
+        values = read_config_file(args.config) if args.config else {}
+        options = _configure(evaluation.EvalOptions(), EVAL_KEYS, args, values)
+        options.validate()
+    except (OSError, ValueError) as err:
         raise StageError("config", err) from err
     schema, records = _load_inputs(args)
     try:
@@ -290,8 +276,9 @@ def cmd_evaluate(args) -> int:
             cohort.apply_feature_stats(matrix, stats), everyone, schema,
             seed=options.seed)
         fold = evaluation.evaluate_patients(
-            "all", matrix, everyone, schema, stats, _policy_fn_from_bundle(bundle),
-            model, retained, flow_stats, grid=grid)
+            "all", matrix, everyone, schema, stats,
+            evaluation.actor_policy(bundle.actor), model, retained, flow_stats,
+            grid=grid)
         report = evaluation.build_report([fold], options)
         out = tracker.make_dir(args.out)
         for path in evaluation.write_report_files(out, report):
@@ -309,11 +296,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_loho(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
     try:
-        config, interval = _build_training_config(args, file_values)
-        options = _build_eval_options(args, file_values)
-    except ValueError as err:
+        values = read_config_file(args.config) if args.config else {}
+        config, interval = _training_config(args, values)
+        options = _configure(evaluation.EvalOptions(), EVAL_KEYS, args, values)
+        options.validate()
+    except (OSError, ValueError) as err:
         raise StageError("config", err) from err
     schema, records = _load_inputs(args)
     labels = sorted({r.hospital_id for r in records})
@@ -375,8 +363,10 @@ def _add_common(parser):
 
 
 def _add_keys(parser, keys):
-    for key, kind in keys.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind)
+    for key in keys:
+        if key != "seed" and not isinstance(DEFAULTS[key], tuple):
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                                type=type(DEFAULTS[key]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_train)
     p_train.add_argument("--cohort", required=True)
     p_train.add_argument("--schema", required=True)
-    _add_keys(p_train, TRAIN_KEYS)
+    _add_keys(p_train, (*TRAIN_KEYS, "interval_hours"))
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a trained policy")
@@ -410,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loho.add_argument("--cohort", required=True)
     p_loho.add_argument("--schema", required=True)
     p_loho.add_argument("--parallel-folds", action="store_true")
-    _add_keys(p_loho, {**TRAIN_KEYS, **EVAL_KEYS})
+    _add_keys(p_loho, (*TRAIN_KEYS, "interval_hours", *EVAL_KEYS))
     p_loho.set_defaults(fn=cmd_loho)
     return parser
 

@@ -809,18 +809,15 @@ def generate_synthetic_cohort(config: GeneratorConfig, schema: FeatureSchema | N
 
 # --- generator config file (flat key = value) ---------------------------------
 
-_SCALAR_KEYS = {
-    "n_patients": int, "seed": int, "horizon_hours": float,
-    "dose_interval_hours": float, "dose_block_hours": float, "behavior_bias": float,
-    "patient_noise_sd": float, "step_noise_sd": float,
-    "step_noise_heavy_sd": float, "step_noise_heavy_rate": float,
-    "step_noise_heavy_mean": float,
-    "dose_coef": float, "under_dose_curvature": float,
-    "over_dose_curvature": float, "under_dose_margin": float,
-    "baseline_hazard": float,
-    "lab_cadence_hours": float, "vital_cadence_hours": float,
-    "obs_noise_frac": float,
-}
+# generator.cfg key order (`oxyrl generate --config` reads the file back)
+_SCALAR_KEYS = (
+    "n_patients", "seed", "horizon_hours", "dose_interval_hours",
+    "dose_block_hours", "behavior_bias", "patient_noise_sd", "step_noise_sd",
+    "step_noise_heavy_sd", "step_noise_heavy_rate", "step_noise_heavy_mean",
+    "dose_coef", "under_dose_curvature", "over_dose_curvature",
+    "under_dose_margin", "baseline_hazard", "lab_cadence_hours",
+    "vital_cadence_hours", "obs_noise_frac",
+)
 
 
 def write_generator_config(path, config: GeneratorConfig) -> None:
@@ -837,37 +834,3 @@ def write_generator_config(path, config: GeneratorConfig) -> None:
             fh.write(f"sd.{name} = {sd!r}\n")
         for name, coef in config.hazard_coefficients.items():
             fh.write(f"coef.{name} = {coef!r}\n")
-
-
-def read_generator_config(path) -> GeneratorConfig:
-    config = GeneratorConfig(n_patients=1)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise GeneratorConfigError(f"config line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in _SCALAR_KEYS:
-                setattr(config, key, _SCALAR_KEYS[key](value))
-            elif key == "hospitals":
-                config.hospitals = tuple(v.strip() for v in value.split(","))
-            elif key == "hospital_weights":
-                config.hospital_weights = tuple(float(v) for v in value.split(","))
-            elif key.startswith("optimal_dose."):
-                config.optimal_dose_profile[key.split(".", 1)[1]] = float(value)
-            elif key.startswith("mean."):
-                name = key.split(".", 1)[1]
-                _, sd = config.covariate_moments.get(name, (0.0, 1.0))
-                config.covariate_moments[name] = (float(value), sd)
-            elif key.startswith("sd."):
-                name = key.split(".", 1)[1]
-                mean, _ = config.covariate_moments.get(name, (0.0, 1.0))
-                config.covariate_moments[name] = (mean, float(value))
-            elif key.startswith("coef."):
-                config.hazard_coefficients[key.split(".", 1)[1]] = float(value)
-            else:
-                raise GeneratorConfigError(f"config line {lineno}: unknown key {key!r}")
-    return config

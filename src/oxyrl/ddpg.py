@@ -480,10 +480,8 @@ def write_training_log(path, log: TrainingLog) -> None:
 
 POLICY_MAGIC = "oxyrl-policy-v1"
 
+# the only policy kind; the line keeps the file format versionable
 POLICY_KIND_ACTOR = "actor"
-# test hook: a checkpoint marked mirror_logged makes evaluation echo the
-# logged flows instead of querying the actor
-POLICY_KIND_MIRROR = "mirror_logged"
 
 
 @dataclass
@@ -496,7 +494,6 @@ class PolicyBundle:
     feature_names: tuple[str, ...]
     feature_means: np.ndarray
     feature_sds: np.ndarray
-    policy_kind: str = POLICY_KIND_ACTOR
 
 
 _CONFIG_FIELDS = ("discount", "batch_size", "critic_lr", "actor_lr", "polyak",
@@ -506,7 +503,7 @@ _CONFIG_FIELDS = ("discount", "batch_size", "critic_lr", "actor_lr", "polyak",
 def save_policy(path, bundle: PolicyBundle) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(POLICY_MAGIC + "\n")
-        fh.write(f"policy_kind {bundle.policy_kind}\n")
+        fh.write(f"policy_kind {POLICY_KIND_ACTOR}\n")
         fh.write(f"interval_hours {float(bundle.interval_hours)!r}\n")
         values = " ".join(repr(getattr(bundle.config, name))
                           for name in _CONFIG_FIELDS)
@@ -527,7 +524,7 @@ def load_policy(path) -> PolicyBundle:
         if fh.readline().strip() != POLICY_MAGIC:
             raise ValueError("unrecognized policy checkpoint")
         (policy_kind,) = nn.read_fields(fh, "policy_kind", 1)
-        if policy_kind not in (POLICY_KIND_ACTOR, POLICY_KIND_MIRROR):
+        if policy_kind != POLICY_KIND_ACTOR:
             raise ValueError(f"unknown policy kind {policy_kind!r}")
         interval_hours = float(nn.read_fields(fh, "interval_hours", 1)[0])
         if not (np.isfinite(interval_hours) and interval_hours > 0):
@@ -563,4 +560,4 @@ def load_policy(path) -> PolicyBundle:
     targets = TargetPair(CriticNet(state_dim, nets[4], nets[5]),
                          ActorNet(state_dim, nets[3]))
     return PolicyBundle(actor, critic, targets, config, interval_hours,
-                        feature_names, stats[0], stats[1], policy_kind)
+                        feature_names, stats[0], stats[1])

@@ -463,13 +463,6 @@ def iter_arrays(params: NetworkParams, trainable_only: bool = False):
             yield i, key, layer[key]
 
 
-def zero_grads(params: NetworkParams):
-    return [
-        {key: np.zeros_like(layer[key]) for key in TRAINABLE_KEYS[spec.kind]}
-        for spec, layer in zip(params.specs, params.layers)
-    ]
-
-
 # --- textual checkpoint ----------------------------------------------------
 #
 # Layout: a magic line, the layer chain, then one block per array. Floats

@@ -228,6 +228,13 @@ def backward_loop(specs, layers, caches, mode, upstream_grad):
     return grads, dy
 
 
+def zero_grads(params):
+    """Zeros shaped like the trainable arrays of an `nn.NetworkParams`, in
+    the per-layer dict layout `nn.apply_update` takes as gradients."""
+    return [{key: np.zeros_like(layer[key]) for key in TRAINABLE[spec.kind]}
+            for spec, layer in zip(params.specs, params.layers)]
+
+
 def adam_loop(specs, layers, grads, moments, step, learning_rate):
     """One bias-corrected Adam step per array; `moments` holds per-layer
     dicts of (m, v). Returns (layers, moments, step), all new."""

@@ -80,6 +80,52 @@ def test_generate_honors_config_file_with_flag_override(tmp_path):
     assert len(cohort.load_cohort(out / "cohort.csv", schema)) == 5
 
 
+def test_generate_reads_back_its_generator_config(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("hospitals = A,B,C\nhospital_weights = 2.0,1.0,1.0\n"
+                   "mean.age = 72.5\nsd.bmi = 5.0\ncoef.ph = -1.2\n"
+                   "optimal_dose.age_ge_75 = 35.0\n")
+    first = tmp_path / "first"
+    assert run(["generate", "--out", str(first), "--config", str(cfg),
+                "--n-patients", "40", "--seed", "5", "--horizon-hours", "48.0"]) == 0
+    again = tmp_path / "again"
+    assert run(["generate", "--out", str(again),
+                "--config", str(first / "generator.cfg")]) == 0
+    assert read_all_bytes(again) == read_all_bytes(first)
+    assert "mean.age = 72.5\n" in (again / "generator.cfg").read_text()
+
+
+@pytest.mark.parametrize("line", [
+    "n_patients 5", "nosuch = 1", "coef.nosuch = 1.0", "mean.nosuch = 1.0",
+    "optimal_dose.age_lt_6 = 10.0", "n_patients = abc",
+])
+def test_generate_bad_config_line_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"# a comment\nseed = 3\n{line}\n")
+    out = tmp_path / "out"
+    assert run(["generate", "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "[config]" in err and "config line 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "loho"])
+def test_every_command_reads_its_config_in_config_stage(tmp_path, capsys, command):
+    # the inputs do not exist either: the config stage comes first
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("patience = often\n")
+    inputs = {"train": ["--cohort", "x.csv", "--schema", "x.txt"],
+              "evaluate": ["--cohort", "x.csv", "--schema", "x.txt",
+                           "--checkpoint", "x.ckpt"],
+              "loho": ["--cohort", "x.csv", "--schema", "x.txt"]}
+    out = tmp_path / "out"
+    for config in (cfg, tmp_path / "missing.cfg"):
+        assert run([command, "--out", str(out), "--config", str(config),
+                    *inputs.get(command, [])]) == 1
+        assert "[config]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- train -----------------------------------------------------------------------
 
 def test_train_checkpoint_reproduces_recommendations(trained_dir):
@@ -188,19 +234,6 @@ def test_evaluate_byte_deterministic(tmp_path, cohort_dir, trained_dir):
         assert run(eval_args(out, cohort_dir, trained_dir / "policy.ckpt")) == 0
         outs.append(read_all_bytes(out))
     assert outs[0] == outs[1]
-
-
-def test_evaluate_mirror_checkpoint_consistency_one(tmp_path, cohort_dir, trained_dir):
-    bundle = ddpg.load_policy(trained_dir / "policy.ckpt")
-    bundle.policy_kind = ddpg.POLICY_KIND_MIRROR
-    ckpt = tmp_path / "mirror.ckpt"
-    ddpg.save_policy(ckpt, bundle)
-    out = tmp_path / "report"
-    assert run(eval_args(out, cohort_dir, ckpt)) == 0
-    metrics = dict(line.split(",") for line
-                   in (out / "metrics.csv").read_text().splitlines()[1:])
-    assert float(metrics["consistency_rate"]) == 1.0
-    assert float(metrics["mortality_reduction"]) == 0.0
 
 
 def test_evaluate_truncated_checkpoint_is_load_error(tmp_path, cohort_dir, trained_dir,

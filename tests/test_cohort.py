@@ -1,12 +1,14 @@
+import argparse
+import string
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import flow_at_loop, transitions_loop
-from oxyrl import cohort, evaluation
+from oxyrl import cli, cohort, evaluation
 from oxyrl.cohort import (
     CENSORED, DIED, DISCHARGED, CohortDataWarning, CohortFormatError,
     FeatureSchema, GeneratorConfig, GeneratorConfigError, MissingFeatureError,
@@ -570,10 +572,33 @@ def test_optimal_policy_beats_biased_behavior_policy():
     assert p_i < p_b - 3.0 * se
 
 
-def test_generator_config_file_round_trip(tmp_path):
-    cfg = GeneratorConfig(n_patients=123, seed=4, behavior_bias=7.5,
-                          under_dose_curvature=0.019, over_dose_curvature=0.003)
-    path = tmp_path / "gen.cfg"
-    cohort.write_generator_config(path, cfg)
-    loaded = cohort.read_generator_config(path)
-    assert loaded == cfg
+def generator_configs():
+    """GeneratorConfigs over the default table names, with alphanumeric
+    hospital labels and finite floats."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    default = GeneratorConfig(n_patients=1)
+    scalars = {key: st.integers() if isinstance(getattr(default, key), int) else finite
+               for key in cohort._SCALAR_KEYS}
+
+    def table(names, values):
+        return st.fixed_dictionaries({name: values for name in names})
+    label = st.text(string.ascii_letters + string.digits, min_size=1, max_size=5)
+    return st.builds(
+        GeneratorConfig, **scalars,
+        hospitals=st.lists(label, min_size=1, max_size=6).map(tuple),
+        hospital_weights=st.lists(finite, min_size=1, max_size=6).map(tuple),
+        optimal_dose_profile=table(cohort.DEFAULT_OPTIMAL_DOSES, finite),
+        covariate_moments=table(cohort.DEFAULT_MOMENTS, st.tuples(finite, finite)),
+        hazard_coefficients=table(cohort.DEFAULT_HAZARD_COEFFICIENTS, finite))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=generator_configs())
+def test_generator_config_file_round_trip(tmp_path, config):
+    # generator.cfg is read back by the one config reader, as
+    # `oxyrl generate --config` does
+    path = tmp_path / "generator.cfg"
+    cohort.write_generator_config(path, config)
+    values = cli.read_config_file(path)
+    assert cli._build_generator_config(argparse.Namespace(), values) == config

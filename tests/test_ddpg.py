@@ -533,7 +533,6 @@ def test_policy_checkpoint_round_trip(tmp_path):
     path = tmp_path / "policy.ckpt"
     ddpg.save_policy(path, bundle)
     loaded = ddpg.load_policy(path)
-    assert loaded.policy_kind == ddpg.POLICY_KIND_ACTOR
     assert loaded.config == config
     assert loaded.feature_names == ("a", "b", "c")
     np.testing.assert_array_equal(loaded.feature_means, bundle.feature_means)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import adam_loop, backward_loop, blend_loop, commit_loop, forward_loop
+from _oracles import (
+    adam_loop, backward_loop, blend_loop, commit_loop, forward_loop, zero_grads,
+)
 from oxyrl import nn
 
 
@@ -24,7 +26,7 @@ def small_net(state_dim=4, seed=0):
 def finite_difference_grads(params, x, upstream, eps=1e-5):
     """Central differences of sum(forward(params, x) * upstream) over every
     trainable parameter."""
-    fd = nn.zero_grads(params)
+    fd = zero_grads(params)
     for i, key, arr in nn.iter_arrays(params, trainable_only=True):
         flat = arr.reshape(-1)
         g = fd[i][key].reshape(-1)
@@ -199,7 +201,7 @@ def test_linear_dense_weight_gradient_closed_form():
 def test_zero_gradients_leave_params_unchanged():
     params = small_net(seed=1)
     opt = nn.init_optimizer(params)
-    updated, _ = nn.apply_update(params, nn.zero_grads(params), opt, 0.002)
+    updated, _ = nn.apply_update(params, zero_grads(params), opt, 0.002)
     for (_, _, a), (_, _, b) in zip(nn.iter_arrays(params), nn.iter_arrays(updated)):
         np.testing.assert_array_equal(a, b)
 

@@ -1,18 +1,20 @@
 """Names that code outside the package looks up on it. The benchmark's
 tracer (perfbench/tracing.py) wraps oxyrl functions by module and name, and
 the demos call the package's modules by attribute; a renamed or removed
-name would break either silently, so both sets are checked here."""
+name would break either silently, so both sets are checked here, as are the
+tracer's work counters."""
 
 import ast
 import functools
 import importlib.util
+import os
 import pathlib
 import sys
 
 import numpy as np
 
 import oxyrl
-from oxyrl import ddpg
+from oxyrl import cli, ddpg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -109,3 +111,29 @@ def test_traced_training_step_functions_are_called_in_lockstep(monkeypatch):
     assert [name for name in TRAINING_STEP if not calls.get(name)] == []
     # one call per lockstep iteration, not one per fold
     assert calls["ddpg.critic_step"] == calls["ddpg.polyak_update"] == 4
+
+
+def test_tracer_counts_every_scored_decision_point(monkeypatch, tmp_path):
+    # the benchmark's evaluation.decisions_scored sums the counter that the
+    # tracer takes from each evaluate_patients result
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer(oxyrl)
+    generated, out = tmp_path / "cohort", tmp_path / "loho"
+    tracer.install("tiny")
+    try:
+        assert cli.main(["generate", "--out", str(generated), "--seed", "5",
+                         "--n-patients", "60", "--horizon-hours", "48.0"]) == 0
+        assert cli.main(["loho", "--out", str(out),
+                         "--cohort", str(generated / "cohort.csv"),
+                         "--schema", str(generated / "schema.txt"),
+                         "--seed", "1", "--max-iterations", "4",
+                         "--consistency-every", "2", "--n-bootstrap", "20"]) == 0
+    finally:
+        tracer.uninstall()
+    counts = [span.count for span in tracer.spans
+              if span.name == "evaluation.evaluate_patients"]
+    folds = [name for name in os.listdir(out) if name.startswith("fold_")]
+    assert len(counts) == len(folds) >= 2
+    metrics = dict(line.split(",") for line
+                   in (out / "pooled" / "metrics.csv").read_text().splitlines()[1:])
+    assert sum(counts) == int(float(metrics["n_decision_points"])) > 0
