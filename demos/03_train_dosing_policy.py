@@ -12,13 +12,13 @@ from oxyrl import cohort, ddpg, evaluation
 
 config = cohort.GeneratorConfig(n_patients=1500, seed=7)
 schema = cohort.default_schema()
-records = cohort.generate_synthetic_cohort(config, schema)
-stats = cohort.compute_feature_stats(records, schema)
-matrix = cohort.stack_trajectories(records, schema, 8.0)
+table = cohort.generate_synthetic_cohort(config, schema)
+stats = cohort.compute_feature_stats(table, schema)
+matrix = cohort.stack_trajectories(table, schema, 8.0)
 normalized = cohort.apply_feature_stats(matrix, stats)
 
-memory = evaluation.replay_memory(normalized, np.arange(len(records)), seed=0)
-print(f"replay memory: {len(memory)} transitions from {len(records)} patients")
+memory = evaluation.replay_memory(normalized, np.arange(len(table)), seed=0)
+print(f"replay memory: {len(memory)} transitions from {len(table)} patients")
 
 train_config = ddpg.TrainingConfig(max_iterations=10000, patience=10000, seed=11)
 result = ddpg.train(memory, train_config)
@@ -29,10 +29,10 @@ print(f"mean squared TD error: first 50 iters {td[:50].mean():.2f}, "
       f"last 50 iters {td[-50:].mean():.2f}")
 
 rows = []
-for i, record in enumerate(records[:300]):
+for i in range(300):
     steps = slice(matrix.offsets[i], matrix.offsets[i + 1])
     recommended = result.actor.act(normalized.states[steps]).mean()
-    age = record.static_covariates["age"]
+    age = matrix.states[steps.start, schema.index("age")]
     rows.append((age, recommended, matrix.actions[steps].mean(),
                  cohort.optimal_dose(config, age)))
 

@@ -10,10 +10,10 @@ from oxyrl import cohort, ddpg, evaluation
 
 config = cohort.GeneratorConfig(n_patients=400, seed=3)
 schema = cohort.default_schema()
-records = cohort.generate_synthetic_cohort(config, schema)
+table = cohort.generate_synthetic_cohort(config, schema)
 
 train_config = ddpg.TrainingConfig(max_iterations=4000, patience=4000, seed=11)
-runs = evaluation.loho_cross_validate(records, schema, train_config,
+runs = evaluation.loho_cross_validate(table, schema, train_config,
                                       interval_hours=8.0)
 options = evaluation.EvalOptions(seed=11, curve_bin_width=10.0, n_bootstrap=400)
 report = evaluation.build_report([run.fold for run in runs], options)

@@ -3,7 +3,7 @@ evaluated against logged care with a proportional-hazards survival model."""
 
 from . import cli, cohort, ddpg, evaluation, figures, nn, survival
 from .cohort import (
-    CohortMatrix, FeatureSchema, GeneratorConfig, IndexedTransitions,
+    CohortMatrix, CohortTable, FeatureSchema, GeneratorConfig, IndexedTransitions,
     PatientRecord, Trajectory, apply_feature_stats, build_transitions,
     compute_feature_stats, default_schema, generate_synthetic_cohort,
     impute_linear, load_cohort, resample_trajectory, split_by_hospital,

@@ -172,29 +172,29 @@ def cmd_generate(args) -> int:
     tracker = _OutputTracker()
     try:
         schema = cohort.default_schema()
-        records = cohort.generate_synthetic_cohort(config, schema)
+        table = cohort.generate_synthetic_cohort(config, schema)
         out = tracker.make_dir(args.out)
         cohort.write_schema(tracker.register(os.path.join(out, "schema.txt")), schema)
         cohort.write_cohort_csv(
-            tracker.register(os.path.join(out, "cohort.csv")), records, schema)
+            tracker.register(os.path.join(out, "cohort.csv")), table, schema)
         cohort.write_generator_config(
             tracker.register(os.path.join(out, "generator.cfg")), config)
     except Exception as err:
         tracker.discard_all()
         raise StageError("generate", err) from err
-    print(f"wrote {len(records)} patients to {out}")
+    print(f"wrote {len(table)} patients to {out}")
     return 0
 
 
 def _load_inputs(args):
     try:
         schema = cohort.read_schema(args.schema)
-        records = cohort.load_cohort(args.cohort, schema)
+        table = cohort.load_cohort(args.cohort, schema)
     except (OSError, cohort.CohortError) as err:
         raise StageError("load", err) from err
-    if not records:
+    if not len(table):
         raise StageError("load", ValueError("cohort file holds no patients"))
-    return schema, records
+    return schema, table
 
 
 def cmd_train(args) -> int:
@@ -203,12 +203,12 @@ def cmd_train(args) -> int:
         config, interval = _training_config(args, values)
     except (OSError, ValueError) as err:
         raise StageError("config", err) from err
-    schema, records = _load_inputs(args)
+    schema, table = _load_inputs(args)
     try:
-        stats = cohort.compute_feature_stats(records, schema)
+        stats = cohort.compute_feature_stats(table, schema)
         normalized = cohort.apply_feature_stats(
-            cohort.stack_trajectories(records, schema, interval), stats)
-        memory = evaluation.replay_memory(normalized, np.arange(len(records)), seed=0)
+            cohort.stack_trajectories(table, schema, interval), stats)
+        memory = evaluation.replay_memory(normalized, np.arange(len(table)), seed=0)
     except cohort.CohortError as err:
         raise StageError("impute", err) from err
     try:
@@ -258,7 +258,7 @@ def cmd_evaluate(args) -> int:
         options.validate()
     except (OSError, ValueError) as err:
         raise StageError("config", err) from err
-    schema, records = _load_inputs(args)
+    schema, table = _load_inputs(args)
     try:
         bundle = ddpg.load_policy(args.checkpoint)
     except (OSError, ValueError) as err:
@@ -270,7 +270,7 @@ def cmd_evaluate(args) -> int:
     try:
         stats = cohort.FeatureStats(schema.names, bundle.feature_means,
                                     bundle.feature_sds)
-        matrix = cohort.stack_trajectories(records, schema, bundle.interval_hours)
+        matrix = cohort.stack_trajectories(table, schema, bundle.interval_hours)
         everyone = np.arange(matrix.n_patients)
         model, grid, retained, flow_stats = evaluation.fit_outcome_model(
             cohort.apply_feature_stats(matrix, stats), everyone, schema,
@@ -303,8 +303,8 @@ def cmd_loho(args) -> int:
         options.validate()
     except (OSError, ValueError) as err:
         raise StageError("config", err) from err
-    schema, records = _load_inputs(args)
-    labels = sorted({r.hospital_id for r in records})
+    schema, table = _load_inputs(args)
+    labels = sorted(set(table.hospital_ids.tolist()))
     if len(labels) < 2:
         raise StageError("folds", ValueError(
             f"leave-one-hospital-out needs a cohort spanning at least 2 hospitals, "
@@ -315,11 +315,11 @@ def cmd_loho(args) -> int:
             workers = min(len(labels), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 runs = evaluation.loho_cross_validate(
-                    records, schema, config, interval_hours=interval,
+                    table, schema, config, interval_hours=interval,
                     labels=labels, map_fn=pool.map)
         else:
             runs = evaluation.loho_cross_validate(
-                records, schema, config, interval_hours=interval, labels=labels)
+                table, schema, config, interval_hours=interval, labels=labels)
     except Exception as err:
         raise StageError("folds", err) from err
     tracker = _OutputTracker()

@@ -1,12 +1,15 @@
 """Patient-trajectory data model and synthetic cohort generation.
 
-A cohort is a list of :class:`PatientRecord`: static covariates plus
-irregularly sampled lab/vital series, an oxygen-flow series, and a terminal
-outcome. Each record is resampled once, in raw units, onto a uniform time
-grid, and the trajectories are stacked into one :class:`CohortMatrix`.
-Everything downstream works on that matrix through patient index arrays:
-per-fold normalization, hospital folds, and the one-step transitions
-consumed by the policy learner, which are row indices into it.
+A cohort is one columnar :class:`CohortTable`: per-patient id, hospital,
+outcome and event time, plus one row per observation (static covariate,
+lab or vital value, oxygen-flow setting) ordered by patient, schema feature
+and time. The generator and the CSV loader fill it; each patient is
+resampled once, in raw units, onto a uniform time grid, and the
+trajectories are stacked into one :class:`CohortMatrix`. Everything
+downstream works on that matrix through patient index arrays: per-fold
+normalization, hospital folds, and the one-step transitions consumed by the
+policy learner, which are row indices into it. A :class:`PatientRecord` is
+the one-patient unit built by hand or read back from a table.
 
 The synthetic generator replaces unavailable hospital data: covariates are
 drawn to configured moments, a behavior policy doses with noise around a
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,6 +189,119 @@ class PatientRecord:
             raise CohortFormatError("oxygen observation after event_time")
 
 
+def _segment_rows(offsets, patients):
+    """Rows offsets[p]:offsets[p + 1] of each given patient, concatenated in
+    order, plus each patient's start within that concatenation and its row
+    count."""
+    patients = np.asarray(patients, dtype=np.intp)
+    first = offsets[patients]
+    lengths = offsets[patients + 1] - first
+    starts = np.cumsum(lengths) - lengths
+    rows = np.arange(lengths.sum()) + np.repeat(first - starts, lengths)
+    return rows, starts, lengths
+
+
+@dataclass
+class CohortTable:
+    """The cohort in columns. Per patient: id, hospital, outcome and event
+    time. Per observation: the feature's code (its index in `schema`, or
+    len(schema) for oxygen flow), time and value, ordered by patient, then
+    code, then time. Patient i owns observations offsets[i]:offsets[i + 1];
+    a pointwise feature has at most one observation, at time 0."""
+
+    schema: FeatureSchema
+    patient_ids: tuple[str, ...]
+    hospital_ids: np.ndarray     # (n_patients,)
+    outcomes: np.ndarray         # (n_patients,)
+    event_times: np.ndarray      # (n_patients,)
+    offsets: np.ndarray          # (n_patients + 1,)
+    codes: np.ndarray            # (n_obs,)
+    times: np.ndarray            # (n_obs,)
+    values: np.ndarray           # (n_obs,)
+
+    def __len__(self):
+        return len(self.patient_ids)
+
+    def __getitem__(self, i) -> PatientRecord:
+        """Patient i as a record (a copy: editing it leaves the table)."""
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        names = self.schema.names
+        statics, series, oxygen = {}, {}, []
+        for code, t, v in zip(self.codes[lo:hi].tolist(), self.times[lo:hi].tolist(),
+                              self.values[lo:hi].tolist()):
+            if code == len(names):
+                oxygen.append((t, v))
+            elif self.schema.is_pointwise(names[code]):
+                statics[names[code]] = v
+            else:
+                series.setdefault(names[code], []).append((t, v))
+        return PatientRecord(self.patient_ids[i], str(self.hospital_ids[i]), statics,
+                             series, oxygen, str(self.outcomes[i]),
+                             float(self.event_times[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def from_records(cls, records, schema: FeatureSchema) -> CohortTable:
+        """The records' schema features and oxygen flows, in record order
+        (other keys are dropped, as the CSV writer drops them)."""
+        columns = _Columns(schema)
+        for r in records:
+            for j, name in enumerate(schema.names):
+                if schema.is_pointwise(name):
+                    if name in r.static_covariates:
+                        columns.add(j, 0.0, r.static_covariates[name])
+                else:
+                    for t, v in r.series.get(name, []):
+                        columns.add(j, t, v)
+            for t, v in r.oxygen_series:
+                columns.add(len(schema), t, v)
+            columns.end_patient(r.patient_id, r.hospital_id, r.outcome, r.event_time)
+        return columns.table()
+
+
+class _Columns:
+    """Typed buffers that a CohortTable is filled into patient by patient,
+    each patient's observations already in table order."""
+
+    def __init__(self, schema: FeatureSchema):
+        self.schema = schema
+        self.ids, self.hospitals, self.outcomes = [], [], []
+        self.event_times = array("d")
+        self.offsets = array("q", [0])
+        self.codes = array("q")
+        self.times = array("d")
+        self.values = array("d")
+
+    def add(self, code, t, value):
+        self.codes.append(code)
+        self.times.append(t)
+        self.values.append(value)
+
+    def end_patient(self, patient_id, hospital_id, outcome, event_time):
+        self.ids.append(patient_id)
+        self.hospitals.append(hospital_id)
+        self.outcomes.append(outcome)
+        self.event_times.append(event_time)
+        self.offsets.append(len(self.codes))
+
+    def table(self) -> CohortTable:
+        """The table, on views of the buffers."""
+        return CohortTable(
+            self.schema, tuple(self.ids), np.asarray(self.hospitals, dtype=str),
+            np.asarray(self.outcomes, dtype=str), np.frombuffer(self.event_times),
+            np.frombuffer(self.offsets, dtype=np.int64),
+            np.frombuffer(self.codes, dtype=np.int64), np.frombuffer(self.times),
+            np.frombuffer(self.values))
+
+
+def _check_schema(table: CohortTable, schema: FeatureSchema) -> None:
+    if table.schema != schema:
+        raise SchemaMismatchError("the cohort table was built on another schema")
+
+
 @dataclass
 class Trajectory:
     """Resampled record: uniform grid times, raw states (NaN where a feature
@@ -216,12 +334,7 @@ class CohortMatrix:
     def segments(self, patients):
         """Rows of the given patients, concatenated in order, plus each
         patient's start within that concatenation and its row count."""
-        patients = np.asarray(patients, dtype=np.intp)
-        first = self.offsets[patients]
-        lengths = self.offsets[patients + 1] - first
-        starts = np.cumsum(lengths) - lengths
-        rows = np.arange(lengths.sum()) + np.repeat(first - starts, lengths)
-        return rows, starts, lengths
+        return _segment_rows(self.offsets, patients)
 
 
 @dataclass
@@ -246,56 +359,63 @@ def impute_linear(series, grid):
     observation window."""
     if not len(series):
         raise MissingFeatureError("cannot impute an empty series")
-    times = np.asarray([t for t, _ in series], dtype=np.float64)
-    values = np.asarray([v for _, v in series], dtype=np.float64)
+    times, values = np.asarray(series, dtype=np.float64).T
     return np.interp(np.asarray(grid, dtype=np.float64), times, values)
 
 
 def held_flows(oxygen_series, grid) -> np.ndarray:
     """Flow in force at each grid time: the last setting at or before it,
     0 before any."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if not oxygen_series:
+    times, values = np.asarray(oxygen_series, dtype=np.float64).reshape(-1, 2).T
+    return _held(times, values, np.asarray(grid, dtype=np.float64))
+
+
+def _held(times, values, grid):
+    if not len(times):
         return np.zeros(len(grid))
-    times = np.asarray([t for t, _ in oxygen_series], dtype=np.float64)
-    values = np.asarray([v for _, v in oxygen_series], dtype=np.float64)
     last = np.searchsorted(times, grid, side="right") - 1
     return np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
 
 
-def resample_trajectory(record: PatientRecord, interval_hours: float,
-                        schema: FeatureSchema) -> Trajectory:
-    """Assemble raw states on the uniform grid [0, event_time] at the given
-    interval. Features with no observations are NaN."""
+def resample_trajectory(table: CohortTable, interval_hours: float,
+                        schema: FeatureSchema, patient: int = 0) -> Trajectory:
+    """Assemble one patient's raw states on the uniform grid [0, event_time]
+    at the given interval. Features with no observations are NaN."""
     if interval_hours <= 0:
         raise ValueError("interval_hours must be positive")
-    n_steps = int(np.floor(record.event_time / interval_hours + 1e-9)) + 1
+    _check_schema(table, schema)
+    n_steps = int(np.floor(table.event_times[patient] / interval_hours + 1e-9)) + 1
     grid = np.arange(n_steps, dtype=np.float64) * interval_hours
 
+    lo, hi = table.offsets[patient], table.offsets[patient + 1]
+    times, values = table.times[lo:hi], table.values[lo:hi]
+    bounds = np.searchsorted(table.codes[lo:hi], np.arange(len(schema) + 2))
     observed = 0
     states = np.full((n_steps, len(schema)), np.nan)
     for j, name in enumerate(schema.names):
+        first, end = bounds[j], bounds[j + 1]
+        if first == end:
+            continue
         if schema.is_pointwise(name):
-            value = record.static_covariates.get(name)
-            if value is not None and np.isfinite(value):
-                states[:, j] = value
+            if np.isfinite(values[first]):
+                states[:, j] = values[first]
                 observed += 1
         else:
-            obs = record.series.get(name, [])
-            if obs:
-                states[:, j] = impute_linear(obs, grid)
-                observed += 1
+            states[:, j] = np.interp(grid, times[first:end], values[first:end])
+            observed += 1
     if observed == 0:
         raise UnusableRecordError(
-            f"patient {record.patient_id}: no observed state features")
-    return Trajectory(grid, states, held_flows(record.oxygen_series, grid))
+            f"patient {table.patient_ids[patient]}: no observed state features")
+    oxygen = slice(bounds[-2], bounds[-1])
+    return Trajectory(grid, states, _held(times[oxygen], values[oxygen], grid))
 
 
-def stack_trajectories(records, schema: FeatureSchema,
+def stack_trajectories(table: CohortTable, schema: FeatureSchema,
                        interval_hours: float) -> CohortMatrix:
-    """Resample every record once and stack the trajectories in record
+    """Resample every patient once and stack the trajectories in table
     order."""
-    trajectories = [resample_trajectory(r, interval_hours, schema) for r in records]
+    trajectories = [resample_trajectory(table, interval_hours, schema, i)
+                    for i in range(len(table))]
     lengths = [len(t.times) for t in trajectories]
     return CohortMatrix(
         interval_hours=float(interval_hours),
@@ -303,10 +423,10 @@ def stack_trajectories(records, schema: FeatureSchema,
         states=np.concatenate(
             [np.empty((0, len(schema)))] + [t.states for t in trajectories]),
         actions=np.concatenate([np.empty(0)] + [t.actions for t in trajectories]),
-        patient_ids=tuple(r.patient_id for r in records),
-        hospital_ids=np.asarray([r.hospital_id for r in records], dtype=str),
-        outcomes=np.asarray([r.outcome for r in records], dtype=str),
-        event_times=np.asarray([r.event_time for r in records], dtype=np.float64),
+        patient_ids=table.patient_ids,
+        hospital_ids=table.hospital_ids,
+        outcomes=table.outcomes,
+        event_times=table.event_times,
     )
 
 
@@ -346,27 +466,28 @@ class FeatureStats:
     sds: np.ndarray
 
 
-def _record_values(record: PatientRecord, schema: FeatureSchema, name: str):
-    if schema.is_pointwise(name):
-        v = record.static_covariates.get(name)
-        return [] if v is None else [v]
-    return [v for _, v in record.series.get(name, [])]
-
-
-def compute_feature_stats(records, schema: FeatureSchema) -> FeatureStats:
+def compute_feature_stats(table: CohortTable, schema: FeatureSchema,
+                          patients=None) -> FeatureStats:
+    """Mean and SD of every feature over the observations of the given
+    patients (all by default), pooled in patient order."""
+    _check_schema(table, schema)
+    codes, values = table.codes, table.values
+    if patients is not None:
+        rows = _segment_rows(table.offsets, patients)[0]
+        codes, values = codes[rows], values[rows]
+    order = np.argsort(codes, kind="stable")
+    values = values[order]
+    bounds = np.searchsorted(codes[order], np.arange(len(schema) + 1))
     means = np.zeros(len(schema))
     sds = np.ones(len(schema))
     for j, name in enumerate(schema.names):
-        pool = []
-        for record in records:
-            pool.extend(_record_values(record, schema, name))
-        if not pool:
+        pool = values[bounds[j]:bounds[j + 1]]
+        if not len(pool):
             warnings.warn(f"feature {name!r}: no observations, stats left at (0, 1)",
                           CohortDataWarning)
             continue
-        arr = np.asarray(pool, dtype=np.float64)
-        means[j] = arr.mean()
-        sd = arr.std()
+        means[j] = pool.mean()
+        sd = pool.std()
         if sd == 0.0:
             warnings.warn(f"feature {name!r}: zero variance, SD clamped to 1",
                           CohortDataWarning)
@@ -409,42 +530,47 @@ def split_by_hospital(hospital_ids, labels=None):
 
 # --- CSV ingestion -----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_cells(*cells) -> str:
+    """The cells joined and quoted as csv.writer writes them within a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
 
 
-def write_cohort_csv(path, records, schema: FeatureSchema) -> None:
-    """Long-format writer: one row per (patient, time, field, value)."""
+def write_cohort_csv(path, table: CohortTable, schema: FeatureSchema) -> None:
+    """Long-format writer: one row per (patient, time, field, value), with
+    outcome and event time first; floats are written as their repr."""
+    _check_schema(table, schema)
+    fields = [_csv_cells("", name, "") for name in (*schema.names, FIELD_OXYGEN)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            base = [r.patient_id, r.hospital_id]
-            writer.writerow(base + [_fmt(r.event_time), FIELD_OUTCOME,
-                                    str(OUTCOME_CODE[r.outcome])])
-            writer.writerow(base + [_fmt(r.event_time), FIELD_EVENT_TIME,
-                                    _fmt(r.event_time)])
-            for name in schema.names:
-                if schema.is_pointwise(name):
-                    if name in r.static_covariates:
-                        writer.writerow(base + ["0.0", name,
-                                                _fmt(r.static_covariates[name])])
-                else:
-                    for t, v in r.series.get(name, []):
-                        writer.writerow(base + [_fmt(t), name, _fmt(v)])
-            for t, v in r.oxygen_series:
-                writer.writerow(base + [_fmt(t), FIELD_OXYGEN, _fmt(v)])
+        fh.write(_csv_cells(*CSV_HEADER) + "\n")
+        for i, patient_id in enumerate(table.patient_ids):
+            prefix = _csv_cells(patient_id, table.hospital_ids[i], "")
+            event = repr(float(table.event_times[i]))
+            lo, hi = table.offsets[i], table.offsets[i + 1]
+            lines = [f"{prefix}{event},{FIELD_OUTCOME},{OUTCOME_CODE[table.outcomes[i]]}\n",
+                     f"{prefix}{event},{FIELD_EVENT_TIME},{event}\n"]
+            lines += [f"{prefix}{t!r}{fields[code]}{v!r}\n" for code, t, v in zip(
+                table.codes[lo:hi].tolist(), table.times[lo:hi].tolist(),
+                table.values[lo:hi].tolist())]
+            fh.write("".join(lines))
 
 
-def load_cohort(path, schema: FeatureSchema):
-    """Read a long-format cohort CSV into validated records.
+def load_cohort(path, schema: FeatureSchema) -> CohortTable:
+    """Read a long-format cohort CSV into a validated table.
 
     Malformed headers, unknown fields, unparseable numerics and structurally
     incomplete patients raise; rows with out-of-range flow or non-monotone
     times are rejected individually with a warning naming the line.
     """
-    known_fields = set(schema.names) | {FIELD_OXYGEN, FIELD_OUTCOME, FIELD_EVENT_TIME}
-    raw: dict[str, dict] = {}  # insertion order is first-seen patient order
+    field_codes = {name: code for code, name in
+                   enumerate((*schema.names, FIELD_OXYGEN, FIELD_OUTCOME, FIELD_EVENT_TIME))}
+    outcome_code, event_code = len(schema) + 1, len(schema) + 2
+    patients: dict[str, int] = {}    # first-seen order
+    hospitals, outcomes, event_times = [], [], []
+    patient_col, code_col, line_col = array("q"), array("q"), array("q")
+    time_col, value_col = array("d"), array("d")
+    isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -457,7 +583,8 @@ def load_cohort(path, schema: FeatureSchema):
             if len(row) != 5:
                 raise CohortFormatError(f"line {lineno}: expected 5 columns")
             pid, hospital, time_s, fieldname, value_s = row
-            if fieldname not in known_fields:
+            code = field_codes.get(fieldname)
+            if code is None:
                 raise SchemaMismatchError(
                     f"line {lineno}: field {fieldname!r} not in schema")
             try:
@@ -466,63 +593,108 @@ def load_cohort(path, schema: FeatureSchema):
             except ValueError:
                 raise CohortFormatError(
                     f"line {lineno}: unparseable numeric {time_s!r}/{value_s!r}") from None
-            if not (math.isfinite(t) and math.isfinite(value)):
+            if not (isfinite(t) and isfinite(value)):
                 raise CohortFormatError(
                     f"line {lineno}: non-finite numeric {time_s!r}/{value_s!r}")
-            entry = raw.setdefault(pid, {
-                "hospital": hospital, "rows": [], "outcome": None, "event_time": None})
-            if entry["hospital"] != hospital:
+            p = patients.setdefault(pid, len(patients))
+            if p == len(hospitals):
+                hospitals.append(hospital)
+                outcomes.append(None)
+                event_times.append(None)
+            elif hospitals[p] != hospital:
                 raise CohortFormatError(
                     f"line {lineno}: patient {pid} has conflicting hospitals")
-            if fieldname == FIELD_OUTCOME:
-                code = int(value)
-                if code not in CODE_OUTCOME:
-                    raise CohortFormatError(f"line {lineno}: unknown outcome code {code}")
-                entry["outcome"] = CODE_OUTCOME[code]
-            elif fieldname == FIELD_EVENT_TIME:
-                entry["event_time"] = value
+            if code == outcome_code:
+                outcome = int(value)
+                if outcome not in CODE_OUTCOME:
+                    raise CohortFormatError(f"line {lineno}: unknown outcome code {outcome}")
+                outcomes[p] = CODE_OUTCOME[outcome]
+            elif code == event_code:
+                event_times[p] = value
             else:
-                entry["rows"].append((lineno, t, fieldname, value))
+                patient_col.append(p)
+                code_col.append(code)
+                line_col.append(lineno)
+                time_col.append(t)
+                value_col.append(value)
+    # views on the buffers, permuted in place below
+    columns = [np.frombuffer(col, dtype=np.int64) for col in (patient_col, code_col, line_col)]
+    columns += [np.frombuffer(col, dtype=np.float64) for col in (time_col, value_col)]
+    return _accept_rows(schema, tuple(patients), hospitals, outcomes, event_times,
+                        *columns)
 
-    records = []
-    for pid, entry in raw.items():
-        if entry["outcome"] is None or entry["event_time"] is None:
-            raise CohortFormatError(f"patient {pid}: missing outcome or event_time")
-        event_time = entry["event_time"]
-        statics: dict[str, float] = {}
-        series: dict[str, list] = {}
-        oxygen: list = []
-        last_time: dict[str, float] = {}
-        for lineno, t, name, value in entry["rows"]:
-            if name == FIELD_OXYGEN and not (FLOW_MIN <= value <= FLOW_MAX):
-                warnings.warn(
-                    f"line {lineno}: flow {value:g} outside [{FLOW_MIN:g}, {FLOW_MAX:g}], "
-                    f"row rejected", CohortDataWarning)
-                continue
-            if name != FIELD_OXYGEN and schema.is_pointwise(name):
-                statics[name] = value
-                continue
-            prev = last_time.get(name)
-            if t < 0 or (prev is not None and t <= prev):
-                warnings.warn(
-                    f"line {lineno}: non-monotone time {t:g} for {name!r}, row rejected",
-                    CohortDataWarning)
-                continue
-            if t > event_time:
-                warnings.warn(
-                    f"line {lineno}: observation at {t:g} after event_time "
-                    f"{event_time:g}, row rejected", CohortDataWarning)
-                continue
-            last_time[name] = t
-            if name == FIELD_OXYGEN:
-                oxygen.append((t, value))
-            else:
-                series.setdefault(name, []).append((t, value))
-        record = PatientRecord(pid, entry["hospital"], statics, series, oxygen,
-                               entry["outcome"], event_time)
-        record.validate()
-        records.append(record)
-    return records
+
+def _accept_rows(schema, ids, hospitals, outcomes, event_times,
+                 patient, code, line, time, value) -> CohortTable:
+    """Apply the loader's row rules to the observation rows (given in file
+    order, and reordered in place) and keep the accepted ones as a table.
+
+    Patient by patient in first-seen order: a patient without outcome or
+    event time raises; each rejected row warns, in file order; a negative
+    event time raises. An oxygen row outside [FLOW_MIN, FLOW_MAX] is
+    rejected. A series row is rejected as non-monotone when its time is
+    negative or not after the last accepted time of its series, else when
+    it falls after the event time. The last row of a pointwise feature
+    wins, at time 0."""
+    n_codes = len(schema) + 1
+    missing = np.array([o is None or e is None for o, e in zip(outcomes, event_times)],
+                       dtype=bool)
+    event = np.array([np.nan if e is None else e for e in event_times], dtype=np.float64)
+    order = np.argsort(patient * n_codes + code, kind="stable")
+    for column in (patient, code, line, time, value):
+        column[:] = column[order]
+    del order
+
+    pointwise = np.array([schema.is_pointwise(name) for name in schema.names] + [False])[code]
+    bad_flow = (code == len(schema)) & ~((value >= FLOW_MIN) & (value <= FLOW_MAX))
+    series = ~pointwise & ~bad_flow
+    row_event = event[patient]
+    # The rows now run by (patient, code), in file order within a group. A
+    # row's last accepted time is the largest in-window time before it in
+    # its group: an in-window row not above it is rejected and leaves it as
+    # it is. Dense time ranks turn that running maximum into an exact
+    # integer cumulative maximum whose groups cannot mix.
+    group = patient * n_codes + code
+    stride = len(group) + 1
+    rank = np.unique(time, return_inverse=True)[1] + 1
+    in_window = series & (time >= 0) & (time <= row_event)
+    running = np.maximum.accumulate(group * stride + np.where(in_window, rank, 0))
+    last = np.concatenate(([0], running[:-1])) - group * stride
+    last[np.diff(group, prepend=-1) != 0] = 0
+    non_monotone = series & ((time < 0) | (rank <= last))
+    after_event = series & ~non_monotone & (time > row_event)
+    del running, last, rank
+
+    bad = missing | (event < 0)
+    stop = int(np.argmax(bad)) if bad.any() else len(ids)
+    # a negative event time raises after its patient's warnings
+    warned = stop + 1 if stop < len(ids) and not missing[stop] else stop
+    rejected = np.flatnonzero((bad_flow | non_monotone | after_event) & (patient < warned))
+    names = (*schema.names, FIELD_OXYGEN)
+    for i in rejected[np.lexsort((line[rejected], patient[rejected]))]:
+        t, v = float(time[i]), float(value[i])
+        if bad_flow[i]:
+            message = (f"flow {v:g} outside [{FLOW_MIN:g}, {FLOW_MAX:g}], "
+                       f"row rejected")
+        elif non_monotone[i]:
+            message = f"non-monotone time {t:g} for {names[code[i]]!r}, row rejected"
+        else:
+            message = (f"observation at {t:g} after event_time "
+                       f"{float(event[patient[i]]):g}, row rejected")
+        warnings.warn(f"line {line[i]}: {message}", CohortDataWarning)
+    if stop < len(ids):
+        if missing[stop]:
+            raise CohortFormatError(f"patient {ids[stop]}: missing outcome or event_time")
+        raise CohortFormatError("event_time must be non-negative")
+
+    kept = ((pointwise & (np.diff(group, append=-1) != 0))
+            | (series & ~non_monotone & ~after_event))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(patient[kept],
+                                                         minlength=len(ids)))))
+    return CohortTable(
+        schema, ids, np.asarray(hospitals, dtype=str), np.asarray(outcomes, dtype=str),
+        event, offsets, code[kept],
+        np.where(pointwise[kept], 0.0, time[kept]), value[kept])
 
 
 # --- synthetic generator ------------------------------------------------------
@@ -693,20 +865,28 @@ def _dose_vertex(config: GeneratorConfig, age: float) -> float:
     return target
 
 
-def hazard_rate(config: GeneratorConfig, statics: dict, dose: float) -> float:
-    """Instantaneous death hazard (per hour) for a patient with the given
-    static covariates receiving a constant dose."""
-    eta = sum(
+def patient_hazard(config: GeneratorConfig, statics: dict):
+    """Death hazard (per hour) of a patient with the given static covariates
+    as a function of a constant dose: maps an array of doses to an array of
+    hazards."""
+    eta0 = sum(
         coef * (statics[name] - config.covariate_moments[name][0])
         for name, coef in config.hazard_coefficients.items())
     vertex = _dose_vertex(config, statics["age"])
-    delta = dose - vertex
-    eta += config.dose_coef * dose + config.over_dose_curvature * delta ** 2
-    deficit = -(delta + config.under_dose_margin)
-    if deficit > 0:
-        extra = config.under_dose_curvature - config.over_dose_curvature
-        eta += max(extra, 0.0) * deficit ** 2
-    return config.baseline_hazard * float(np.exp(eta))
+    extra = max(config.under_dose_curvature - config.over_dose_curvature, 0.0)
+
+    def hazard(doses):
+        doses = np.asarray(doses, dtype=np.float64)
+        delta = doses - vertex
+        # float_power squares with the C library's pow, as `x ** 2` on a
+        # float64 scalar does; `** 2` on an array multiplies, which can
+        # differ in the last bit
+        eta = eta0 + (config.dose_coef * doses
+                      + config.over_dose_curvature * np.float_power(delta, 2))
+        deficit = -(delta + config.under_dose_margin)
+        eta = np.where(deficit > 0, eta + extra * np.float_power(deficit, 2), eta)
+        return config.baseline_hazard * np.exp(eta)
+    return hazard
 
 
 def _draw_statics(config: GeneratorConfig, schema: FeatureSchema, rng) -> dict:
@@ -730,9 +910,9 @@ def _simulate_death_time(config, statics, dose_times, doses, rng):
     """Inversion sampling through the piecewise-constant dose hazard."""
     target = rng.exponential(1.0)
     acc = 0.0
-    for k, t_start in enumerate(dose_times):
-        t_end = dose_times[k + 1] if k + 1 < len(dose_times) else config.horizon_hours
-        lam = hazard_rate(config, statics, doses[k])
+    ends = dose_times[1:] + [config.horizon_hours]
+    lams = patient_hazard(config, statics)(doses).tolist()
+    for t_start, t_end, lam in zip(dose_times, ends, lams):
         width = t_end - t_start
         if acc + lam * width >= target:
             return t_start + (target - acc) / lam
@@ -740,7 +920,8 @@ def _simulate_death_time(config, statics, dose_times, doses, rng):
     return None
 
 
-def generate_synthetic_cohort(config: GeneratorConfig, schema: FeatureSchema | None = None):
+def generate_synthetic_cohort(config: GeneratorConfig,
+                              schema: FeatureSchema | None = None) -> CohortTable:
     """Reproducible hazard-driven cohort. Each patient draws from its own
     seed substream, so generation order and parallelism cannot change the
     output."""
@@ -751,9 +932,27 @@ def generate_synthetic_cohort(config: GeneratorConfig, schema: FeatureSchema | N
     weights = weights / weights.sum()
 
     streams = np.random.SeedSequence(config.seed).spawn(config.n_patients)
-    records = []
     n_dose_steps = int(np.ceil(config.horizon_hours / config.dose_interval_hours))
     dose_times = [k * config.dose_interval_hours for k in range(n_dose_steps)]
+    steps_per_block = max(
+        1, int(round(config.dose_block_hours / config.dose_interval_hours)))
+    n_blocks = -(-n_dose_steps // steps_per_block)
+    rate = config.step_noise_heavy_rate
+    regular_mean = 0.0
+    if rate < 1.0:
+        regular_mean = -rate * config.step_noise_heavy_mean / (1.0 - rate)
+    # (code, name, cadence, noise SD) per feature; pointwise ones have no
+    # cadence
+    features = []
+    for code, (name, kind) in enumerate(zip(schema.names, schema.kinds)):
+        if kind in (STATIC, COMORBIDITY):
+            features.append((code, name, None, None))
+        else:
+            cadence = config.lab_cadence_hours if kind == LAB else config.vital_cadence_hours
+            features.append((code, name, cadence,
+                             config.obs_noise_frac * config.covariate_moments[name][1]))
+
+    columns = _Columns(schema)
     for i in range(config.n_patients):
         rng = np.random.default_rng(streams[i])
         hospital = config.hospitals[rng.choice(len(weights), p=weights)]
@@ -761,14 +960,7 @@ def generate_synthetic_cohort(config: GeneratorConfig, schema: FeatureSchema | N
 
         target_dose = optimal_dose(config, statics["age"])
         patient_shift = rng.normal(0.0, config.patient_noise_sd)
-        steps_per_block = max(
-            1, int(round(config.dose_block_hours / config.dose_interval_hours)))
-        n_blocks = -(-n_dose_steps // steps_per_block)
-        heavy = rng.random(n_blocks) < config.step_noise_heavy_rate
-        rate = config.step_noise_heavy_rate
-        regular_mean = 0.0
-        if rate < 1.0:
-            regular_mean = -rate * config.step_noise_heavy_mean / (1.0 - rate)
+        heavy = rng.random(n_blocks) < rate
         block_mean = np.where(heavy, config.step_noise_heavy_mean, regular_mean)
         block_sd = np.where(heavy, config.step_noise_heavy_sd, config.step_noise_sd)
         block_doses = np.clip(
@@ -784,27 +976,21 @@ def generate_synthetic_cohort(config: GeneratorConfig, schema: FeatureSchema | N
             outcome, event_time = DISCHARGED, float(config.horizon_hours)
         event_time = max(event_time, 1e-3)
 
-        series = {}
-        static_values = {}
-        for name in schema.names:
-            kind = schema.kind_of(name)
-            if kind in (STATIC, COMORBIDITY):
-                static_values[name] = statics[name]
+        normal, exponential = rng.normal, rng.exponential
+        for code, name, cadence, noise_sd in features:
+            if cadence is None:
+                columns.add(code, 0.0, statics[name])
                 continue
-            cadence = config.lab_cadence_hours if kind == LAB else config.vital_cadence_hours
-            noise_sd = config.obs_noise_frac * config.covariate_moments[name][1]
-            t, obs = 0.0, []
+            t = 0.0
             while t <= event_time:
-                obs.append((t, statics[name] + rng.normal(0.0, noise_sd)))
-                t += max(rng.exponential(cadence), 1e-3)
-            series[name] = obs
-
-        oxygen = [(t, float(d)) for t, d in zip(dose_times, doses) if t <= event_time]
-        record = PatientRecord(f"p{i:05d}", hospital, static_values, series,
-                               oxygen, outcome, event_time)
-        record.validate()
-        records.append(record)
-    return records
+                columns.add(code, t, statics[name] + normal(0.0, noise_sd))
+                t += max(exponential(cadence), 1e-3)
+        for t, dose in zip(dose_times, doses.tolist()):
+            if t > event_time:
+                break
+            columns.add(len(schema), t, dose)
+        columns.end_patient(f"p{i:05d}", hospital, outcome, event_time)
+    return columns.table()
 
 
 # --- generator config file (flat key = value) ---------------------------------

@@ -273,7 +273,8 @@ def _fold_id(matrix: cohort.CohortMatrix, fold_index: int, test) -> str:
     return str(matrix.hospital_ids[test[0]]) if len(test) else f"fold{fold_index}"
 
 
-def loho_cross_validate(records, schema, training_config: ddpg.TrainingConfig,
+def loho_cross_validate(table: cohort.CohortTable, schema,
+                        training_config: ddpg.TrainingConfig,
                         interval_hours: float = 4.0,
                         grid_template: survival.ElasticNetGrid | None = None,
                         labels=None, map_fn=map):
@@ -283,14 +284,14 @@ def loho_cross_validate(records, schema, training_config: ddpg.TrainingConfig,
     The folds' policies train together in one lockstep loop
     (:func:`ddpg.train_folds`); the outcome model and scoring then run per
     fold through `map_fn` (an executor's `map` runs them in parallel)."""
-    matrix = cohort.stack_trajectories(records, schema, interval_hours)
+    matrix = cohort.stack_trajectories(table, schema, interval_hours)
     folds = cohort.split_by_hospital(matrix.hospital_ids, labels=labels)
     stats, memories = [], []
     for fold_index, (train, test) in enumerate(folds):
         if not len(train):
             raise cohort.PartitionError(
                 f"fold {_fold_id(matrix, fold_index, test)}: empty training set")
-        stats.append(cohort.compute_feature_stats([records[i] for i in train], schema))
+        stats.append(cohort.compute_feature_stats(table, schema, train))
         # only the replay memory outlives this loop: the per-fold stage
         # normalizes again rather than keep one matrix per fold alive
         memories.append(replay_memory(cohort.apply_feature_stats(matrix, stats[-1]),
@@ -312,13 +313,25 @@ def _percentile_ci(samples):
     return float(np.percentile(samples, 2.5)), float(np.percentile(samples, 97.5))
 
 
+# index draws per bootstrap block: bounds the (resamples, patients) block
+BOOTSTRAP_BLOCK = 1 << 16
+
+
 def _bootstrap_means(arrays, options: EvalOptions):
     """Patient-level bootstrap: the mean of every per-patient array over the
-    same resamples, so differences between them are paired."""
+    same resamples, so differences between them are paired. The resamples
+    are drawn and averaged a block of rows at a time; consecutive draws from
+    one generator give the same indices as a single draw."""
     n = len(arrays[0])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(options.seed, n)))
-    idx = rng.integers(0, n, size=(options.n_bootstrap, n))
-    return [arr[idx].mean(axis=1) for arr in arrays]
+    means = [np.empty(options.n_bootstrap) for _ in arrays]
+    step = max(1, BOOTSTRAP_BLOCK // n)
+    for start in range(0, options.n_bootstrap, step):
+        rows = min(step, options.n_bootstrap - start)
+        idx = rng.integers(0, n, size=(rows, n))
+        for arr, out in zip(arrays, means):
+            out[start:start + rows] = arr[idx].mean(axis=1)
+    return means
 
 
 def _policy_arrays(patients):

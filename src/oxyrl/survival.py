@@ -404,27 +404,57 @@ def save_cox_model(path, model: CoxModel) -> None:
             fh.write(f"{float(t)!r} {float(h)!r}\n")
 
 
+def _model_line(fh, count, label=None):
+    """The fields of the model file's next line, which must be complete,
+    hold `count` fields and, when `label` is given, start with it."""
+    line = fh.readline()
+    if not line.endswith("\n"):
+        raise ValueError("truncated model file")
+    parts = line.split()
+    if len(parts) != count or (label is not None and parts[0] != label):
+        raise ValueError(f"malformed model file line {line[:60]!r}")
+    return parts
+
+
+def _finite(*texts):
+    values = [float(text) for text in texts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"model file holds a non-finite value: {' '.join(texts)}")
+    return values
+
+
+def _count(text):
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"model file holds a negative count {n}")
+    return n
+
+
 def load_cox_model(path) -> CoxModel:
+    """Read a model file, checking its structure: any truncated, malformed,
+    non-finite or trailing content raises ValueError."""
     with open(path) as fh:
         if fh.readline().strip() != MODEL_MAGIC:
             raise ValueError("unrecognized model file")
-        _, l1, l2 = fh.readline().split()
-        converged = bool(int(fh.readline().split()[1]))
-        n = int(fh.readline().split()[1])
+        l1, l2 = _finite(*_model_line(fh, 3, "penalty")[1:])
+        converged = _model_line(fh, 2, "converged")[1]
+        if converged not in ("0", "1"):
+            raise ValueError(f"model file holds converged {converged!r}")
         names, coef = [], []
-        for _ in range(n):
-            name, value = fh.readline().split()
+        for _ in range(_count(_model_line(fh, 2, "features")[1])):
+            name, value = _model_line(fh, 2)
             names.append(name)
-            coef.append(float(value))
-        m = int(fh.readline().split()[1])
+            coef.extend(_finite(value))
         times, cumhaz = [], []
-        for _ in range(m):
-            t, h = fh.readline().split()
-            times.append(float(t))
-            cumhaz.append(float(h))
+        for _ in range(_count(_model_line(fh, 2, "baseline")[1])):
+            t, h = _finite(*_model_line(fh, 2))
+            times.append(t)
+            cumhaz.append(h)
+        if fh.read():
+            raise ValueError("malformed model file: trailing data")
     return CoxModel(tuple(names), np.asarray(coef), np.asarray(times),
-                    np.asarray(cumhaz), converged=converged,
-                    l1=float(l1), l2=float(l2))
+                    np.asarray(cumhaz), converged=converged == "1",
+                    l1=l1, l2=l2)
 
 
 def write_grid_report(path, grid: ElasticNetGrid) -> None:

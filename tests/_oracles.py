@@ -3,12 +3,22 @@
 These deliberately avoid the library's own code paths: partial likelihood
 by double loop, maximization by zooming grid, concordance by exhaustive
 pair counting, the penalized Cox fit by cold-start proximal gradient,
-held flows and one-step transitions by per-step loops, and the network
-engine by per-layer, per-array loops over lists of parameter dicts."""
+held flows and one-step transitions by per-step loops, the cohort CSV
+loader by one record per patient and one tuple per row, the generator's
+hazard one dose at a time, and the network engine by per-layer, per-array
+loops over lists of parameter dicts."""
 
+import csv
 import math
+import warnings
 
 import numpy as np
+
+from oxyrl.cohort import (
+    CODE_OUTCOME, CSV_HEADER, FIELD_EVENT_TIME, FIELD_OUTCOME, FIELD_OXYGEN,
+    FLOW_MAX, FLOW_MIN, CohortDataWarning, CohortFormatError, PatientRecord,
+    SchemaMismatchError, _dose_vertex,
+)
 
 
 def breslow_loglik_loop(x, t, e, beta):
@@ -272,3 +282,111 @@ def blend_loop(target_layers, online_layers, rho):
     """rho * target + (1 - rho) * online, array by array."""
     return [{key: rho * layer_t[key] + (1.0 - rho) * layer_o[key] for key in layer_t}
             for layer_t, layer_o in zip(target_layers, online_layers)]
+
+
+# --- cohort ------------------------------------------------------------------
+
+def load_records_loop(path, schema):
+    """Read a long-format cohort CSV into one validated PatientRecord per
+    patient, row by row.
+
+    Malformed headers, unknown fields, unparseable numerics and structurally
+    incomplete patients raise; rows with out-of-range flow or non-monotone
+    times are rejected individually with a warning naming the line.
+    """
+    known_fields = set(schema.names) | {FIELD_OXYGEN, FIELD_OUTCOME, FIELD_EVENT_TIME}
+    raw: dict[str, dict] = {}  # insertion order is first-seen patient order
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise SchemaMismatchError(
+                f"malformed header {header!r}; expected {CSV_HEADER!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise CohortFormatError(f"line {lineno}: expected 5 columns")
+            pid, hospital, time_s, fieldname, value_s = row
+            if fieldname not in known_fields:
+                raise SchemaMismatchError(
+                    f"line {lineno}: field {fieldname!r} not in schema")
+            try:
+                t = float(time_s)
+                value = float(value_s)
+            except ValueError:
+                raise CohortFormatError(
+                    f"line {lineno}: unparseable numeric {time_s!r}/{value_s!r}") from None
+            if not (math.isfinite(t) and math.isfinite(value)):
+                raise CohortFormatError(
+                    f"line {lineno}: non-finite numeric {time_s!r}/{value_s!r}")
+            entry = raw.setdefault(pid, {
+                "hospital": hospital, "rows": [], "outcome": None, "event_time": None})
+            if entry["hospital"] != hospital:
+                raise CohortFormatError(
+                    f"line {lineno}: patient {pid} has conflicting hospitals")
+            if fieldname == FIELD_OUTCOME:
+                code = int(value)
+                if code not in CODE_OUTCOME:
+                    raise CohortFormatError(f"line {lineno}: unknown outcome code {code}")
+                entry["outcome"] = CODE_OUTCOME[code]
+            elif fieldname == FIELD_EVENT_TIME:
+                entry["event_time"] = value
+            else:
+                entry["rows"].append((lineno, t, fieldname, value))
+
+    records = []
+    for pid, entry in raw.items():
+        if entry["outcome"] is None or entry["event_time"] is None:
+            raise CohortFormatError(f"patient {pid}: missing outcome or event_time")
+        event_time = entry["event_time"]
+        statics: dict[str, float] = {}
+        series: dict[str, list] = {}
+        oxygen: list = []
+        last_time: dict[str, float] = {}
+        for lineno, t, name, value in entry["rows"]:
+            if name == FIELD_OXYGEN and not (FLOW_MIN <= value <= FLOW_MAX):
+                warnings.warn(
+                    f"line {lineno}: flow {value:g} outside [{FLOW_MIN:g}, {FLOW_MAX:g}], "
+                    f"row rejected", CohortDataWarning)
+                continue
+            if name != FIELD_OXYGEN and schema.is_pointwise(name):
+                statics[name] = value
+                continue
+            prev = last_time.get(name)
+            if t < 0 or (prev is not None and t <= prev):
+                warnings.warn(
+                    f"line {lineno}: non-monotone time {t:g} for {name!r}, row rejected",
+                    CohortDataWarning)
+                continue
+            if t > event_time:
+                warnings.warn(
+                    f"line {lineno}: observation at {t:g} after event_time "
+                    f"{event_time:g}, row rejected", CohortDataWarning)
+                continue
+            last_time[name] = t
+            if name == FIELD_OXYGEN:
+                oxygen.append((t, value))
+            else:
+                series.setdefault(name, []).append((t, value))
+        record = PatientRecord(pid, entry["hospital"], statics, series, oxygen,
+                               entry["outcome"], event_time)
+        record.validate()
+        records.append(record)
+    return records
+
+
+def hazard_rate(config, statics, dose):
+    """Instantaneous death hazard (per hour) for a patient with the given
+    static covariates receiving a constant dose."""
+    eta = sum(
+        coef * (statics[name] - config.covariate_moments[name][0])
+        for name, coef in config.hazard_coefficients.items())
+    vertex = _dose_vertex(config, statics["age"])
+    delta = dose - vertex
+    eta += config.dose_coef * dose + config.over_dose_curvature * delta ** 2
+    deficit = -(delta + config.under_dose_margin)
+    if deficit > 0:
+        extra = config.under_dose_curvature - config.over_dose_curvature
+        eta += max(extra, 0.0) * deficit ** 2
+    return config.baseline_hazard * float(np.exp(eta))

@@ -52,6 +52,23 @@ def test_generate_round_trips_through_loader(cohort_dir):
         r.validate()
 
 
+# SHA-256 over the name, a NUL byte and the bytes of each file `generate`
+# writes for the `cohort_dir` fixture, in the order of GENERATED_FILES. The
+# other digests see only what the loader parses back; this one pins the
+# writer's formatting and quoting as well.
+GENERATED_FILES = ("cohort.csv", "schema.txt", "generator.cfg")
+GENERATE_DIGEST = "a716508fcc62f9f73c3f6ef1b50655849e11b7ef379b71522f3042de953124f2"
+
+
+def test_generate_outputs_match_pinned_digest(cohort_dir):
+    digest = hashlib.sha256()
+    for name in GENERATED_FILES:
+        digest.update(name.encode())
+        digest.update(b"\0")
+        digest.update((cohort_dir / name).read_bytes())
+    assert digest.hexdigest() == GENERATE_DIGEST
+
+
 def test_generate_same_seed_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -326,11 +343,10 @@ def test_loho_parallel_folds_match_sequential(tmp_path, cohort_dir):
 
 def test_loho_rejects_single_hospital(tmp_path, cohort_dir, capsys):
     schema = cohort.read_schema(cohort_dir / "schema.txt")
-    records = cohort.load_cohort(cohort_dir / "cohort.csv", schema)
-    for r in records:
-        r.hospital_id = "H1"
+    table = cohort.load_cohort(cohort_dir / "cohort.csv", schema)
+    table.hospital_ids = np.full(len(table), "H1")
     solo = tmp_path / "solo.csv"
-    cohort.write_cohort_csv(solo, records, schema)
+    cohort.write_cohort_csv(solo, table, schema)
     code = run(["loho", "--out", str(tmp_path / "out"), "--cohort", str(solo),
                 "--schema", str(cohort_dir / "schema.txt")])
     assert code == 1

@@ -1,18 +1,20 @@
 import argparse
+import csv
 import string
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import flow_at_loop, transitions_loop
+from _oracles import flow_at_loop, hazard_rate, load_records_loop, transitions_loop
 from oxyrl import cli, cohort, evaluation
 from oxyrl.cohort import (
-    CENSORED, DIED, DISCHARGED, CohortDataWarning, CohortFormatError,
-    FeatureSchema, GeneratorConfig, GeneratorConfigError, MissingFeatureError,
-    PartitionError, PatientRecord, SchemaMismatchError, UnusableRecordError,
+    CENSORED, DIED, DISCHARGED, CohortDataWarning, CohortError, CohortFormatError,
+    CohortTable, FeatureSchema, GeneratorConfig, GeneratorConfigError,
+    MissingFeatureError, PartitionError, PatientRecord, SchemaMismatchError,
+    UnusableRecordError,
 )
 
 
@@ -34,6 +36,10 @@ def make_record(pid="p0", hospital="H1", outcome=DISCHARGED, event_time=8.0,
         outcome=outcome,
         event_time=event_time,
     )
+
+
+def table_of(records, schema=None):
+    return CohortTable.from_records(records, schema or tiny_schema())
 
 
 # --- impute_linear -----------------------------------------------------------
@@ -72,18 +78,19 @@ def test_impute_empty_series_rejected():
 # --- resample_trajectory -------------------------------------------------------
 
 def test_resample_grid_times():
-    traj = cohort.resample_trajectory(make_record(event_time=8.0), 4.0, tiny_schema())
+    traj = cohort.resample_trajectory(table_of([make_record(event_time=8.0)]), 4.0,
+                                      tiny_schema())
     np.testing.assert_array_equal(traj.times, [0.0, 4.0, 8.0])
 
 
 def test_resample_holds_flow_forward():
-    traj = cohort.resample_trajectory(make_record(), 4.0, tiny_schema())
+    traj = cohort.resample_trajectory(table_of([make_record()]), 4.0, tiny_schema())
     np.testing.assert_array_equal(traj.actions, [10.0, 10.0, 10.0])
 
 
 def test_resample_default_flow_zero_before_first_setting():
     record = make_record(oxygen=[(5.0, 30.0)])
-    traj = cohort.resample_trajectory(record, 4.0, tiny_schema())
+    traj = cohort.resample_trajectory(table_of([record]), 4.0, tiny_schema())
     np.testing.assert_array_equal(traj.actions, [0.0, 0.0, 30.0])
 
 
@@ -94,7 +101,7 @@ def test_resample_matches_per_feature_imputation():
         event_time=8.0,
     )
     schema = tiny_schema()
-    traj = cohort.resample_trajectory(record, 4.0, schema)
+    traj = cohort.resample_trajectory(table_of([record]), 4.0, schema)
     grid = traj.times
     np.testing.assert_array_equal(traj.states[:, schema.index("age")], 70.0)
     np.testing.assert_array_equal(
@@ -111,9 +118,9 @@ def test_resample_fills_missing_feature_with_zero():
     record = make_record(ph=[])
     record.series.pop("ph")
     schema = tiny_schema()
-    traj = cohort.resample_trajectory(record, 4.0, schema)
+    traj = cohort.resample_trajectory(table_of([record]), 4.0, schema)
     assert np.isnan(traj.states[:, schema.index("ph")]).all()
-    matrix = cohort.stack_trajectories([record], schema, 4.0)
+    matrix = cohort.stack_trajectories(table_of([record]), schema, 4.0)
     stats = cohort.FeatureStats(schema.names, np.array([70.0, 85.0, 7.4]),
                                 np.array([10.0, 5.0, 0.1]))
     normalized = cohort.apply_feature_stats(matrix, stats)
@@ -138,7 +145,7 @@ def test_resample_rejects_record_with_no_features():
     record.series = {}
     record.static_covariates = {}
     with pytest.raises(UnusableRecordError):
-        cohort.resample_trajectory(record, 4.0, tiny_schema())
+        cohort.resample_trajectory(table_of([record]), 4.0, tiny_schema())
 
 
 # --- build_transitions ----------------------------------------------------------
@@ -247,10 +254,11 @@ def small_cohorts(draw):
 @given(records=small_cohorts())
 def test_stacked_cohort_matches_per_record_resampling(records):
     schema = tiny_schema()
+    table = table_of(records)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CohortDataWarning)
-        stats = cohort.compute_feature_stats(records, schema)
-    matrix = cohort.stack_trajectories(records, schema, 4.0)
+        stats = cohort.compute_feature_stats(table, schema)
+    matrix = cohort.stack_trajectories(table, schema, 4.0)
     normalized = cohort.apply_feature_stats(matrix, stats)
 
     assert matrix.offsets[0] == 0 and matrix.offsets[-1] == len(matrix.states)
@@ -259,7 +267,7 @@ def test_stacked_cohort_matches_per_record_resampling(records):
     memory = evaluation.replay_memory(normalized, everyone, seed=0)
     expected = []
     for i, record in enumerate(records):
-        traj = cohort.resample_trajectory(record, 4.0, schema)
+        traj = cohort.resample_trajectory(table, 4.0, schema, i)
         rows = slice(matrix.offsets[i], matrix.offsets[i + 1])
         assert len(traj.times) == rows.stop - rows.start
         z = (traj.states - stats.means) / stats.sds
@@ -295,7 +303,7 @@ def test_cohort_csv_round_trip(tmp_path):
         make_record("p2", "H3", CENSORED),
     ]
     path = tmp_path / "cohort.csv"
-    cohort.write_cohort_csv(path, records, schema)
+    cohort.write_cohort_csv(path, table_of(records), schema)
     loaded = cohort.load_cohort(path, schema)
     assert len(loaded) == 3
     for a, b in zip(records, loaded):
@@ -334,7 +342,7 @@ def test_unknown_field_is_schema_mismatch(tmp_path):
 def test_out_of_range_flow_rejected_with_bound_in_message(tmp_path):
     schema = tiny_schema()
     path = tmp_path / "cohort.csv"
-    cohort.write_cohort_csv(path, [make_record()], schema)
+    cohort.write_cohort_csv(path, table_of([make_record()]), schema)
     with open(path, "a", newline="") as fh:
         fh.write("p0,H1,4.0,oxygen_flow,75.0\n")
     with pytest.warns(CohortDataWarning, match=r"\[0, 60\]"):
@@ -345,7 +353,7 @@ def test_out_of_range_flow_rejected_with_bound_in_message(tmp_path):
 def test_non_monotone_time_rejected(tmp_path):
     schema = tiny_schema()
     path = tmp_path / "cohort.csv"
-    cohort.write_cohort_csv(path, [make_record()], schema)
+    cohort.write_cohort_csv(path, table_of([make_record()]), schema)
     with open(path, "a", newline="") as fh:
         fh.write("p0,H1,2.0,hr,99.0\n")  # earlier than the last hr row
     with pytest.warns(CohortDataWarning, match="non-monotone"):
@@ -388,6 +396,188 @@ def test_missing_outcome_rejected(tmp_path):
         cohort.load_cohort(path, tiny_schema())
 
 
+def tables_equal(a, b):
+    """Same schema and bit-identical columns."""
+    if a.schema != b.schema or a.patient_ids != b.patient_ids:
+        return False
+    return all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("hospital_ids", "outcomes", "event_times", "offsets", "codes",
+                     "times", "values"))
+
+
+# labels draw from characters that csv must quote; a lone carriage return
+# is left out, since csv.writer does not quote it under a "\n" line
+# terminator and the reader then splits the row
+LABELS = st.text("aZ09 _,\"'\n;", max_size=4)
+
+
+@st.composite
+def loadable_tables(draw):
+    """Tables that the loader accepts as they are: unique ids, 0-5
+    observations per feature at strictly increasing times up to the event
+    time, flows in range, statics present or absent, and short stays that
+    resample to a single step."""
+    schema = tiny_schema()
+    ids = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    records = []
+    for pid in ids:
+        event_time = draw(st.one_of(st.floats(0.0, 3.9), st.floats(0.0, 1e3)))
+
+        def times():
+            return sorted(draw(st.lists(st.floats(0.0, event_time), unique=True,
+                                        max_size=5)))
+        statics = {"age": draw(finite)} if draw(st.booleans()) else {}
+        series = {name: [(t, draw(finite)) for t in times()] for name in ("hr", "ph")}
+        oxygen = [(t, draw(st.floats(cohort.FLOW_MIN, cohort.FLOW_MAX))) for t in times()]
+        records.append(PatientRecord(pid, draw(LABELS), statics, series, oxygen,
+                                     draw(st.sampled_from(cohort.OUTCOMES)), event_time))
+    return CohortTable.from_records(records, schema)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=loadable_tables())
+def test_written_table_loads_back_bit_for_bit(tmp_path, table):
+    path = tmp_path / "cohort.csv"
+    cohort.write_cohort_csv(path, table, table.schema)
+    assert tables_equal(cohort.load_cohort(path, table.schema), table)
+    # the writer quotes as csv.writer does
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rendered = tmp_path / "rendered.csv"
+    with open(rendered, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert rendered.read_bytes() == path.read_bytes()
+
+
+def _cell(rows, i, k, value):
+    if len(rows[i]) > k:
+        rows[i][k] = value
+
+
+# row mutations: each takes the data rows, a row index and a variant in 0-2
+def _drop_column(rows, i, v):
+    rows[i] = rows[i][:-1]
+
+
+def _add_column(rows, i, v):
+    rows[i] = rows[i] + ["1.0"]
+
+
+def _garble_number(rows, i, v):
+    _cell(rows, i, 2 + 2 * (i % 2), ("1.2.3", "", "zero")[v])
+
+
+def _non_finite(rows, i, v):
+    _cell(rows, i, 2 + 2 * (i % 2), ("nan", "inf", "-inf")[v])
+
+
+def _flow_out_of_range(rows, i, v):
+    rows[i] = rows[i][:3] + ["oxygen_flow", ("60.5", "-1.0", "1e9")[v]]
+
+
+def _repeat_row(rows, i, v):
+    rows.insert(i, list(rows[i]))
+
+
+def _reverse_times(rows, i, v):
+    rows[i:i + 2 + v] = rows[i:i + 2 + v][::-1]
+
+
+def _negative_time(rows, i, v):
+    _cell(rows, i, 2, ("-0.5", "-0.0", "-1e-300")[v])
+
+
+def _after_event(rows, i, v):
+    _cell(rows, i, 2, ("1e6", "96.5", "24.0")[v])
+
+
+def _interleave(rows, i, v):
+    rows.insert((7 * i + v) % len(rows), rows.pop(i))
+
+
+def _move_to_end(rows, i, v):
+    rows.extend(rows[i:i + 1 + v])
+    del rows[i:i + 1 + v]
+
+
+def _blank_line(rows, i, v):
+    rows.insert(i, [])
+
+
+def _repeat_static(rows, i, v):
+    rows.insert(i + v, rows[i][:2] + ["0.0", ("age", "male", "copd_asthma")[v], "55.5"])
+
+
+def _event_time(rows, i, v):
+    rows[i] = rows[i][:3] + ["event_time", ("-2.0", "0.0", "3.5")[v]]
+
+
+def _drop_row(rows, i, v):
+    del rows[i]
+
+
+def _other_hospital(rows, i, v):
+    _cell(rows, i, 1, "H9")
+
+
+def _outcome_code(rows, i, v):
+    rows[i] = rows[i][:3] + ["outcome", ("7", "1.9", "-1")[v]]
+
+
+MUTATIONS = (_drop_column, _add_column, _garble_number, _non_finite,
+             _flow_out_of_range, _repeat_row, _reverse_times, _negative_time,
+             _after_event, _interleave, _move_to_end, _blank_line, _repeat_static,
+             _event_time, _drop_row, _other_hospital, _outcome_code)
+
+
+def load_outcome(loader, path, schema):
+    """(table or (error type, message), CohortDataWarning messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = loader(path, schema)
+        except CohortError as err:
+            result = (type(err), str(err))
+    messages = [str(w.message) for w in caught if w.category is CohortDataWarning]
+    return result, messages
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 30), n_patients=st.integers(1, 4),
+       mutations=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+                                    st.integers(0, 2)), min_size=1, max_size=6))
+# the first patient's rejected row comes last in the file, yet warns first
+@example(seed=0, n_patients=2, mutations=[(_move_to_end, 9, 0), (_negative_time, 42, 0)])
+# a negative event time raises after the patient's rows have warned
+@example(seed=0, n_patients=1, mutations=[(_event_time, 1, 0)])
+def test_loader_matches_record_loader_on_mutated_rows(tmp_path, seed, n_patients,
+                                                      mutations):
+    schema = cohort.default_schema()
+    config = GeneratorConfig(n_patients=n_patients, seed=seed, horizon_hours=12.0)
+    path = tmp_path / "cohort.csv"
+    cohort.write_cohort_csv(path, cohort.generate_synthetic_cohort(config, schema), schema)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    for mutate, where, variant in mutations:
+        if rows:
+            mutate(rows, where % len(rows), variant)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+    expected, expected_warnings = load_outcome(load_records_loop, path, schema)
+    got, got_warnings = load_outcome(cohort.load_cohort, path, schema)
+    assert got_warnings == expected_warnings
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert tables_equal(got, CohortTable.from_records(expected, schema))
+
+
 def test_schema_file_round_trip(tmp_path):
     schema = cohort.default_schema()
     path = tmp_path / "schema.txt"
@@ -401,9 +591,9 @@ def test_constant_feature_normalizes_to_zero_with_warning():
     records = [make_record(pid=f"p{i}", age=70.0) for i in range(3)]
     schema = tiny_schema()
     with pytest.warns(CohortDataWarning, match="zero variance"):
-        stats = cohort.compute_feature_stats(records, schema)
+        stats = cohort.compute_feature_stats(table_of(records), schema)
     normalized = cohort.apply_feature_stats(
-        cohort.stack_trajectories(records, schema, 4.0), stats)
+        cohort.stack_trajectories(table_of(records), schema, 4.0), stats)
     np.testing.assert_array_equal(normalized.states[:, schema.index("age")], 0.0)
     assert stats.sds[schema.index("age")] == 1.0
 
@@ -417,8 +607,8 @@ def test_normalize_then_invert_round_trips():
         for i in range(5)
     ]
     schema = tiny_schema()
-    stats = cohort.compute_feature_stats(records, schema)
-    matrix = cohort.stack_trajectories(records, schema, 4.0)
+    stats = cohort.compute_feature_stats(table_of(records), schema)
+    matrix = cohort.stack_trajectories(table_of(records), schema, 4.0)
     normalized = cohort.apply_feature_stats(matrix, stats)
     restored = normalized.states * stats.sds + stats.means
     np.testing.assert_allclose(restored, matrix.states, rtol=0, atol=1e-12)
@@ -429,8 +619,9 @@ def test_validation_fold_mean_not_zero_under_train_stats():
     train = [make_record(pid=f"t{i}", age=float(rng.normal(70, 10))) for i in range(20)]
     val = [make_record(pid=f"v{i}", age=float(rng.normal(80, 10))) for i in range(20)]
     schema = tiny_schema()
-    stats = cohort.compute_feature_stats(train, schema)
-    val_n = cohort.apply_feature_stats(cohort.stack_trajectories(val, schema, 4.0), stats)
+    stats = cohort.compute_feature_stats(table_of(train), schema)
+    val_n = cohort.apply_feature_stats(
+        cohort.stack_trajectories(table_of(val), schema, 4.0), stats)
     mean_age = val_n.states[val_n.offsets[:-1], schema.index("age")].mean()
     assert abs(mean_age) > 0.05
 
@@ -533,13 +724,41 @@ def test_hazard_is_u_shaped_with_configured_minimum():
         best = cohort.optimal_dose(cfg, age)
         if expected is not None:
             assert best == expected
-        at_best = cohort.hazard_rate(cfg, statics, best)
-        assert cohort.hazard_rate(cfg, statics, best - 5.0) > at_best
-        assert cohort.hazard_rate(cfg, statics, best + 5.0) > at_best
+        at_best = hazard_rate(cfg, statics, best)
+        assert hazard_rate(cfg, statics, best - 5.0) > at_best
+        assert hazard_rate(cfg, statics, best + 5.0) > at_best
         # configured dose is the exact minimizer of the bowl
         eps = 1e-3
-        assert cohort.hazard_rate(cfg, statics, best - eps) > at_best
-        assert cohort.hazard_rate(cfg, statics, best + eps) > at_best
+        assert hazard_rate(cfg, statics, best - eps) > at_best
+        assert hazard_rate(cfg, statics, best + eps) > at_best
+
+
+@settings(max_examples=200, deadline=None)
+@given(age=st.floats(50.0, 100.0), shifts=st.lists(st.floats(-3.0, 3.0), min_size=16,
+                                                  max_size=16),
+       doses=st.lists(st.floats(cohort.FLOW_MIN, cohort.FLOW_MAX), min_size=1,
+                      max_size=30),
+       dose_coef=st.floats(0.0, 0.2), over=st.one_of(st.just(0.0), st.floats(0.005, 0.1)),
+       under=st.one_of(st.just(0.0), st.floats(0.005, 0.1)),
+       margin=st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+# under-dose curvature below the over-dose one, with a grace margin; at
+# 42.1368549193868 L/min squaring by multiplication moves the hazard's last bit
+@example(age=70.0, shifts=[0.0] * 16, doses=[0.0, 20.0, 24.5, 26.0, 42.1368549193868],
+         dose_coef=0.05, over=0.035, under=0.025, margin=3.0)
+# the default bowl with a margin short of the linear tilt
+@example(age=61.0, shifts=[1.0] * 16, doses=[0.0, 14.0, 15.2, 60.0],
+         dose_coef=0.05, over=0.025, under=0.035, margin=0.5)
+def test_patient_hazard_matches_scalar_formula(age, shifts, doses, dose_coef, over,
+                                               under, margin):
+    cfg = GeneratorConfig(n_patients=1, dose_coef=dose_coef, over_dose_curvature=over,
+                          under_dose_curvature=under, under_dose_margin=margin)
+    statics = {name: mean + shift * sd for shift, (name, (mean, sd))
+               in zip(shifts, cfg.covariate_moments.items())}
+    statics["age"] = age
+    doses = np.asarray(doses)
+    expected = np.array([hazard_rate(cfg, statics, dose) for dose in doses])
+    got = cohort.patient_hazard(cfg, statics)(doses)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_dose_independent_hazard_mortality_invariant_to_bias():

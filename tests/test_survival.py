@@ -441,6 +441,31 @@ def test_model_file_round_trip(tmp_path):
     assert (loaded.l1, loaded.l2, loaded.converged) == (0.04, 0.02, True)
 
 
+MODEL_TEXT = ("oxyrl-cox-v1\npenalty 0.04 0.02\nconverged 1\nfeatures 2\n"
+              "age 0.5\noxygen_flow -0.25\nbaseline 2\n1.0 0.01\n3.0 0.05\n")
+
+
+@pytest.mark.parametrize("text", [
+    MODEL_TEXT[:MODEL_TEXT.index("converged")] + "conv",                # truncated header
+    MODEL_TEXT.replace("penalty 0.04 0.02", "penalty 0.04"),              # short header line
+    MODEL_TEXT.replace("features 2", "features 3"),                       # short coefficients
+    MODEL_TEXT.replace("oxygen_flow -0.25\n", ""),                        # short coefficients
+    MODEL_TEXT.replace("age 0.5", "age nan"),                             # non-finite
+    MODEL_TEXT.replace("penalty 0.04", "penalty inf"),                    # non-finite
+    MODEL_TEXT.replace("3.0 0.05", "3.0 -inf"),                           # non-finite
+    MODEL_TEXT + "4.0 0.07\n",                                            # trailing data
+    MODEL_TEXT.replace("3.0 0.05\n", "3.0 0.05"),                         # unterminated
+    MODEL_TEXT.replace("baseline 2", "baseline -1"),                      # negative count
+])
+def test_malformed_model_file_rejected(tmp_path, text):
+    path = tmp_path / "cox.txt"
+    path.write_text(MODEL_TEXT)
+    assert survival.load_cox_model(path).feature_names == ("age", "oxygen_flow")
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        survival.load_cox_model(path)
+
+
 def test_grid_report_csv(tmp_path):
     train, val = grid_data(5), grid_data(6)
     grid = ElasticNetGrid(l1_values=(0.01, 0.02), l2_values=(0.01,))

@@ -137,3 +137,28 @@ def test_tracer_counts_every_scored_decision_point(monkeypatch, tmp_path):
     metrics = dict(line.split(",") for line
                    in (out / "pooled" / "metrics.csv").read_text().splitlines()[1:])
     assert sum(counts) == int(float(metrics["n_decision_points"])) > 0
+
+
+def test_tracer_cohort_counters_count_patients(monkeypatch, tmp_path):
+    # the benchmark's cohort.generate_s, cohort.load_rows_per_s and
+    # cohort.resample_calls rest on these spans and counters
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer(oxyrl)
+    generated = tmp_path / "cohort"
+    tracer.install("tiny")
+    try:
+        assert cli.main(["generate", "--out", str(generated), "--seed", "3",
+                         "--n-patients", "40", "--horizon-hours", "48.0"]) == 0
+        assert cli.main(["loho", "--out", str(tmp_path / "loho"),
+                         "--cohort", str(generated / "cohort.csv"),
+                         "--schema", str(generated / "schema.txt"),
+                         "--seed", "1", "--max-iterations", "2",
+                         "--n-bootstrap", "10"]) == 0
+    finally:
+        tracer.uninstall()
+
+    def counts(name):
+        return [span.count for span in tracer.spans if span.name == name]
+    assert counts("cohort.generate_synthetic_cohort") == [40]
+    assert counts("cohort.load_cohort") == [40]
+    assert len(counts("cohort.resample_trajectory")) == 40
