@@ -531,10 +531,12 @@ def split_by_hospital(hospital_ids, labels=None):
 # --- CSV ingestion -----------------------------------------------------------
 
 def _csv_cells(*cells) -> str:
-    """The cells joined and quoted as csv.writer writes them within a row."""
+    """The cells joined and quoted as csv.writer writes them within a row.
+    Its "\r\n" terminator makes it quote a cell holding a lone "\r", which
+    the reader would otherwise take for a line break."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2]
 
 
 def write_cohort_csv(path, table: CohortTable, schema: FeatureSchema) -> None:

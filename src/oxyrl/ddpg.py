@@ -10,12 +10,13 @@ configured number of iterations.
 
 :func:`train_folds` trains one policy per replay memory (one per
 cross-validation fold) in lockstep: every network is stacked along a
-leading fold axis (see :mod:`oxyrl.nn`), so one step makes about as many
-numpy calls as a single fold's, apart from the target networks' pass in
-:func:`td_target`, which runs fold by fold. Each fold keeps its own
-sampler, batch-norm statistics, Adam moments and early stop, and its result
-is bit-identical to training it alone. The step functions below take plain
-or stacked networks alike.
+leading fold axis (see :mod:`oxyrl.nn`), so one step makes as many numpy
+calls as a single fold's. :func:`td_target` runs the target networks once
+over every fold's whole minibatch and keeps the bootstrap only on live
+rows, which infer mode's row independence makes exact. Each fold keeps its
+own sampler, batch-norm statistics, Adam moments and early stop, and its
+result is bit-identical to training it alone. The step functions below
+take plain or stacked networks alike.
 """
 
 from __future__ import annotations
@@ -257,20 +258,15 @@ def td_target(batch: Batch, targets: TargetPair, discount: float) -> np.ndarray:
     """Bootstrapped regression target: r + discount * Q~(s', pi~(s')), with
     the bootstrap truncated to r at terminal (absorbing) transitions.
 
-    The target networks see only the live next states, fold by fold: a
-    matrix-vector head does not give the same bits for a row when the row
-    count around it changes, so rows are never padded or shared."""
+    The target networks run once over every fold's full minibatch of next
+    states; infer mode is row-independent, so each live row gets the bits
+    it would get alone, and terminal rows keep their reward."""
     out = batch.rewards.astype(np.float64)
     if discount == 0.0:
         return out
-    live = ~batch.terminal
-    for fold in np.ndindex(out.shape[:-1]):
-        rows = live[fold]
-        if rows.any():
-            next_states = batch.next_states[fold][rows]
-            nets = targets.take(fold)
-            q_next = nets.critic.q_values(next_states, nets.actor.act(next_states))
-            out[fold][rows] += discount * q_next
+    q_next = targets.critic.q_values(batch.next_states,
+                                     targets.actor.act(batch.next_states))
+    np.add(out, discount * q_next, out=out, where=~batch.terminal)
     return out
 
 

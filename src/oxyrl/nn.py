@@ -22,6 +22,18 @@ network the same bits as the same call on it alone (tests/test_nn.py
 checks this against one network at a time). :meth:`NetworkParams.stack`
 and :meth:`NetworkParams.take` move between the two forms.
 
+Infer mode is row-independent: a row's output has the same bits whatever
+rows surround it, so callers may gather, pad or split batches freely. A
+dense layer with a single output computes each row's sum of products with
+``np.add.reduce``, because a BLAS matrix-vector product sums a row in an
+order that depends on the row count. Wider layers go through BLAS gemm,
+which gives each row the same bits for the layer widths used here
+(tests/test_nn.py checks the training networks' chains); a one-row batch is
+multiplied as two equal rows, since numpy hands one-row products to gemv.
+Without a cache, an infer pass runs at most ``INFER_BLOCK_ROWS`` rows at a
+time into one preallocated output, so its temporaries stay the same size
+however long the batch is.
+
 The engine is functional: no function writes into an array it was given.
 :func:`apply_update`, :func:`commit_running_stats` and :func:`blend_params`
 each return a container with a fresh buffer, computed by whole-vector
@@ -51,6 +63,9 @@ BATCHNORM = "batchnorm"
 ACTIVATION = "activation"
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
+
+# infer passes without a cache run at most this many rows at a time
+INFER_BLOCK_ROWS = 1024
 
 BN_MOMENTUM = 0.99
 BN_EPS = 1e-5
@@ -286,41 +301,24 @@ def _activate(name, z):
     return z
 
 
-def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
-            want_cache: bool = False):
-    """Run the network on a batch of rows; returns (output, cache).
-
-    The batch is (rows x features) behind the parameters' leading
-    dimensions; each network sees only its own rows.
-    Train mode normalizes with batch statistics, always records a
-    ForwardCache and stores momentum-updated running statistics in it (apply
-    them with commit_running_stats). Infer mode uses running statistics and
-    is a pure, row-independent function of (params, batch); its cache is
-    None unless `want_cache`. Infer-mode batch norm is affine in its input,
-    so that cache's backward pass carries no batch coupling.
-    """
-    x = np.asarray(batch, dtype=np.float64)
-    layout = params.layout
-    lead = params.buffer.shape[:-1]
-    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
-        raise ValueError(f"batch of shape {x.shape} is not rows x features "
-                         f"behind the parameters' leading dims {lead}")
-    if x.shape[-1] != layout.in_dim:
-        raise ValueError(f"batch width {x.shape[-1]} != input dim {layout.in_dim}")
-    if mode == TRAIN:
-        if x.shape[-2] < 2:
-            raise ValueError("train mode needs a batch of at least 2 rows")
-        want_cache = True
-    elif mode != INFER:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    caches = []
-    stats = []
-    for spec, layer in zip(layout.specs, params.layers):
+def _run_layers(layout: Layout, layers, x, mode, caches=None, stats=None):
+    """The layer chain on a validated batch. With `caches`, records each
+    layer's intermediates there; in train mode, appends the batch means
+    and variances to `stats`."""
+    for spec, layer in zip(layout.specs, layers):
         if spec.kind == DENSE:
-            if want_cache:
+            if caches is not None:
                 caches.append({"x": x})
-            x = x @ layer["W"]
+            if spec.out_dim == 1:
+                # a row-wise sum: a matrix-vector product gives a row other
+                # bits when the row count around it changes
+                x = np.add.reduce(x * _row(layer["W"][..., 0]), axis=-1, keepdims=True)
+            elif x.shape[-2] == 1:
+                # numpy sends a one-row product to gemv, which sums in
+                # another order than gemm: run the row twice, keep one
+                x = (np.repeat(x, 2, axis=-2) @ layer["W"])[..., :1, :]
+            else:
+                x = x @ layer["W"]
             x += _row(layer["b"])
         elif spec.kind == BATCHNORM:
             if mode == TRAIN:
@@ -336,17 +334,65 @@ def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
                 ivar = 1.0 / np.sqrt(_row(layer["running_var"]) + BN_EPS)
                 xhat = x - _row(layer["running_mean"])
             xhat *= ivar
-            if want_cache:
+            if caches is not None:
                 caches.append({"xhat": xhat, "ivar": ivar})
             x = _row(layer["gamma"]) * xhat
             x += _row(layer["beta"])
         else:
             out = _activate(spec.activation, x)
-            if want_cache:
+            if caches is not None:
                 caches.append({"z": x, "out": out})
             x = out
+    return x
+
+
+def _infer(layout: Layout, layers, x):
+    """Infer-mode output, at most INFER_BLOCK_ROWS rows at a time into one
+    preallocated array, so the temporaries do not grow with the batch."""
+    n = x.shape[-2]
+    if n <= INFER_BLOCK_ROWS:
+        return _run_layers(layout, layers, x, INFER)
+    out = np.empty(x.shape[:-1] + (layout.out_dim,))
+    for start in range(0, n, INFER_BLOCK_ROWS):
+        rows = slice(start, start + INFER_BLOCK_ROWS)
+        out[..., rows, :] = _run_layers(layout, layers, x[..., rows, :], INFER)
+    return out
+
+
+def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
+            want_cache: bool = False):
+    """Run the network on a batch of rows; returns (output, cache).
+
+    The batch is (rows x features) behind the parameters' leading
+    dimensions; each network sees only its own rows.
+    Train mode normalizes with batch statistics, always records a
+    ForwardCache and stores momentum-updated running statistics in it (apply
+    them with commit_running_stats). Infer mode uses running statistics and
+    is a pure, row-independent function of (params, batch); its cache is
+    None unless `want_cache`, and without a cache it runs in row blocks.
+    Infer-mode batch norm is affine in its input, so that cache's backward
+    pass carries no batch coupling.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    layout = params.layout
+    lead = params.buffer.shape[:-1]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
+        raise ValueError(f"batch of shape {x.shape} is not rows x features "
+                         f"behind the parameters' leading dims {lead}")
+    if x.shape[-1] != layout.in_dim:
+        raise ValueError(f"batch width {x.shape[-1]} != input dim {layout.in_dim}")
+    if mode == TRAIN:
+        if x.shape[-2] < 2:
+            raise ValueError("train mode needs a batch of at least 2 rows")
+        want_cache = True
+    elif mode != INFER:
+        raise ValueError(f"unknown mode {mode!r}")
     if not want_cache:
-        return x, None
+        return _infer(layout, params.layers, x), None
+
+    caches = []
+    stats = []
+    x = _run_layers(layout, params.layers, x, mode, caches, stats)
     running = None
     if stats:
         running = (BN_MOMENTUM * params.buffer[..., layout.n_trainable:]

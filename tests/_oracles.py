@@ -5,8 +5,9 @@ by double loop, maximization by zooming grid, concordance by exhaustive
 pair counting, the penalized Cox fit by cold-start proximal gradient,
 held flows and one-step transitions by per-step loops, the cohort CSV
 loader by one record per patient and one tuple per row, the generator's
-hazard one dose at a time, and the network engine by per-layer, per-array
-loops over lists of parameter dicts."""
+hazard one dose at a time, the network engine by per-layer, per-array
+loops over lists of parameter dicts, and bootstrapped targets fold by fold
+on each fold's live rows."""
 
 import csv
 import math
@@ -172,13 +173,17 @@ def _activate(name, z):
 
 
 def forward_loop(specs, layers, batch, mode):
-    """Returns (output, per-layer caches); train-mode batch-norm caches
-    carry the momentum-advanced running statistics."""
+    """Returns (output, per-layer caches); a single-output dense layer sums
+    each row's products, and train-mode batch-norm caches carry the
+    momentum-advanced running statistics."""
     x = np.asarray(batch, dtype=np.float64)
     caches = []
     for spec, layer in zip(specs, layers):
         if spec.kind == "dense":
-            z = x @ layer["W"] + layer["b"]
+            if spec.out_dim == 1:
+                z = (x * layer["W"][:, 0]).sum(axis=-1, keepdims=True) + layer["b"]
+            else:
+                z = x @ layer["W"] + layer["b"]
             caches.append({"x": x})
             x = z
         elif spec.kind == "batchnorm":
@@ -282,6 +287,23 @@ def blend_loop(target_layers, online_layers, rho):
     """rho * target + (1 - rho) * online, array by array."""
     return [{key: rho * layer_t[key] + (1.0 - rho) * layer_o[key] for key in layer_t}
             for layer_t, layer_o in zip(target_layers, online_layers)]
+
+
+def td_target_loop(batch, targets, discount):
+    """Bootstrapped targets fold by fold, each fold's target networks run on
+    its live next states alone."""
+    out = batch.rewards.astype(np.float64)
+    if discount == 0.0:
+        return out
+    live = ~batch.terminal
+    for fold in np.ndindex(out.shape[:-1]):
+        rows = live[fold]
+        if rows.any():
+            next_states = batch.next_states[fold][rows]
+            nets = targets.take(fold)
+            q_next = nets.critic.q_values(next_states, nets.actor.act(next_states))
+            out[fold][rows] += discount * q_next
+    return out
 
 
 # --- cohort ------------------------------------------------------------------

@@ -169,9 +169,9 @@ def test_train_missing_schema_is_stage_labeled(tmp_path, cohort_dir, capsys):
 
 
 # SHA-256 over the name and bytes of each file the `trained_dir` fixture
-# writes, pinned to the output of the per-array network engine that the flat
-# parameter buffers replaced
-TRAIN_DIGEST = "75182cd554ae6568763599485238afabdfe3cc68604d4f58aac371c697fb88cd"
+# writes, pinned to the output of the engine whose single-output heads sum
+# each row's products
+TRAIN_DIGEST = "da9d0d8b6480b7e9a57d8843c21bf9726b826bd0873743d99cb46165e5c5ae7b"
 
 
 def test_train_outputs_match_pinned_digest(trained_dir):
@@ -366,10 +366,10 @@ def test_loho_training_failure_names_fold_and_leaves_no_output(tmp_path, cohort_
 
 
 # SHA-256 over the relative path and bytes of every file a `loho` run on the
-# `cohort_dir` fixture writes, pinned to the output of training the folds one
-# after another; folds H1 and H2 stop early at iteration 12, H3 and H4 run
-# to the cap of 16
-LOHO_DIGEST = "d61597240600d3ce3db3b4038e7b7eaac8fdc83a961a7864471b3d84549c373a"
+# `cohort_dir` fixture writes, pinned to the output of the engine whose
+# single-output heads sum each row's products; folds H1 and H2 stop early at
+# iteration 12, H3 and H4 run to the cap of 16
+LOHO_DIGEST = "196678b4efa1f2c31bd20a26b517ddf3d8a4a2f3a53020d46213bbb49ac07419"
 
 
 def test_loho_outputs_match_pinned_digest(tmp_path, cohort_dir):

@@ -1,11 +1,12 @@
 import argparse
 import csv
+import io
 import string
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import flow_at_loop, hazard_rate, load_records_loop, transitions_loop
@@ -407,21 +408,18 @@ def tables_equal(a, b):
                      "times", "values"))
 
 
-# labels draw from characters that csv must quote; a lone carriage return
-# is left out, since csv.writer does not quote it under a "\n" line
-# terminator and the reader then splits the row
-LABELS = st.text("aZ09 _,\"'\n;", max_size=4)
+# labels draw from characters that csv must quote
+LABELS = st.text("aZ09 _,\"'\n\r;", max_size=4)
 
 
 @st.composite
-def loadable_tables(draw):
+def loadable_tables(draw, finite=st.floats(allow_nan=False, allow_infinity=False)):
     """Tables that the loader accepts as they are: unique ids, 0-5
     observations per feature at strictly increasing times up to the event
     time, flows in range, statics present or absent, and short stays that
-    resample to a single step."""
+    resample to a single step. Observed values are drawn from `finite`."""
     schema = tiny_schema()
     ids = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     records = []
     for pid in ids:
         event_time = draw(st.one_of(st.floats(0.0, 3.9), st.floats(0.0, 1e3)))
@@ -440,17 +438,21 @@ def loadable_tables(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=loadable_tables())
+@example(table=table_of([make_record(pid="\r", hospital="\r")]))
 def test_written_table_loads_back_bit_for_bit(tmp_path, table):
     path = tmp_path / "cohort.csv"
     cohort.write_cohort_csv(path, table, table.schema)
     assert tables_equal(cohort.load_cohort(path, table.schema), table)
-    # the writer quotes as csv.writer does
+    # the writer quotes as csv.writer does under a "\r\n" terminator, which
+    # also quotes a lone "\r", and ends its lines in "\n"
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    rendered = tmp_path / "rendered.csv"
-    with open(rendered, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    assert rendered.read_bytes() == path.read_bytes()
+
+    def rendered(row):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        return buf.getvalue()[:-2] + "\n"
+    assert "".join(map(rendered, rows)).encode() == path.read_bytes()
 
 
 def _cell(rows, i, k, value):
@@ -612,6 +614,29 @@ def test_normalize_then_invert_round_trips():
     normalized = cohort.apply_feature_stats(matrix, stats)
     restored = normalized.states * stats.sds + stats.means
     np.testing.assert_allclose(restored, matrix.states, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=loadable_tables(st.floats(-1e3, 1e3)),
+       interval=st.sampled_from((0.5, 2.0, 4.0)))
+def test_normalize_then_invert_recovers_observed_states(table, interval):
+    schema = table.schema
+    with warnings.catch_warnings():
+        # features never observed, or observed at one value, warn here
+        warnings.simplefilter("ignore", CohortDataWarning)
+        stats = cohort.compute_feature_stats(table, schema)
+    try:
+        matrix = cohort.stack_trajectories(table, schema, interval)
+    except cohort.UnusableRecordError:
+        assume(False)   # a patient with no observed state feature
+    normalized = cohort.apply_feature_stats(matrix, stats)
+    restored = normalized.states * stats.sds + stats.means
+    observed = ~np.isnan(matrix.states)
+    np.testing.assert_allclose(restored[observed], matrix.states[observed],
+                               rtol=0, atol=1e-9)
+    # a never-observed cell reads the mean exactly
+    means = np.broadcast_to(stats.means, matrix.states.shape)
+    assert np.array_equal(restored[~observed], means[~observed])
 
 
 def test_validation_fold_mean_not_zero_under_train_stats():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import td_target_loop
 from oxyrl import ddpg, nn
 from oxyrl.ddpg import (
     ActorNet, Batch, CriticNet, CriticOptState, PolicyBundle, ReplayMemory,
@@ -66,6 +67,39 @@ def test_td_target_constant_critic_hand_value():
     targets = TargetPair(constant_critic(3, 7.0), ActorNet.build(3, 5))
     np.testing.assert_allclose(td_target(batch, targets, 0.99),
                                np.full(6, 0.99 * 7.0), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_folds=st.integers(1, 4), batch_size=st.integers(2, 70),
+       terminal_rates=st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)),
+                               min_size=4, max_size=4),
+       discount=st.sampled_from((0.0, 0.5, 0.99, 1.0)), seed=st.integers(0, 2**32 - 1))
+@example(n_folds=3, batch_size=64, terminal_rates=[1.0, 0.0, 1.0, 0.5], discount=0.99,
+         seed=0)
+def test_stacked_td_target_matches_each_fold_on_its_live_rows(
+        n_folds, batch_size, terminal_rates, discount, seed):
+    rng = np.random.default_rng(seed)
+    state_dim = int(rng.integers(1, 15))
+    critics = [CriticNet.build(state_dim, int(rng.integers(2**32))) for _ in range(n_folds)]
+    actors = [ActorNet.build(state_dim, int(rng.integers(2**32))) for _ in range(n_folds)]
+    if n_folds == 1:
+        targets = TargetPair(critics[0], actors[0])
+    else:
+        targets = TargetPair(
+            CriticNet(state_dim, nn.NetworkParams.stack([c.state_net for c in critics]),
+                      nn.NetworkParams.stack([c.trunk for c in critics])),
+            ActorNet(state_dim, nn.NetworkParams.stack([a.net for a in actors])))
+    lead = (n_folds,) if n_folds > 1 else ()
+    rates = np.array(terminal_rates[:n_folds]).reshape(lead + (1,))
+    batch = Batch(states=rng.normal(size=lead + (batch_size, state_dim)),
+                  actions=rng.uniform(0, 60, lead + (batch_size,)),
+                  rewards=rng.normal(size=lead + (batch_size,)),
+                  next_states=rng.normal(size=lead + (batch_size, state_dim)),
+                  terminal=rng.random(lead + (batch_size,)) < rates)
+    before = batch.rewards.copy()
+    expected = td_target_loop(batch, targets, discount)
+    assert td_target(batch, targets, discount).tobytes() == expected.tobytes()
+    assert batch.rewards.tobytes() == before.tobytes()
 
 
 # --- critic_step ---------------------------------------------------------------

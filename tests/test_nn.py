@@ -2,13 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     adam_loop, backward_loop, blend_loop, commit_loop, forward_loop, zero_grads,
 )
-from oxyrl import nn
+from oxyrl import ddpg, nn
 
 
 def small_net(state_dim=4, seed=0):
@@ -532,3 +532,45 @@ def test_stacked_views_share_the_buffer():
         nn.forward(params, np.zeros((5, 4)), nn.INFER)
     with pytest.raises(ValueError, match="one layer chain"):
         nn.NetworkParams.stack([small_net(), small_net(state_dim=3)])
+
+
+# --- infer passes are row-independent ---------------------------------------------
+
+@st.composite
+def training_chains(draw):
+    """The actor, critic state-branch and critic trunk chains over a drawn
+    state width: two single-output heads and one 32-wide output."""
+    state_dim = draw(st.integers(1, 20))
+    return draw(st.sampled_from((ddpg.actor_specs(state_dim),
+                                 ddpg.critic_state_specs(state_dim),
+                                 ddpg.critic_trunk_specs())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.one_of(training_chains(), layer_chains()), n_folds=st.integers(0, 3),
+       n_rows=st.one_of(st.sampled_from((1, 2, 1023, 1024, 1025, 2049, 9068)),
+                        st.integers(1, 40)),
+       seed=st.integers(0, 2**32 - 1))
+@example(specs=ddpg.critic_state_specs(14), n_folds=0, n_rows=1025, seed=1)
+@example(specs=ddpg.actor_specs(14), n_folds=2, n_rows=1, seed=2)
+def test_infer_rows_match_the_full_pass(specs, n_folds, n_rows, seed):
+    # a row's output may depend neither on the rows around it nor on where
+    # the row blocks of a long pass fall
+    rng = np.random.default_rng(seed)
+    nets = [random_params(specs, rng) for _ in range(max(n_folds, 1))]
+    params = nn.NetworkParams.stack(nets) if n_folds else nets[0]
+    lead = (n_folds,) if n_folds else ()
+    x = rng.normal(size=lead + (n_rows, params.in_dim))
+    full, _ = nn.forward(params, x, nn.INFER)
+    assert full.shape == lead + (n_rows, params.out_dim)
+    # the last row, alone in the last block of some passes, among others
+    gathered = np.append(rng.integers(0, n_rows, size=rng.integers(1, n_rows + 3)),
+                         n_rows - 1)
+    prefix = int(rng.integers(1, n_rows + 1))
+    out, _ = nn.forward(params, x[..., gathered, :], nn.INFER)
+    assert out.tobytes() == full[..., gathered, :].tobytes()
+    out, _ = nn.forward(params, x[..., :prefix, :], nn.INFER)
+    assert out.tobytes() == full[..., :prefix, :].tobytes()
+    for f in range(n_folds):
+        out, _ = nn.forward(nets[f], x[f], nn.INFER)
+        assert out.tobytes() == full[f].tobytes()

@@ -127,6 +127,28 @@ def design_of(x, t, e):
     return CoxDesign.from_samples(samples_from(x, t, e))
 
 
+def penalized_objective(x, t, e, beta, l1, l2):
+    """The fit's objective, by the double-loop likelihood."""
+    return (-breslow_loglik_loop(x, t, e, beta) + 0.5 * l2 * float(beta @ beta)
+            + l1 * float(np.abs(beta).sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=tied_cox_data(), l1=st.floats(0.0, 0.5), l2=st.floats(0.01, 0.5),
+       warm=st.booleans())
+def test_penalized_objective_never_rises(data, l1, l2, warm):
+    # debug=True raises as soon as an accepted step raises the objective;
+    # l2 > 0 keeps every drawn problem bounded below
+    x, t, e, beta = data
+    start = beta if warm else np.zeros(x.shape[1])
+    model = fit_cox(samples_from(x, t, e), l1=l1, l2=l2, start=start,
+                    max_iterations=200, debug=True)
+    before = penalized_objective(x, t, e, start, l1, l2)
+    after = penalized_objective(x, t, e, model.coef, l1, l2)
+    assert after <= before + 1e-9 * (1 + abs(before))
+
+
+
 @settings(max_examples=60, deadline=None)
 @given(tied_cox_data())
 def test_presorted_loglik_matches_double_loop(data):

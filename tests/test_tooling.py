@@ -113,6 +113,28 @@ def test_traced_training_step_functions_are_called_in_lockstep(monkeypatch):
     assert calls["ddpg.critic_step"] == calls["ddpg.polyak_update"] == 4
 
 
+def test_lockstep_iteration_calls_do_not_grow_with_folds(monkeypatch):
+    # a per-fold loop in the training step would show here as more calls
+    takes = []
+    take = ddpg.TargetPair.take
+    monkeypatch.setattr(ddpg.TargetPair, "take",
+                        lambda self, index: takes.append(index) or take(self, index))
+    calls = count_step_calls(monkeypatch)
+    rng = np.random.default_rng(0)
+    memories = [toy_memory(rng, seed) for seed in (1, 2, 3, 4)]
+    # three iterations, all before the first consistency check
+    config = ddpg.TrainingConfig(batch_size=8, max_iterations=3, consistency_every=10)
+    ddpg.train_folds(memories[:1], config)
+    alone = dict(calls)
+    calls.clear()
+    takes.clear()
+    ddpg.train_folds(memories, config)
+    assert calls == alone
+    assert calls["nn.forward"] > 0
+    # no fold stopped, so targets are only taken for the final results
+    assert len(takes) == len(memories)
+
+
 def test_tracer_counts_every_scored_decision_point(monkeypatch, tmp_path):
     # the benchmark's evaluation.decisions_scored sums the counter that the
     # tracer takes from each evaluate_patients result
