@@ -6,6 +6,8 @@ and Adam with bias correction. Gradients are verified here against central
 finite differences.
 """
 
+import io
+
 import numpy as np
 
 from oxyrl import nn
@@ -44,9 +46,11 @@ for _ in range(800):
     w, opt = nn.apply_update(w, g, opt, 0.002)
 print(f"Adam on 0.5*(w-0.7)^2 after 800 steps: w = {w.layers[0]['W'][0, 0]:.4f}")
 
-# checkpoints round-trip bit exactly
-nn.save_checkpoint("demo_net.ckpt", params, nn.init_optimizer(params))
-restored, _ = nn.load_checkpoint("demo_net.ckpt")
-identical = all(np.array_equal(a, restored.layers[i][k])
+# the text blocks a policy checkpoint stores its networks in round-trip bit exactly
+text = io.StringIO()
+nn.write_params(text, params)
+text.seek(0)
+restored = nn.read_params(text)
+identical = all(a.tobytes() == restored.layers[i][k].tobytes()
                 for i, k, a in nn.iter_arrays(params))
-print(f"checkpoint round trip bit-exact: {identical}")
+print(f"network text round trip bit-exact: {identical}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -304,22 +303,14 @@ def cmd_loho(args) -> int:
     except (OSError, ValueError) as err:
         raise StageError("config", err) from err
     schema, table = _load_inputs(args)
-    labels = sorted(set(table.hospital_ids.tolist()))
-    if len(labels) < 2:
+    n_hospitals = len(set(table.hospital_ids.tolist()))
+    if n_hospitals < 2:
         raise StageError("folds", ValueError(
             f"leave-one-hospital-out needs a cohort spanning at least 2 hospitals, "
-            f"found {len(labels)}"))
+            f"found {n_hospitals}"))
     try:
-        if args.parallel_folds:
-            # the folds train together; the pool fits and scores them
-            workers = min(len(labels), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                runs = evaluation.loho_cross_validate(
-                    table, schema, config, interval_hours=interval,
-                    labels=labels, map_fn=pool.map)
-        else:
-            runs = evaluation.loho_cross_validate(
-                table, schema, config, interval_hours=interval, labels=labels)
+        runs = evaluation.loho_cross_validate(table, schema, config,
+                                              interval_hours=interval)
     except Exception as err:
         raise StageError("folds", err) from err
     tracker = _OutputTracker()
@@ -399,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_loho)
     p_loho.add_argument("--cohort", required=True)
     p_loho.add_argument("--schema", required=True)
-    p_loho.add_argument("--parallel-folds", action="store_true")
     _add_keys(p_loho, (*TRAIN_KEYS, "interval_hours", *EVAL_KEYS))
     p_loho.set_defaults(fn=cmd_loho)
     return parser

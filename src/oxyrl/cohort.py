@@ -430,17 +430,11 @@ def stack_trajectories(table: CohortTable, schema: FeatureSchema,
     )
 
 
-def build_transitions(matrix: CohortMatrix, patients,
-                      reward_scheme: str = "terminal") -> IndexedTransitions:
+def build_transitions(matrix: CohortMatrix, patients) -> IndexedTransitions:
     """Compile the given patients' trajectories into one-step transitions.
     Consecutive step pairs get reward zero; each patient's final transition
     is terminal and carries the outcome reward. A single-step patient gives
     one terminal transition whose next state is its only state."""
-    if reward_scheme == "seven_day":
-        raise NotImplementedError(
-            "seven_day reward scheme is a declared stub; only 'terminal' is implemented")
-    if reward_scheme != "terminal":
-        raise ValueError(f"unknown reward scheme {reward_scheme!r}")
     patients = np.asarray(patients, dtype=np.intp)
     first = matrix.offsets[patients]
     steps = matrix.offsets[patients + 1] - first

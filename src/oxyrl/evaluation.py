@@ -12,7 +12,6 @@ resamples so policy differences are resampled consistently.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -245,17 +244,14 @@ def replay_memory(normalized: cohort.CohortMatrix, patients, seed: int) -> ddpg.
 
 def run_fold(matrix: cohort.CohortMatrix, schema,
              training_config: ddpg.TrainingConfig, fold_index: int, train, test,
-             stats: cohort.FeatureStats, result: ddpg.TrainResult,
-             grid_template: survival.ElasticNetGrid | None = None) -> FoldRun:
+             stats: cohort.FeatureStats, result: ddpg.TrainResult) -> FoldRun:
     """Fit the outcome model on the `train` patients and score every `test`
     patient (index arrays into `matrix`) with the fold's trained policy;
     `stats` are the training patients' feature statistics."""
-    fold_id = _fold_id(matrix, fold_index, test)
-    grid = survival.ElasticNetGrid() if grid_template is None else \
-        survival.ElasticNetGrid(grid_template.l1_values, grid_template.l2_values)
+    fold_id = str(matrix.hospital_ids[test[0]])    # the held-out hospital
     model, grid, retained, flow_stats = fit_outcome_model(
         cohort.apply_feature_stats(matrix, stats), train, schema,
-        seed=training_config.seed + fold_index, grid=grid)
+        seed=training_config.seed + fold_index)
 
     fold = evaluate_patients(
         fold_id, matrix, test, schema, stats, actor_policy(result.actor),
@@ -268,29 +264,22 @@ def run_fold(matrix: cohort.CohortMatrix, schema,
     return FoldRun(fold, bundle, result.log)
 
 
-def _fold_id(matrix: cohort.CohortMatrix, fold_index: int, test) -> str:
-    """The held-out hospital's id (`fold<i>` for an empty test set)."""
-    return str(matrix.hospital_ids[test[0]]) if len(test) else f"fold{fold_index}"
-
-
 def loho_cross_validate(table: cohort.CohortTable, schema,
                         training_config: ddpg.TrainingConfig,
-                        interval_hours: float = 4.0,
-                        grid_template: survival.ElasticNetGrid | None = None,
-                        labels=None, map_fn=map):
+                        interval_hours: float = 4.0):
     """Train and evaluate once per hospital. Returns a list of FoldRun with
     every test set scored by a policy that never saw its hospital.
 
     The folds' policies train together in one lockstep loop
-    (:func:`ddpg.train_folds`); the outcome model and scoring then run per
-    fold through `map_fn` (an executor's `map` runs them in parallel)."""
+    (:func:`ddpg.train_folds`); the outcome model and scoring then run one
+    fold at a time, in fold order."""
     matrix = cohort.stack_trajectories(table, schema, interval_hours)
-    folds = cohort.split_by_hospital(matrix.hospital_ids, labels=labels)
+    folds = cohort.split_by_hospital(matrix.hospital_ids)
     stats, memories = [], []
     for fold_index, (train, test) in enumerate(folds):
         if not len(train):
             raise cohort.PartitionError(
-                f"fold {_fold_id(matrix, fold_index, test)}: empty training set")
+                f"fold {matrix.hospital_ids[test[0]]}: empty training set")
         stats.append(cohort.compute_feature_stats(table, schema, train))
         # only the replay memory outlives this loop: the per-fold stage
         # normalizes again rather than keep one matrix per fold alive
@@ -298,9 +287,9 @@ def loho_cross_validate(table: cohort.CohortTable, schema,
                                       train, seed=fold_index))
     results = ddpg.train_folds(memories, training_config)
     del memories    # nor are the memories kept through scoring
-    fold = functools.partial(run_fold, matrix, schema, training_config,
-                             grid_template=grid_template)
-    return list(map_fn(fold, range(len(folds)), *zip(*folds), stats, results))
+    return [run_fold(matrix, schema, training_config, fold_index, train, test,
+                     stats[fold_index], results[fold_index])
+            for fold_index, (train, test) in enumerate(folds)]
 
 
 # --- aggregation -------------------------------------------------------------------

@@ -73,8 +73,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-CHECKPOINT_MAGIC = "oxyrl-net-v1"
-
 
 class NonFiniteGradientError(ValueError):
     """Raised when an update is rejected because a gradient is not finite."""
@@ -167,7 +165,7 @@ class Layout:
                     offset += spec.out_dim
         self.size = offset
 
-    def views(self, buffer, trainable_only=False):
+    def views(self, buffer):
         """One read-only mapping of key -> view into `buffer` per layer; the
         views keep the buffer's leading dimensions."""
         lead = buffer.shape[:-1]
@@ -175,8 +173,6 @@ class Layout:
         for entries in self.entries:
             layer = {}
             for key, where, shape in entries:
-                if trainable_only and where.stop > self.n_trainable:
-                    break
                 view = buffer[..., where]
                 layer[key] = view if len(shape) == 1 else view.reshape(lead + shape)
             out.append(MappingProxyType(layer))
@@ -215,10 +211,6 @@ class NetworkParams:
     def layers(self) -> list:
         return self.layout.views(self.buffer)
 
-    def __getstate__(self):
-        # pickle the buffer alone; the views are remade on first use
-        return {"layout": self.layout, "buffer": self.buffer}
-
     @property
     def specs(self) -> tuple[LayerSpec, ...]:
         return self.layout.specs
@@ -253,14 +245,13 @@ class OptimizerState:
     layout (behind the parameters' leading dimensions), plus the step
     counter they share."""
 
-    layout: Layout
     m: np.ndarray
     v: np.ndarray
     step: int = 0
 
     def take(self, index) -> "OptimizerState":
         """As :meth:`NetworkParams.take`, for both moments."""
-        return OptimizerState(self.layout, self.m[index], self.v[index], self.step)
+        return OptimizerState(self.m[index], self.v[index], self.step)
 
 
 def init_params(specs, seed: int) -> NetworkParams:
@@ -282,7 +273,7 @@ def init_params(specs, seed: int) -> NetworkParams:
 
 def init_optimizer(params: NetworkParams) -> OptimizerState:
     shape = params.buffer.shape[:-1] + (params.layout.n_trainable,)
-    return OptimizerState(params.layout, np.zeros(shape), np.zeros(shape))
+    return OptimizerState(np.zeros(shape), np.zeros(shape))
 
 
 def _row(vector):
@@ -488,7 +479,7 @@ def apply_update(params: NetworkParams, grads, opt_state: OptimizerState,
     buffer = params.buffer.copy()
     buffer[..., :layout.n_trainable] -= learning_rate * (m / corr1) / (
         np.sqrt(v / corr2) + ADAM_EPS)
-    return NetworkParams(layout, buffer), OptimizerState(layout, m, v, step)
+    return NetworkParams(layout, buffer), OptimizerState(m, v, step)
 
 
 def blend_params(target: NetworkParams, online: NetworkParams, rho: float) -> NetworkParams:
@@ -509,11 +500,12 @@ def iter_arrays(params: NetworkParams, trainable_only: bool = False):
             yield i, key, layer[key]
 
 
-# --- textual checkpoint ----------------------------------------------------
+# --- textual network blocks ------------------------------------------------
 #
-# Layout: a magic line, the layer chain, then one block per array. Floats
-# are written with repr() so the write->read round trip is bit exact.
-# Readers check the structure and raise ValueError on any deviation.
+# The blocks the policy checkpoint (ddpg.save_policy) is made of: a network
+# is its layer chain, then one block per array. Floats are written with
+# repr() so the write->read round trip is bit exact. Readers check the
+# structure and raise ValueError on any deviation.
 
 
 def read_fields(fh, label, count=None):
@@ -564,20 +556,6 @@ def _read_array(fh):
     return name, values.reshape(shape)
 
 
-def _read_into(fh, named_views):
-    """Read one array block per named view, in any order, into the views."""
-    pending = dict(named_views)
-    for _ in range(len(named_views)):
-        name, arr = _read_array(fh)
-        if name not in pending:
-            raise ValueError(f"malformed checkpoint: unexpected array {name!r}")
-        view = pending.pop(name)
-        if arr.shape != view.shape:
-            raise ValueError(f"malformed checkpoint: array {name} has shape "
-                             f"{arr.shape}, the layer layout needs {view.shape}")
-        view[...] = arr
-
-
 def write_params(fh, params: NetworkParams) -> None:
     fh.write(f"specs {len(params.specs)}\n")
     for spec in params.specs:
@@ -598,54 +576,15 @@ def read_params(fh) -> NetworkParams:
         specs.append(LayerSpec(kind, int(in_dim), int(out_dim), act))
     layout = Layout(specs)
     params = NetworkParams(layout, np.zeros(layout.size))
-    _read_into(fh, {f"{i}:{key}": arr for i, key, arr in iter_arrays(params)})
+    # one array block per view, in any order, read into the view
+    pending = {f"{i}:{key}": view for i, key, view in iter_arrays(params)}
+    while pending:
+        name, arr = _read_array(fh)
+        if name not in pending:
+            raise ValueError(f"malformed checkpoint: unexpected array {name!r}")
+        view = pending.pop(name)
+        if arr.shape != view.shape:
+            raise ValueError(f"malformed checkpoint: array {name} has shape "
+                             f"{arr.shape}, the layer layout needs {view.shape}")
+        view[...] = arr
     return params
-
-
-def write_optimizer(fh, opt_state: OptimizerState) -> None:
-    fh.write(f"optimizer {opt_state.step}\n")
-    layout = opt_state.layout
-    for i, (m, v) in enumerate(zip(layout.views(opt_state.m, trainable_only=True),
-                                   layout.views(opt_state.v, trainable_only=True))):
-        for key in sorted(m):
-            _write_array(fh, f"{i}:{key}:m", m[key])
-            _write_array(fh, f"{i}:{key}:v", v[key])
-
-
-def read_optimizer(fh, params: NetworkParams) -> OptimizerState:
-    (step,) = read_fields(fh, "optimizer", 1)
-    opt = init_optimizer(params)
-    opt.step = int(step)
-    if opt.step < 0:
-        raise ValueError(f"malformed checkpoint: optimizer step {opt.step}")
-    layout = params.layout
-    named = {}
-    for suffix, flat in (("m", opt.m), ("v", opt.v)):
-        for i, layer in enumerate(layout.views(flat, trainable_only=True)):
-            for key, view in layer.items():
-                named[f"{i}:{key}:{suffix}"] = view
-    _read_into(fh, named)
-    return opt
-
-
-def save_checkpoint(path, params: NetworkParams, opt_state: OptimizerState | None = None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        write_params(fh, params)
-        if opt_state is not None:
-            write_optimizer(fh, opt_state)
-
-
-def load_checkpoint(path):
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"unrecognized checkpoint format {magic!r}")
-        params = read_params(fh)
-        pos = fh.tell()
-        has_optimizer = fh.readline().startswith("optimizer")
-        fh.seek(pos)
-        opt = read_optimizer(fh, params) if has_optimizer else None
-        if fh.read():
-            raise ValueError("malformed checkpoint: trailing data")
-    return params, opt

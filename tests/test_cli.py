@@ -333,14 +333,6 @@ def test_loho_pooled_matches_fold_weighted_mean(tmp_path, cohort_dir):
     assert abs(pooled - weighted / total) < 1e-12
 
 
-def test_loho_parallel_folds_match_sequential(tmp_path, cohort_dir):
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    assert run(loho_args(seq, cohort_dir)) == 0
-    assert run(loho_args(par, cohort_dir, extra=("--parallel-folds",))) == 0
-    assert read_all_bytes(seq) == read_all_bytes(par)
-
-
 def test_loho_rejects_single_hospital(tmp_path, cohort_dir, capsys):
     schema = cohort.read_schema(cohort_dir / "schema.txt")
     table = cohort.load_cohort(cohort_dir / "cohort.csv", schema)
@@ -353,6 +345,15 @@ def test_loho_rejects_single_hospital(tmp_path, cohort_dir, capsys):
     err = capsys.readouterr().err
     assert "[folds]" in err and "at least 2 hospitals" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_loho_rejects_unknown_flag_before_any_output(tmp_path, cohort_dir, capsys):
+    out = tmp_path / "loho"
+    with pytest.raises(SystemExit) as exited:
+        run(loho_args(out, cohort_dir, extra=("--parallel-folds",)))
+    assert exited.value.code != 0
+    assert "unrecognized arguments: --parallel-folds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_loho_training_failure_names_fold_and_leaves_no_output(tmp_path, cohort_dir,

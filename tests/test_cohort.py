@@ -218,11 +218,6 @@ def test_transitions_chain_and_reward_sum():
     assert len(everyone) == sum(len(states) - 1 for states, _, _ in patients)
 
 
-def test_seven_day_reward_scheme_is_declared_stub():
-    with pytest.raises(NotImplementedError):
-        cohort.build_transitions(matrix_3step(DIED), [0], reward_scheme="seven_day")
-
-
 @st.composite
 def small_cohorts(draw):
     """Records on the tiny schema; any feature may go unobserved (for one

@@ -286,6 +286,15 @@ def test_loho_runs_four_folds_and_partitions(tmp_path):
     assert sorted(seen) == all_ids
 
 
+def test_loho_single_hospital_fails_naming_the_fold():
+    records, schema = small_cohort(n=30, seed=13)
+    records.hospital_ids = np.full(len(records), "H1")
+    config = ddpg.TrainingConfig(max_iterations=5, consistency_every=5, seed=1)
+    # the one fold tests hospital H1 and has no other hospital to train on
+    with pytest.raises(cohort.PartitionError, match=r"^fold H1: empty training set$"):
+        evaluation.loho_cross_validate(records, schema, config, interval_hours=8.0)
+
+
 def test_loho_is_deterministic():
     records, schema = small_cohort(n=80, seed=17)
     config = ddpg.TrainingConfig(max_iterations=15, consistency_every=5, seed=2)

@@ -9,6 +9,7 @@ import functools
 import importlib.util
 import os
 import pathlib
+import runpy
 import sys
 
 import numpy as np
@@ -62,6 +63,13 @@ def test_every_demo_attribute_resolves():
                if not hasattr(getattr(oxyrl, module), name)]
     assert missing == []
 
+
+
+def test_network_demo_round_trips_without_writing_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(ROOT / "demos" / "02_networks_and_gradients.py"))
+    assert "network text round trip bit-exact: True" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 def count_step_calls(monkeypatch):
     """Wrap every `nn` and `ddpg` entry of the tracer's list the way the
