@@ -17,7 +17,7 @@ stats = cohort.compute_feature_stats(table, schema)
 matrix = cohort.stack_trajectories(table, schema, 8.0)
 normalized = cohort.apply_feature_stats(matrix, stats)
 
-memory = evaluation.replay_memory(normalized, np.arange(len(table)), seed=0)
+memory = evaluation.replay_memory(matrix, np.arange(len(table)), stats, seed=0)
 print(f"replay memory: {len(memory)} transitions from {len(table)} patients")
 
 train_config = ddpg.TrainingConfig(max_iterations=10000, patience=10000, seed=11)

@@ -205,9 +205,8 @@ def cmd_train(args) -> int:
     schema, table = _load_inputs(args)
     try:
         stats = cohort.compute_feature_stats(table, schema)
-        normalized = cohort.apply_feature_stats(
-            cohort.stack_trajectories(table, schema, interval), stats)
-        memory = evaluation.replay_memory(normalized, np.arange(len(table)), seed=0)
+        memory = evaluation.replay_memory(cohort.stack_trajectories(table, schema, interval),
+                                          np.arange(len(table)), stats, seed=0)
     except cohort.CohortError as err:
         raise StageError("impute", err) from err
     try:

@@ -314,9 +314,10 @@ class Trajectory:
 
 @dataclass
 class CohortMatrix:
-    """Every patient's trajectory stacked row-wise, states in raw units
-    (apply_feature_stats returns a normalized copy). Patient i owns rows
-    offsets[i]:offsets[i + 1]; patients are addressed by index arrays."""
+    """Every patient's trajectory stacked row-wise, states in raw units.
+    Patient i owns rows offsets[i]:offsets[i + 1]; patients are addressed by
+    index arrays, and each fold's replay memory holds row indices into
+    `states` that are normalized as they are gathered (normalize_states)."""
 
     interval_hours: float
     offsets: np.ndarray          # (n_patients + 1,)
@@ -335,6 +336,16 @@ class CohortMatrix:
         """Rows of the given patients, concatenated in order, plus each
         patient's start within that concatenation and its row count."""
         return _segment_rows(self.offsets, patients)
+
+    def normalized_rows(self, patients, stats: FeatureStats) -> CohortMatrix:
+        """The given patients' rows, normalized with `stats`; patient i is patients[i]."""
+        rows, starts, _ = self.segments(patients)
+        return CohortMatrix(
+            self.interval_hours, np.append(starts, len(rows)),
+            normalize_states(self.states[rows], stats.means, stats.sds),
+            self.actions[rows], tuple(self.patient_ids[p] for p in patients),
+            self.hospital_ids[patients], self.outcomes[patients],
+            self.event_times[patients])
 
 
 @dataclass
@@ -469,13 +480,10 @@ def compute_feature_stats(table: CohortTable, schema: FeatureSchema,
     if patients is not None:
         rows = _segment_rows(table.offsets, patients)[0]
         codes, values = codes[rows], values[rows]
-    order = np.argsort(codes, kind="stable")
-    values = values[order]
-    bounds = np.searchsorted(codes[order], np.arange(len(schema) + 1))
     means = np.zeros(len(schema))
     sds = np.ones(len(schema))
     for j, name in enumerate(schema.names):
-        pool = values[bounds[j]:bounds[j + 1]]
+        pool = values[codes == j]
         if not len(pool):
             warnings.warn(f"feature {name!r}: no observations, stats left at (0, 1)",
                           CohortDataWarning)
@@ -490,13 +498,19 @@ def compute_feature_stats(table: CohortTable, schema: FeatureSchema,
     return FeatureStats(schema.names, means, sds)
 
 
+def normalize_states(states, means, sds) -> np.ndarray:
+    """Z-scores of raw state rows, `(x - means) / sds`, with NaN (never
+    observed) as 0. Gathering and normalizing commute bit for bit."""
+    z = states - means
+    z /= sds
+    z[np.isnan(z)] = 0.0
+    return z
+
+
 def apply_feature_stats(matrix: CohortMatrix, stats: FeatureStats) -> CohortMatrix:
     """Z-score the states with previously computed statistics (used verbatim
     on validation folds); never-observed values become 0, the mean."""
-    z = matrix.states - stats.means
-    z /= stats.sds
-    z[np.isnan(z)] = 0.0
-    return replace(matrix, states=z)
+    return replace(matrix, states=normalize_states(matrix.states, stats.means, stats.sds))
 
 
 # --- folds -------------------------------------------------------------------
@@ -564,7 +578,7 @@ def load_cohort(path, schema: FeatureSchema) -> CohortTable:
     outcome_code, event_code = len(schema) + 1, len(schema) + 2
     patients: dict[str, int] = {}    # first-seen order
     hospitals, outcomes, event_times = [], [], []
-    patient_col, code_col, line_col = array("q"), array("q"), array("q")
+    patient_col, code_col, line_col = array("i"), array("i"), array("q")
     time_col, value_col = array("d"), array("d")
     isfinite = math.isfinite
     with open(path, newline="") as fh:
@@ -613,9 +627,8 @@ def load_cohort(path, schema: FeatureSchema) -> CohortTable:
                 line_col.append(lineno)
                 time_col.append(t)
                 value_col.append(value)
-    # views on the buffers, permuted in place below
-    columns = [np.frombuffer(col, dtype=np.int64) for col in (patient_col, code_col, line_col)]
-    columns += [np.frombuffer(col, dtype=np.float64) for col in (time_col, value_col)]
+    # views on the buffers, which the row rules reorder and compact in place
+    columns = [np.asarray(c) for c in (patient_col, code_col, line_col, time_col, value_col)]
     return _accept_rows(schema, tuple(patients), hospitals, outcomes, event_times,
                         *columns)
 
@@ -623,7 +636,9 @@ def load_cohort(path, schema: FeatureSchema) -> CohortTable:
 def _accept_rows(schema, ids, hospitals, outcomes, event_times,
                  patient, code, line, time, value) -> CohortTable:
     """Apply the loader's row rules to the observation rows (given in file
-    order, and reordered in place) and keep the accepted ones as a table.
+    order) and keep the accepted ones as a table. The columns are reordered
+    and compacted in place, and the table's times and values are views on
+    them.
 
     Patient by patient in first-seen order: a patient without outcome or
     event time raises; each rejected row warns, in file order; a negative
@@ -632,34 +647,41 @@ def _accept_rows(schema, ids, hospitals, outcomes, event_times,
     negative or not after the last accepted time of its series, else when
     it falls after the event time. The last row of a pointwise feature
     wins, at time 0."""
-    n_codes = len(schema) + 1
     missing = np.array([o is None or e is None for o, e in zip(outcomes, event_times)],
                        dtype=bool)
     event = np.array([np.nan if e is None else e for e in event_times], dtype=np.float64)
-    order = np.argsort(patient * n_codes + code, kind="stable")
-    for column in (patient, code, line, time, value):
-        column[:] = column[order]
-    del order
+    # order the rows by (patient, code), in file order within a group; a
+    # file from write_cohort_csv is in that order already
+    if not ((patient[1:] > patient[:-1])
+            | ((patient[1:] == patient[:-1]) & (code[1:] >= code[:-1]))).all():
+        order = np.lexsort((code, patient))
+        for column in (patient, code, line, time, value):
+            column[:] = column[order]
+        del order
+    new_group = np.ones(len(patient), dtype=bool)
+    new_group[1:] = (patient[1:] != patient[:-1]) | (code[1:] != code[:-1])
 
     pointwise = np.array([schema.is_pointwise(name) for name in schema.names] + [False])[code]
     bad_flow = (code == len(schema)) & ~((value >= FLOW_MIN) & (value <= FLOW_MAX))
     series = ~pointwise & ~bad_flow
-    row_event = event[patient]
-    # The rows now run by (patient, code), in file order within a group. A
-    # row's last accepted time is the largest in-window time before it in
-    # its group: an in-window row not above it is rejected and leaves it as
-    # it is. Dense time ranks turn that running maximum into an exact
-    # integer cumulative maximum whose groups cannot mix.
-    group = patient * n_codes + code
-    stride = len(group) + 1
-    rank = np.unique(time, return_inverse=True)[1] + 1
-    in_window = series & (time >= 0) & (time <= row_event)
-    running = np.maximum.accumulate(group * stride + np.where(in_window, rank, 0))
-    last = np.concatenate(([0], running[:-1])) - group * stride
-    last[np.diff(group, prepend=-1) != 0] = 0
-    non_monotone = series & ((time < 0) | (rank <= last))
-    after_event = series & ~non_monotone & (time > row_event)
-    del running, last, rank
+    # A series group whose every row lies in [0, event time] and rises
+    # strictly over the row before it keeps every row. Any other group of a
+    # series feature is walked row by row: a row rising over a rejected
+    # predecessor can still be non-monotone (times 5, 3, 4).
+    clean = series & (time >= 0) & (time <= event[patient])
+    clean[1:] &= new_group[1:] | (time[1:] > time[:-1])
+    non_monotone, after_event = np.zeros((2, len(time)), dtype=bool)
+    bounds = np.append(np.flatnonzero(new_group), len(time))
+    dirty = np.searchsorted(bounds, np.flatnonzero(~pointwise & ~clean), side="right") - 1
+    for g in dict.fromkeys(dirty.tolist()):
+        last, end = -math.inf, event[patient[bounds[g]]]
+        for i in bounds[g] + np.flatnonzero(series[bounds[g]:bounds[g + 1]]):
+            if time[i] < 0 or time[i] <= last:
+                non_monotone[i] = True
+            elif time[i] > end:
+                after_event[i] = True
+            else:
+                last = time[i]
 
     bad = missing | (event < 0)
     stop = int(np.argmax(bad)) if bad.any() else len(ids)
@@ -683,14 +705,17 @@ def _accept_rows(schema, ids, hospitals, outcomes, event_times,
             raise CohortFormatError(f"patient {ids[stop]}: missing outcome or event_time")
         raise CohortFormatError("event_time must be non-negative")
 
-    kept = ((pointwise & (np.diff(group, append=-1) != 0))
+    kept = ((pointwise & np.append(new_group[1:], True))
             | (series & ~non_monotone & ~after_event))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(patient[kept],
-                                                         minlength=len(ids)))))
+    del new_group, bad_flow, series, non_monotone, after_event, clean
+    time[pointwise] = 0.0
+    offsets = np.searchsorted(patient[kept], np.arange(len(ids) + 1, dtype=patient.dtype))
+    n = int(offsets[-1])
+    for column in (code, time, value):
+        column[:n] = column[kept]
     return CohortTable(
         schema, ids, np.asarray(hospitals, dtype=str), np.asarray(outcomes, dtype=str),
-        event, offsets, code[kept],
-        np.where(pointwise[kept], 0.0, time[kept]), value[kept])
+        event, offsets, code[:n].astype(np.int64), time[:n], value[:n])
 
 
 # --- synthetic generator ------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import cohort, nn
 
 FLOW_MAX = 60.0
 STATE_HIDDEN = 32
@@ -80,28 +80,50 @@ class Batch:
     def __len__(self):
         return len(self.actions)
 
+    def take(self, fold) -> "Batch":
+        """Fold `fold` of a stacked batch."""
+        return Batch(*(column[fold] for column in vars(self).values()))
+
 
 @dataclass
-class ReplayMemory(Batch):
-    """Static store of every logged one-step transition plus the sampler
-    seed."""
+class ReplayMemory:
+    """Every logged one-step transition, as row indices into a raw state
+    matrix that the memories of all folds share, plus the sampler seed.
+    Rows are normalized with `means` and `sds` as they are gathered."""
 
+    source: np.ndarray       # (n_rows, state_dim), raw
+    rows: np.ndarray         # (n,) state row in `source`
+    next_rows: np.ndarray    # (n,) next-state row
+    actions: np.ndarray
+    rewards: np.ndarray
+    terminal: np.ndarray
+    means: np.ndarray        # (state_dim,)
+    sds: np.ndarray          # (state_dim,)
     seed: int = 0
+
+    def __len__(self):
+        return len(self.rows)
 
     @property
     def state_dim(self):
-        return self.states.shape[1]
+        return self.source.shape[1]
 
     def minibatch(self, idx) -> Batch:
-        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
-                     self.next_states[idx], self.terminal[idx])
+        return gather_minibatches([self], [idx]).take(0)
 
 
-def _stack_batches(batches) -> Batch:
-    """Equal-sized batches stacked along a leading fold axis."""
-    return Batch(*(np.stack([getattr(b, name) for b in batches])
-                   for name in ("states", "actions", "rewards", "next_states",
-                                "terminal")))
+def gather_minibatches(memories, draws) -> Batch:
+    """The transitions `draws[f]` of each memory `memories[f]`, stacked
+    along a leading fold axis. Every gathered state and next state is
+    normalized in one pass, each with its memory's statistics."""
+    pairs = list(zip(memories, draws))
+    raw = np.array([[m.source[m.rows[i]] for m, i in pairs],
+                    [m.source[m.next_rows[i]] for m, i in pairs]])
+    states = cohort.normalize_states(raw, np.array([m.means for m in memories])[:, None],
+                                     np.array([m.sds for m in memories])[:, None])
+    return Batch(states[0], np.array([m.actions[i] for m, i in pairs]),
+                 np.array([m.rewards[i] for m, i in pairs]), states[1],
+                 np.array([m.terminal[i] for m, i in pairs]))
 
 
 def actor_specs(state_dim: int):
@@ -329,12 +351,17 @@ def polyak_update(targets: TargetPair, critic: CriticNet, actor: ActorNet,
     return TargetPair(blended_critic, blended_actor)
 
 
-def consistency_metric(actor: ActorNet, dataset) -> float:
-    """Mean squared deviation between recommended and logged flows."""
-    if len(dataset) == 0:
+def consistency_metric(actor: ActorNet, memory: ReplayMemory) -> float:
+    """Mean squared deviation between recommended and logged flows, the
+    memory's rows normalized and scored a block at a time."""
+    if len(memory) == 0:
         raise ValueError("empty dataset")
-    recommended = actor.act(dataset.states)
-    return float(np.mean((recommended - dataset.actions) ** 2))
+    recommended = np.empty(len(memory))
+    for start in range(0, len(memory), nn.INFER_BLOCK_ROWS):
+        block = slice(start, start + nn.INFER_BLOCK_ROWS)
+        recommended[block] = actor.act(cohort.normalize_states(
+            memory.source[memory.rows[block]], memory.means, memory.sds))
+    return float(np.mean((recommended - memory.actions) ** 2))
 
 
 def recommend(actor: ActorNet, state) -> float:
@@ -359,9 +386,10 @@ def train_folds(memories, config: TrainingConfig,
     memory, in order.
 
     Per iteration, each fold samples a uniform minibatch from its memory
-    (sampler seed `(config.seed, memory.seed)`); then, for every fold at
-    once, the critic regresses on its bootstrapped targets, the actor
-    ascends through the frozen critic, and both target copies are blended.
+    (sampler seed `(config.seed, memory.seed)`, gathered for all folds at
+    once by :func:`gather_minibatches`); then, for every fold at once, the
+    critic regresses on its bootstrapped targets, the actor ascends through
+    the frozen critic, and both target copies are blended.
     `consistency_fn(actor, memory)` is evaluated per fold every
     `consistency_every` iterations (a hook mainly for tests; defaults to
     :func:`consistency_metric`), and a fold halts once it has not improved
@@ -418,10 +446,9 @@ def train_folds(memories, config: TrainingConfig,
                 logs[active[row]], critic_opt.take(slot), actor_opt.take(slot))
 
     for iteration in range(1, config.max_iterations + 1):
-        batches = [memories[f].minibatch(
-            samplers[f].integers(0, len(memories[f]), size=config.batch_size))
-            for f in active]
-        batch = _stack_batches(batches) if stacked else batches[0]
+        batch = gather_minibatches([memories[f] for f in active], [
+            samplers[f].integers(0, len(memories[f]), size=config.batch_size) for f in active])
+        batch = batch if stacked else batch.take(0)
         try:
             targets_vec = td_target(batch, targets, config.discount)
             critic, critic_opt, td_mse = critic_step(

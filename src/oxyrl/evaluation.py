@@ -176,17 +176,16 @@ def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, st
                       grid=None) -> FoldResult:
     """Score held-out patients at every decision point.
 
-    `matrix` is raw; the patients' rows are normalized here with the
+    `matrix` is raw; the patients' rows alone are normalized here with the
     training-fold statistics. The outcome model sees identical covariates
     for both policies except for the flow coordinate, and scores the logged
     and recommended rows of the whole fold in one batch (risk is computed
     row by row, so equal rows score bit-identically wherever they sit).
     """
     retained_idx = [schema.index(name) for name in retained]
-    normalized = cohort.apply_feature_stats(matrix, stats)
-    rows, starts, lengths = matrix.segments(patients)
-    states = normalized.states[rows]
-    logged = matrix.actions[rows]
+    normalized = matrix.normalized_rows(patients, stats)
+    states, logged = normalized.states, normalized.actions
+    starts, lengths = normalized.offsets[:-1], np.diff(normalized.offsets)
     recommended = np.asarray(np.clip(recommend_fn(states, logged),
                                      cohort.FLOW_MIN, cohort.FLOW_MAX), dtype=np.float64)
     pruned = states[:, retained_idx]
@@ -194,7 +193,7 @@ def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, st
         np.concatenate([pruned, pruned]),
         flow_stats.transform(np.concatenate([logged, recommended]))])
     sums = np.add.reduceat(mortality7_batch(model, covars),
-                           np.concatenate([starts, starts + len(rows)]))
+                           np.concatenate([starts, starts + len(states)]))
     m_logged = sums[:len(patients)] / lengths
     m_rl = sums[len(patients):] / lengths
 
@@ -222,8 +221,8 @@ def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, st
         bmi=float(statics.get("bmi", missing)[i]),
         comorbidities={name: bool(present[name][i]) for name in flags},
     ) for i, (patient, start, n) in enumerate(zip(patients, starts, lengths))]
-    test_samples = build_survival_samples(normalized, patients, retained_idx,
-                                          flow_stats)
+    test_samples = build_survival_samples(normalized, np.arange(len(patients)),
+                                          retained_idx, flow_stats)
     try:
         concordance = survival.concordance_index(model, test_samples)
     except ValueError:
@@ -233,13 +232,15 @@ def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, st
 
 # --- fold orchestration -----------------------------------------------------------
 
-def replay_memory(normalized: cohort.CohortMatrix, patients, seed: int) -> ddpg.ReplayMemory:
-    """The given patients' one-step transitions over normalized states."""
-    transitions = cohort.build_transitions(normalized, patients)
+def replay_memory(matrix: cohort.CohortMatrix, patients, stats: cohort.FeatureStats,
+                  seed: int) -> ddpg.ReplayMemory:
+    """The given patients' one-step transitions as row indices into the raw
+    matrix, whose states are normalized with `stats` as they are sampled."""
+    transitions = cohort.build_transitions(matrix, patients)
     return ddpg.ReplayMemory(
-        normalized.states[transitions.rows], normalized.actions[transitions.rows],
-        transitions.rewards, normalized.states[transitions.next_rows],
-        transitions.terminal, seed)
+        matrix.states, transitions.rows, transitions.next_rows,
+        matrix.actions[transitions.rows], transitions.rewards, transitions.terminal,
+        stats.means, stats.sds, seed)
 
 
 def run_fold(matrix: cohort.CohortMatrix, schema,
@@ -250,7 +251,7 @@ def run_fold(matrix: cohort.CohortMatrix, schema,
     `stats` are the training patients' feature statistics."""
     fold_id = str(matrix.hospital_ids[test[0]])    # the held-out hospital
     model, grid, retained, flow_stats = fit_outcome_model(
-        cohort.apply_feature_stats(matrix, stats), train, schema,
+        matrix.normalized_rows(train, stats), np.arange(len(train)), schema,
         seed=training_config.seed + fold_index)
 
     fold = evaluate_patients(
@@ -281,12 +282,9 @@ def loho_cross_validate(table: cohort.CohortTable, schema,
             raise cohort.PartitionError(
                 f"fold {matrix.hospital_ids[test[0]]}: empty training set")
         stats.append(cohort.compute_feature_stats(table, schema, train))
-        # only the replay memory outlives this loop: the per-fold stage
-        # normalizes again rather than keep one matrix per fold alive
-        memories.append(replay_memory(cohort.apply_feature_stats(matrix, stats[-1]),
-                                      train, seed=fold_index))
+        memories.append(replay_memory(matrix, train, stats[-1], seed=fold_index))
     results = ddpg.train_folds(memories, training_config)
-    del memories    # nor are the memories kept through scoring
+    del memories    # not kept through scoring
     return [run_fold(matrix, schema, training_config, fold_index, train, test,
                      stats[fold_index], results[fold_index])
             for fold_index, (train, test) in enumerate(folds)]

@@ -4,10 +4,11 @@ These deliberately avoid the library's own code paths: partial likelihood
 by double loop, maximization by zooming grid, concordance by exhaustive
 pair counting, the penalized Cox fit by cold-start proximal gradient,
 held flows and one-step transitions by per-step loops, the cohort CSV
-loader by one record per patient and one tuple per row, the generator's
-hazard one dose at a time, the network engine by per-layer, per-array
-loops over lists of parameter dicts, and bootstrapped targets fold by fold
-on each fold's live rows."""
+loader by one record per patient and one tuple per row, its row rules by
+dense time ranks, the generator's hazard one dose at a time, the network
+engine by per-layer, per-array loops over lists of parameter dicts,
+bootstrapped targets fold by fold on each fold's live rows, and replay
+memories by stacking dense states."""
 
 import csv
 import math
@@ -17,9 +18,10 @@ import numpy as np
 
 from oxyrl.cohort import (
     CODE_OUTCOME, CSV_HEADER, FIELD_EVENT_TIME, FIELD_OUTCOME, FIELD_OXYGEN,
-    FLOW_MAX, FLOW_MIN, CohortDataWarning, CohortFormatError, PatientRecord,
-    SchemaMismatchError, _dose_vertex,
+    FLOW_MAX, FLOW_MIN, CohortDataWarning, CohortFormatError, CohortTable,
+    PatientRecord, SchemaMismatchError, _dose_vertex,
 )
+from oxyrl.ddpg import ReplayMemory
 
 
 def breslow_loglik_loop(x, t, e, beta):
@@ -306,6 +308,17 @@ def td_target_loop(batch, targets, discount):
     return out
 
 
+def dense_memory(states, actions, rewards, next_states, terminal, seed=0):
+    """A replay memory that holds the given (already normalized) states: its
+    source stacks the states over the next states, and its statistics are
+    zero means and unit SDs, which leave finite values bit for bit."""
+    n, state_dim = np.shape(states)
+    return ReplayMemory(
+        np.concatenate([states, next_states]), np.arange(n), np.arange(n, 2 * n),
+        np.asarray(actions, dtype=np.float64), np.asarray(rewards, dtype=np.float64),
+        np.asarray(terminal, dtype=bool), np.zeros(state_dim), np.ones(state_dim), seed)
+
+
 # --- cohort ------------------------------------------------------------------
 
 def load_records_loop(path, schema):
@@ -396,6 +409,66 @@ def load_records_loop(path, schema):
         record.validate()
         records.append(record)
     return records
+
+
+def accept_rows_by_rank(schema, ids, hospitals, outcomes, event_times,
+                        patient, code, line, time, value):
+    """The loader's row rules on columns in file order, by one stable sort on
+    (patient, code) and an exact cumulative maximum over dense time ranks:
+    a series row's last accepted time is the largest in-window time before
+    it in its group. Returns the table, warning (one warning per rejected
+    row) and raising as cohort.load_cohort does."""
+    n_codes = len(schema) + 1
+    patient, code, line = (np.asarray(c, dtype=np.int64) for c in (patient, code, line))
+    missing = np.array([o is None or e is None for o, e in zip(outcomes, event_times)],
+                       dtype=bool)
+    event = np.array([np.nan if e is None else e for e in event_times], dtype=np.float64)
+    order = np.argsort(patient * n_codes + code, kind="stable")
+    patient, code, line, time, value = (np.asarray(c)[order]
+                                        for c in (patient, code, line, time, value))
+
+    pointwise = np.array([schema.is_pointwise(name) for name in schema.names] + [False])[code]
+    bad_flow = (code == len(schema)) & ~((value >= FLOW_MIN) & (value <= FLOW_MAX))
+    series = ~pointwise & ~bad_flow
+    row_event = event[patient]
+    group = patient * n_codes + code
+    stride = len(group) + 1
+    rank = np.unique(time, return_inverse=True)[1] + 1
+    in_window = series & (time >= 0) & (time <= row_event)
+    running = np.maximum.accumulate(group * stride + np.where(in_window, rank, 0))
+    last = np.concatenate(([0], running[:-1])) - group * stride
+    last[np.diff(group, prepend=-1) != 0] = 0
+    non_monotone = series & ((time < 0) | (rank <= last))
+    after_event = series & ~non_monotone & (time > row_event)
+
+    bad = missing | (event < 0)
+    stop = int(np.argmax(bad)) if bad.any() else len(ids)
+    warned = stop + 1 if stop < len(ids) and not missing[stop] else stop
+    rejected = np.flatnonzero((bad_flow | non_monotone | after_event) & (patient < warned))
+    names = (*schema.names, FIELD_OXYGEN)
+    for i in rejected[np.lexsort((line[rejected], patient[rejected]))]:
+        t, v = float(time[i]), float(value[i])
+        if bad_flow[i]:
+            message = f"flow {v:g} outside [{FLOW_MIN:g}, {FLOW_MAX:g}], row rejected"
+        elif non_monotone[i]:
+            message = f"non-monotone time {t:g} for {names[code[i]]!r}, row rejected"
+        else:
+            message = (f"observation at {t:g} after event_time "
+                       f"{float(event[patient[i]]):g}, row rejected")
+        warnings.warn(f"line {line[i]}: {message}", CohortDataWarning)
+    if stop < len(ids):
+        if missing[stop]:
+            raise CohortFormatError(f"patient {ids[stop]}: missing outcome or event_time")
+        raise CohortFormatError("event_time must be non-negative")
+
+    kept = ((pointwise & (np.diff(group, append=-1) != 0))
+            | (series & ~non_monotone & ~after_event))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(patient[kept],
+                                                         minlength=len(ids)))))
+    return CohortTable(
+        schema, ids, np.asarray(hospitals, dtype=str), np.asarray(outcomes, dtype=str),
+        event, offsets, code[kept], np.where(pointwise[kept], 0.0, time[kept]),
+        value[kept])
 
 
 def hazard_rate(config, statics, dose):

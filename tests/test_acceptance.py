@@ -12,7 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from _oracles import breslow_loglik_loop, brute_force_argmax, concordance_loop
+from _oracles import (
+    breslow_loglik_loop, brute_force_argmax, concordance_loop, dense_memory,
+)
 from oxyrl import cli, cohort, ddpg, evaluation, nn, survival
 
 
@@ -281,7 +283,7 @@ def test_criterion_5_toy_mdp_value_recovery():
     with criterion(5, "toy-MDP value and policy recovery"):
         start = time.time()
         toy = toy_transitions()
-        memory = ddpg.ReplayMemory(
+        memory = dense_memory(
             states=np.asarray([t.state for t in toy], dtype=np.float64),
             actions=np.asarray([t.action for t in toy], dtype=np.float64),
             rewards=np.asarray([t.reward for t in toy], dtype=np.float64),
@@ -368,7 +370,7 @@ def test_criterion_7_early_stopping_window():
                       "consistency improvement"):
         rng = np.random.default_rng(7)
         states = rng.normal(size=(120, 3))
-        memory = ddpg.ReplayMemory(
+        memory = dense_memory(
             states=states, actions=rng.uniform(0, 60, 120),
             rewards=np.zeros(120), next_states=rng.normal(size=(120, 3)),
             terminal=np.zeros(120, dtype=bool), seed=0)

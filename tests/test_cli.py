@@ -188,8 +188,8 @@ def poisoned_replay_memory(monkeypatch, fold_seed):
     reward in every row."""
     original = evaluation.replay_memory
 
-    def poisoned(normalized, patients, seed):
-        memory = original(normalized, patients, seed)
+    def poisoned(matrix, patients, stats, seed):
+        memory = original(matrix, patients, stats, seed)
         if seed == fold_seed:
             memory.rewards = np.full(len(memory), np.inf)
         return memory

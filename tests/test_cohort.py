@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import string
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import flow_at_loop, hazard_rate, load_records_loop, transitions_loop
+from _oracles import (
+    accept_rows_by_rank, flow_at_loop, hazard_rate, load_records_loop, transitions_loop,
+)
 from oxyrl import cli, cohort, evaluation
 from oxyrl.cohort import (
     CENSORED, DIED, DISCHARGED, CohortDataWarning, CohortError, CohortFormatError,
@@ -260,7 +263,8 @@ def test_stacked_cohort_matches_per_record_resampling(records):
     assert matrix.offsets[0] == 0 and matrix.offsets[-1] == len(matrix.states)
     assert np.all(np.diff(matrix.offsets) >= 1)
     everyone = np.arange(len(records))
-    memory = evaluation.replay_memory(normalized, everyone, seed=0)
+    memory = evaluation.replay_memory(matrix, everyone, stats, seed=0)
+    gathered = memory.minibatch(np.arange(len(memory)))
     expected = []
     for i, record in enumerate(records):
         traj = cohort.resample_trajectory(table, 4.0, schema, i)
@@ -274,10 +278,10 @@ def test_stacked_cohort_matches_per_record_resampling(records):
                                          cohort.TERMINAL_REWARD[record.outcome]))
     assert len(memory) == len(expected)
     for k, (state, action, reward, next_state, terminal) in enumerate(expected):
-        np.testing.assert_array_equal(memory.states[k], state)
+        np.testing.assert_array_equal(gathered.states[k], state)
         assert memory.actions[k] == action
         assert memory.rewards[k] == reward
-        np.testing.assert_array_equal(memory.next_states[k], next_state)
+        np.testing.assert_array_equal(gathered.next_states[k], next_state)
         assert memory.terminal[k] == terminal
 
 
@@ -573,6 +577,97 @@ def test_loader_matches_record_loader_on_mutated_rows(tmp_path, seed, n_patients
         assert got == expected
     else:
         assert tables_equal(got, CohortTable.from_records(expected, schema))
+
+
+@st.composite
+def raw_rows(draw):
+    """What load_cohort hands its row rules, for tiny_schema: patients in
+    first-seen order, each with an outcome and an event time that may be
+    missing or bad, and (patient, code, time, value) rows in file order."""
+    n_patients = draw(st.integers(0, 3))
+    outcomes = [draw(st.sampled_from((DIED, DISCHARGED, CENSORED, DIED, DISCHARGED, None)))
+                for _ in range(n_patients)]
+    events = [draw(st.sampled_from((4.0, 5.0, 8.0, 0.0, 96.0, -2.0, None)))
+              for _ in range(n_patients)]
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, n_patients - 1), st.integers(0, 3),
+        st.sampled_from((-1.0, -0.0, 0.0, 0.5, 3.0, 4.0, 5.0, 8.0, 96.0)),
+        st.sampled_from((7.4, 0.0, 60.0, 61.0, -1.0))), max_size=25)) if n_patients else []
+    return outcomes, events, rows
+
+
+def rows_case(events, rows, outcomes=None):
+    return (outcomes or [DIED] * len(events)), events, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=raw_rows())
+@example(case=rows_case([], []))                                       # empty file
+@example(case=rows_case([4.0], [(0, 1, 0.0, 80.0)]))                   # a single row
+@example(case=rows_case([4.0], [(0, 1, 3.0, 1.0), (0, 1, 3.0, 2.0)]))  # equal times
+@example(case=rows_case([4.0], [(0, 2, -1.0, 7.4), (0, 2, -0.0, 7.4), (0, 2, 0.0, 7.4)]))
+@example(case=rows_case([4.0, -2.0], [(0, 1, 5.0, 1.0), (0, 1, 3.0, 1.0),
+                                      (1, 1, 0.0, 1.0), (1, 1, -1.0, 1.0)]))
+@example(case=rows_case([4.0], [(0, 3, 0.0, 61.0), (0, 3, 1.0, -1.0), (0, 3, 2.0, 30.0)]))
+@example(case=rows_case([8.0], [(0, 1, 5.0, 1.0), (0, 1, 3.0, 1.0), (0, 1, 4.0, 1.0)]))
+@example(case=rows_case([8.0], [(0, 3, 5.0, 1.0), (0, 3, 3.0, 61.0), (0, 3, 4.0, 1.0)]))
+@example(case=rows_case([8.0, 8.0], [(1, 2, 1.0, 7.4), (0, 0, 0.0, 70.0), (1, 0, 0.0, 1.0),
+                                     (0, 2, 1.0, 7.4), (1, 0, 0.0, 2.0), (1, 2, 0.5, 7.3)],
+                        outcomes=[None, DIED]))
+def test_row_rules_match_the_rank_oracle(case):
+    outcomes, events, rows = case
+    schema = tiny_schema()
+    ids = tuple(f"p{i}" for i in range(len(events)))
+    patient, code, time, value = [list(column) for column in zip(*rows)] or ([],) * 4
+
+    def outcome(rules, index_type):
+        columns = (np.array(patient, dtype=index_type), np.array(code, dtype=index_type),
+                   np.arange(2, 2 + len(rows), dtype=np.int64),
+                   np.array(time, dtype=np.float64), np.array(value, dtype=np.float64))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = rules(schema, ids, ["H1"] * len(ids), list(outcomes), list(events),
+                               *columns)
+            except CohortError as err:
+                result = (type(err), str(err))
+        return result, [str(w.message) for w in caught if w.category is CohortDataWarning]
+
+    expected, expected_warnings = outcome(accept_rows_by_rank, np.int64)
+    got, got_warnings = outcome(cohort._accept_rows, np.intc)
+    assert got_warnings == expected_warnings
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert tables_equal(got, expected)
+
+
+def test_loader_peak_memory_per_row(tmp_path):
+    # tracemalloc sees numpy's and the array buffers' allocations; the
+    # bound is per CSV data row of the seed-1 1,000-patient cohort
+    schema = cohort.default_schema()
+    path = tmp_path / "cohort.csv"
+    table = cohort.generate_synthetic_cohort(GeneratorConfig(n_patients=1000, seed=1), schema)
+    cohort.write_cohort_csv(path, table, schema)
+    del table
+    cohort.load_cohort(path, schema)    # first-call imports are not the loader's
+    with open(path) as fh:
+        n_rows = sum(1 for _ in fh) - 1
+    tracemalloc.start()
+    try:
+        loaded = cohort.load_cohort(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 1000
+    assert peak / n_rows < 64.0, peak / n_rows
+
+
+def test_header_only_file_loads_an_empty_table(tmp_path):
+    path = tmp_path / "cohort.csv"
+    path.write_text(",".join(cohort.CSV_HEADER) + "\n")
+    table = cohort.load_cohort(path, tiny_schema())
+    assert len(table) == 0 and table.offsets.tolist() == [0] and table.codes.dtype == np.int64
 
 
 def test_schema_file_round_trip(tmp_path):

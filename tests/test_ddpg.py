@@ -3,12 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import td_target_loop
-from oxyrl import ddpg, nn
+from _oracles import dense_memory, td_target_loop
+from oxyrl import cohort, ddpg, nn
 from oxyrl.ddpg import (
     ActorNet, Batch, CriticNet, CriticOptState, PolicyBundle, ReplayMemory,
     TargetPair, TrainingConfig, actor_step, consistency_metric, critic_step,
-    polyak_update, recommend, td_target, train, train_folds,
+    gather_minibatches, polyak_update, recommend, td_target, train, train_folds,
 )
 
 
@@ -25,12 +25,57 @@ def random_memory(rng, n=200, state_dim=3, seed=0):
     actions = rng.uniform(0, 60, n)
     terminal = rng.random(n) < 0.1
     rewards = np.where(terminal, rng.choice([-15.0, 15.0], n), 0.0)
-    return ReplayMemory(states, actions, rewards, next_states, terminal, seed=seed)
+    return dense_memory(states, actions, rewards, next_states, terminal, seed=seed)
 
 
 def params_equal(a, b):
     return all(np.array_equal(u, v) for (_, _, u), (_, _, v)
                in zip(nn.iter_arrays(a), nn.iter_arrays(b)))
+
+
+# --- replay memory -----------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n_rows=st.integers(1, 60), state_dim=st.integers(1, 6), n_folds=st.integers(1, 4),
+       sizes=st.lists(st.integers(1, 2600), min_size=4, max_size=4),
+       batch_size=st.integers(1, 70), nan_rate=st.sampled_from((0.0, 0.3, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_rows=5, state_dim=3, n_folds=3, sizes=[2049, 1, 1024, 7], batch_size=64,
+         nan_rate=0.3, seed=0)
+def test_gathers_and_consistency_match_normalizing_the_whole_matrix(
+        n_rows, state_dim, n_folds, sizes, batch_size, nan_rate, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(30.0, 20.0, size=(n_rows, state_dim))
+    raw[rng.random(raw.shape) < nan_rate] = np.nan
+    matrix = cohort.CohortMatrix(4.0, np.array([0, n_rows]), raw, np.zeros(n_rows),
+                                 ("p0",), np.array(["H1"]), np.array([cohort.DIED]),
+                                 np.array([4.0]))
+    memories, dense = [], []
+    for f, n in enumerate(sizes[:n_folds]):
+        stats = cohort.FeatureStats(tuple("abcdef"[:state_dim]),
+                                    rng.normal(30.0, 20.0, state_dim),
+                                    rng.uniform(0.1, 30.0, state_dim))
+        rows, next_rows = rng.integers(0, n_rows, size=(2, n))
+        memories.append(ReplayMemory(raw, rows, next_rows, rng.uniform(0, 60, n),
+                                     rng.normal(size=n), rng.random(n) < 0.3,
+                                     stats.means, stats.sds, seed=f))
+        dense.append(cohort.apply_feature_stats(matrix, stats).states)
+    draws = [rng.integers(0, len(m), size=batch_size) for m in memories]
+    stacked = gather_minibatches(memories, draws)
+    actor = ActorNet.build(state_dim, seed)
+    for f, (memory, normalized, idx) in enumerate(zip(memories, dense, draws)):
+        expected = Batch(normalized[memory.rows[idx]], memory.actions[idx],
+                         memory.rewards[idx], normalized[memory.next_rows[idx]],
+                         memory.terminal[idx])
+        for batch in (memory.minibatch(idx), stacked.take(f)):
+            for name in ("states", "actions", "rewards", "next_states", "terminal"):
+                got, want = getattr(batch, name), getattr(expected, name)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        # the whole memory scored in one pass, as before gathers normalized
+        recommended = actor.act(normalized[memory.rows])
+        assert consistency_metric(actor, memory) == float(
+            np.mean((recommended - memory.actions) ** 2))
 
 
 # --- td_target ---------------------------------------------------------------
@@ -293,7 +338,7 @@ def test_consistency_zero_when_actor_reproduces_logged():
     rng = np.random.default_rng(10)
     memory = random_memory(rng)
     actor = ActorNet.build(3, 41)
-    memory.actions = actor.act(memory.states)
+    memory.actions = actor.act(memory.minibatch(np.arange(len(memory))).states)
     assert consistency_metric(actor, memory) == 0.0
 
 
@@ -312,8 +357,9 @@ def test_consistency_matches_loop_oracle():
     rng = np.random.default_rng(12)
     memory = random_memory(rng, n=37)
     actor = ActorNet.build(3, 47)
+    states = memory.minibatch(np.arange(len(memory))).states
     expected = sum(
-        (recommend(actor, memory.states[i]) - memory.actions[i]) ** 2
+        (recommend(actor, states[i]) - memory.actions[i]) ** 2
         for i in range(len(memory))) / len(memory)
     assert consistency_metric(actor, memory) == pytest.approx(expected, rel=1e-12)
 
@@ -372,7 +418,8 @@ def test_train_leaves_memory_untouched():
     rng = np.random.default_rng(16)
     memory = random_memory(rng, n=80)
     snapshot = {k: getattr(memory, k).copy()
-                for k in ("states", "actions", "rewards", "next_states", "terminal")}
+                for k in ("source", "rows", "next_rows", "actions", "rewards", "terminal",
+                          "means", "sds")}
     train(memory, TrainingConfig(max_iterations=25, consistency_every=5, seed=1))
     for k, v in snapshot.items():
         np.testing.assert_array_equal(getattr(memory, k), v)

@@ -286,6 +286,33 @@ def test_loho_runs_four_folds_and_partitions(tmp_path):
     assert sorted(seen) == all_ids
 
 
+def test_loho_memories_index_the_one_raw_matrix(monkeypatch):
+    records, schema = small_cohort(n=60, seed=13)
+    matrices, memories = [], []
+    stack, train_folds = cohort.stack_trajectories, ddpg.train_folds
+
+    def recording_stack(*args, **kwargs):
+        matrices.append(stack(*args, **kwargs))
+        return matrices[-1]
+
+    def recording_train(fold_memories, config):
+        memories.extend(fold_memories)
+        return train_folds(fold_memories, config)
+    monkeypatch.setattr(cohort, "stack_trajectories", recording_stack)
+    monkeypatch.setattr(ddpg, "train_folds", recording_train)
+    config = ddpg.TrainingConfig(max_iterations=2, consistency_every=1, seed=1)
+    evaluation.loho_cross_validate(records, schema, config, interval_hours=8.0)
+    (matrix,) = matrices
+    assert len(memories) == 4
+    for memory in memories:
+        # the raw states are shared, not copied; the rest is per transition
+        # or per feature
+        assert memory.source is matrix.states
+        own = [value for name, value in vars(memory).items()
+               if isinstance(value, np.ndarray) and name != "source"]
+        assert len(own) == 7 and all(value.ndim == 1 for value in own)
+
+
 def test_loho_single_hospital_fails_naming_the_fold():
     records, schema = small_cohort(n=30, seed=13)
     records.hospital_ids = np.full(len(records), "H1")

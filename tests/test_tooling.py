@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 import oxyrl
+from _oracles import dense_memory
 from oxyrl import cli, ddpg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -94,8 +95,8 @@ def count_step_calls(monkeypatch):
 
 def toy_memory(rng, seed):
     states = rng.normal(size=(40, 3))
-    return ddpg.ReplayMemory(states, rng.uniform(0, 60, 40), np.zeros(40),
-                             states[::-1].copy(), rng.random(40) < 0.2, seed=seed)
+    return dense_memory(states, rng.uniform(0, 60, 40), np.zeros(40),
+                        states[::-1].copy(), rng.random(40) < 0.2, seed=seed)
 
 
 def test_traced_training_step_functions_are_called(monkeypatch):
