@@ -314,10 +314,9 @@ class Trajectory:
 
 @dataclass
 class CohortMatrix:
-    """Every patient's trajectory stacked row-wise, states in raw units.
-    Patient i owns rows offsets[i]:offsets[i + 1]; patients are addressed by
-    index arrays, and each fold's replay memory holds row indices into
-    `states` that are normalized as they are gathered (normalize_states)."""
+    """Every patient's trajectory stacked row-wise, states in raw units (a
+    replay memory normalizes the rows it gathers). Patient i owns rows
+    offsets[i]:offsets[i + 1]; patients are addressed by index arrays."""
 
     interval_hours: float
     offsets: np.ndarray          # (n_patients + 1,)
@@ -344,8 +343,7 @@ class CohortMatrix:
             self.interval_hours, np.append(starts, len(rows)),
             normalize_states(self.states[rows], stats.means, stats.sds),
             self.actions[rows], tuple(self.patient_ids[p] for p in patients),
-            self.hospital_ids[patients], self.outcomes[patients],
-            self.event_times[patients])
+            self.hospital_ids[patients], self.outcomes[patients], self.event_times[patients])
 
 
 @dataclass
@@ -498,10 +496,10 @@ def compute_feature_stats(table: CohortTable, schema: FeatureSchema,
     return FeatureStats(schema.names, means, sds)
 
 
-def normalize_states(states, means, sds) -> np.ndarray:
-    """Z-scores of raw state rows, `(x - means) / sds`, with NaN (never
-    observed) as 0. Gathering and normalizing commute bit for bit."""
-    z = states - means
+def normalize_states(states, means, sds, out=None) -> np.ndarray:
+    """Z-scores `(x - means) / sds` of raw state rows, NaN (never observed) as
+    0, into `out` if given; gathering and normalizing commute bit for bit."""
+    z = np.subtract(states, means, out=out)
     z /= sds
     z[np.isnan(z)] = 0.0
     return z
@@ -636,9 +634,8 @@ def load_cohort(path, schema: FeatureSchema) -> CohortTable:
 def _accept_rows(schema, ids, hospitals, outcomes, event_times,
                  patient, code, line, time, value) -> CohortTable:
     """Apply the loader's row rules to the observation rows (given in file
-    order) and keep the accepted ones as a table. The columns are reordered
-    and compacted in place, and the table's times and values are views on
-    them.
+    order, then reordered and compacted in place: the table's times and
+    values are views on them) and keep the accepted ones as a table.
 
     Patient by patient in first-seen order: a patient without outcome or
     event time raises; each rejected row warns, in file order; a negative
@@ -664,24 +661,23 @@ def _accept_rows(schema, ids, hospitals, outcomes, event_times,
     pointwise = np.array([schema.is_pointwise(name) for name in schema.names] + [False])[code]
     bad_flow = (code == len(schema)) & ~((value >= FLOW_MIN) & (value <= FLOW_MAX))
     series = ~pointwise & ~bad_flow
-    # A series group whose every row lies in [0, event time] and rises
-    # strictly over the row before it keeps every row. Any other group of a
-    # series feature is walked row by row: a row rising over a rejected
-    # predecessor can still be non-monotone (times 5, 3, 4).
+    # A series group in [0, event time] that rises row by row keeps every row.
+    # Elsewhere a row's last accepted time is the largest in-window time before
+    # it in its group (5, 3, 4 rejects the 4): a cumulative max of dense ranks.
     clean = series & (time >= 0) & (time <= event[patient])
     clean[1:] &= new_group[1:] | (time[1:] > time[:-1])
+    starts = np.flatnonzero(new_group)
+    sub = np.flatnonzero(np.repeat(np.logical_or.reduceat(~pointwise & ~clean, starts),
+                                   np.diff(np.append(starts, len(time)))))
+    t, s, end = time[sub], series[sub], event[patient[sub]]
+    group = np.cumsum(new_group[sub]) * (len(sub) + 1)
+    rank = np.unique(t, return_inverse=True)[1] + 1
+    last = np.maximum.accumulate(group + np.where(s & (t >= 0) & (t <= end), rank, 0))
+    last = np.concatenate(([0], last[:-1])) - group
+    last[new_group[sub]] = 0
     non_monotone, after_event = np.zeros((2, len(time)), dtype=bool)
-    bounds = np.append(np.flatnonzero(new_group), len(time))
-    dirty = np.searchsorted(bounds, np.flatnonzero(~pointwise & ~clean), side="right") - 1
-    for g in dict.fromkeys(dirty.tolist()):
-        last, end = -math.inf, event[patient[bounds[g]]]
-        for i in bounds[g] + np.flatnonzero(series[bounds[g]:bounds[g + 1]]):
-            if time[i] < 0 or time[i] <= last:
-                non_monotone[i] = True
-            elif time[i] > end:
-                after_event[i] = True
-            else:
-                last = time[i]
+    non_monotone[sub] = s & ((t < 0) | (rank <= last))
+    after_event[sub] = s & ~non_monotone[sub] & (t > end)
 
     bad = missing | (event < 0)
     stop = int(np.argmax(bad)) if bad.any() else len(ids)

@@ -108,22 +108,23 @@ class ReplayMemory:
     def state_dim(self):
         return self.source.shape[1]
 
-    def minibatch(self, idx) -> Batch:
-        return gather_minibatches([self], [idx]).take(0)
 
-
-def gather_minibatches(memories, draws) -> Batch:
-    """The transitions `draws[f]` of each memory `memories[f]`, stacked
-    along a leading fold axis. Every gathered state and next state is
-    normalized in one pass, each with its memory's statistics."""
-    pairs = list(zip(memories, draws))
-    raw = np.array([[m.source[m.rows[i]] for m, i in pairs],
-                    [m.source[m.next_rows[i]] for m, i in pairs]])
-    states = cohort.normalize_states(raw, np.array([m.means for m in memories])[:, None],
-                                     np.array([m.sds for m in memories])[:, None])
-    return Batch(states[0], np.array([m.actions[i] for m, i in pairs]),
-                 np.array([m.rewards[i] for m, i in pairs]), states[1],
-                 np.array([m.terminal[i] for m, i in pairs]))
+def gather_minibatches(memories, draws, means, sds) -> Batch:
+    """The transitions `draws[f]` of each memory `memories[f]`, stacked along a
+    leading fold axis and normalized in one pass with `means` and `sds`: the
+    memories' own statistics, stacked as (folds, 1, state_dim) arrays."""
+    n_folds, size = len(memories), len(draws[0])
+    states = np.empty((2, n_folds, size, memories[0].state_dim))
+    actions, rewards = np.empty((2, n_folds, size))
+    terminal = np.empty((n_folds, size), dtype=bool)
+    for f, (memory, idx) in enumerate(zip(memories, draws)):
+        memory.source.take(memory.rows[idx], axis=0, out=states[0, f])
+        memory.source.take(memory.next_rows[idx], axis=0, out=states[1, f])
+        memory.actions.take(idx, out=actions[f])
+        memory.rewards.take(idx, out=rewards[f])
+        memory.terminal.take(idx, out=terminal[f])
+    cohort.normalize_states(states, means, sds, out=states)
+    return Batch(states[0], actions, rewards, states[1], terminal)
 
 
 def actor_specs(state_dim: int):
@@ -352,15 +353,17 @@ def polyak_update(targets: TargetPair, critic: CriticNet, actor: ActorNet,
 
 
 def consistency_metric(actor: ActorNet, memory: ReplayMemory) -> float:
-    """Mean squared deviation between recommended and logged flows, the
-    memory's rows normalized and scored a block at a time."""
+    """Mean squared deviation between recommended and logged flows, by row blocks."""
     if len(memory) == 0:
         raise ValueError("empty dataset")
     recommended = np.empty(len(memory))
+    # one block buffer per call: a fresh one per block made the heap thrash
+    buffer = np.empty((min(len(memory), nn.INFER_BLOCK_ROWS), memory.state_dim))
     for start in range(0, len(memory), nn.INFER_BLOCK_ROWS):
-        block = slice(start, start + nn.INFER_BLOCK_ROWS)
-        recommended[block] = actor.act(cohort.normalize_states(
-            memory.source[memory.rows[block]], memory.means, memory.sds))
+        rows = memory.rows[start:start + nn.INFER_BLOCK_ROWS]
+        states = memory.source.take(rows, axis=0, out=buffer[:len(rows)])
+        recommended[start:start + len(rows)] = actor.act(
+            cohort.normalize_states(states, memory.means, memory.sds, out=states))
     return float(np.mean((recommended - memory.actions) ** 2))
 
 
@@ -386,10 +389,9 @@ def train_folds(memories, config: TrainingConfig,
     memory, in order.
 
     Per iteration, each fold samples a uniform minibatch from its memory
-    (sampler seed `(config.seed, memory.seed)`, gathered for all folds at
-    once by :func:`gather_minibatches`); then, for every fold at once, the
-    critic regresses on its bootstrapped targets, the actor ascends through
-    the frozen critic, and both target copies are blended.
+    (sampler seed `(config.seed, memory.seed)`); then, for every fold at
+    once, the critic regresses on its bootstrapped targets, the actor
+    ascends through the frozen critic, and both target copies are blended.
     `consistency_fn(actor, memory)` is evaluated per fold every
     `consistency_every` iterations (a hook mainly for tests; defaults to
     :func:`consistency_metric`), and a fold halts once it has not improved
@@ -445,9 +447,11 @@ def train_folds(memories, config: TrainingConfig,
                 actor.take(slot), critic.take(slot), targets.take(slot),
                 logs[active[row]], critic_opt.take(slot), actor_opt.take(slot))
 
+    stats = [np.stack([getattr(m, k) for m in memories])[:, None] for k in ("means", "sds")]
     for iteration in range(1, config.max_iterations + 1):
         batch = gather_minibatches([memories[f] for f in active], [
-            samplers[f].integers(0, len(memories[f]), size=config.batch_size) for f in active])
+            samplers[f].integers(0, len(memories[f]), size=config.batch_size)
+            for f in active], *stats)
         batch = batch if stacked else batch.take(0)
         try:
             targets_vec = td_target(batch, targets, config.discount)
@@ -481,6 +485,7 @@ def train_folds(memories, config: TrainingConfig,
             if not keep.size:
                 return results
             active = [active[row] for row in keep]
+            stats = [s[keep] for s in stats]
             slots = slots[:len(keep)]
             actor, critic, targets = actor.take(keep), critic.take(keep), targets.take(keep)
             actor_opt, critic_opt = actor_opt.take(keep), critic_opt.take(keep)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from _oracles import (
     accept_rows_by_rank, flow_at_loop, hazard_rate, load_records_loop, transitions_loop,
 )
-from oxyrl import cli, cohort, evaluation
+from oxyrl import cli, cohort, ddpg, evaluation
 from oxyrl.cohort import (
     CENSORED, DIED, DISCHARGED, CohortDataWarning, CohortError, CohortFormatError,
     CohortTable, FeatureSchema, GeneratorConfig, GeneratorConfigError,
@@ -264,7 +264,8 @@ def test_stacked_cohort_matches_per_record_resampling(records):
     assert np.all(np.diff(matrix.offsets) >= 1)
     everyone = np.arange(len(records))
     memory = evaluation.replay_memory(matrix, everyone, stats, seed=0)
-    gathered = memory.minibatch(np.arange(len(memory)))
+    gathered = ddpg.gather_minibatches([memory], [np.arange(len(memory))],
+                                       memory.means, memory.sds).take(0)
     expected = []
     for i, record in enumerate(records):
         traj = cohort.resample_trajectory(table, 4.0, schema, i)

@@ -61,13 +61,16 @@ def test_gathers_and_consistency_match_normalizing_the_whole_matrix(
                                      stats.means, stats.sds, seed=f))
         dense.append(cohort.apply_feature_stats(matrix, stats).states)
     draws = [rng.integers(0, len(m), size=batch_size) for m in memories]
-    stacked = gather_minibatches(memories, draws)
+    stacked = gather_minibatches(memories, draws,
+                                 *(np.stack([getattr(m, k) for m in memories])[:, None]
+                                   for k in ("means", "sds")))
     actor = ActorNet.build(state_dim, seed)
     for f, (memory, normalized, idx) in enumerate(zip(memories, dense, draws)):
         expected = Batch(normalized[memory.rows[idx]], memory.actions[idx],
                          memory.rewards[idx], normalized[memory.next_rows[idx]],
                          memory.terminal[idx])
-        for batch in (memory.minibatch(idx), stacked.take(f)):
+        alone = gather_minibatches([memory], [idx], memory.means, memory.sds).take(0)
+        for batch in (alone, stacked.take(f)):
             for name in ("states", "actions", "rewards", "next_states", "terminal"):
                 got, want = getattr(batch, name), getattr(expected, name)
                 assert got.shape == want.shape
@@ -338,7 +341,9 @@ def test_consistency_zero_when_actor_reproduces_logged():
     rng = np.random.default_rng(10)
     memory = random_memory(rng)
     actor = ActorNet.build(3, 41)
-    memory.actions = actor.act(memory.minibatch(np.arange(len(memory))).states)
+    everything = [np.arange(len(memory))]
+    memory.actions = actor.act(
+        gather_minibatches([memory], everything, memory.means, memory.sds).states[0])
     assert consistency_metric(actor, memory) == 0.0
 
 
@@ -357,7 +362,8 @@ def test_consistency_matches_loop_oracle():
     rng = np.random.default_rng(12)
     memory = random_memory(rng, n=37)
     actor = ActorNet.build(3, 47)
-    states = memory.minibatch(np.arange(len(memory))).states
+    everything = [np.arange(len(memory))]
+    states = gather_minibatches([memory], everything, memory.means, memory.sds).states[0]
     expected = sum(
         (recommend(actor, states[i]) - memory.actions[i]) ** 2
         for i in range(len(memory))) / len(memory)
@@ -541,6 +547,8 @@ def test_lockstep_folds_match_training_each_alone(sizes, terminal_rate, batch_si
     for n, memory_seed in zip(sizes, (9, 4, 30, 1)):
         memory = random_memory(rng, n=n, seed=memory_seed)
         memory.terminal = rng.random(n) < terminal_rate
+        # each fold gathers with its own statistics
+        memory.means, memory.sds = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
         memories.append(memory)
     evaluations = {memory.seed: k for memory, k in zip(memories, improving)}
     config = TrainingConfig(batch_size=batch_size, max_iterations=max_iterations,
