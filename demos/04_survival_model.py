@@ -24,20 +24,20 @@ retained = survival.prune_correlated(x, ["a", "b", "c", "d"])
 print("retained after correlation pruning:", retained)
 keep = [i for i, name in enumerate(["a", "b", "c", "d"]) if name in retained]
 
-samples = [survival.SurvivalSample(x[i, keep], float(duration[i]), bool(event[i]))
-           for i in range(n)]
+x = x[:, keep]
 split = int(0.8 * n)
+train = survival.CoxDesign.of(x[:split], duration[:split], event[:split])
+val = survival.CoxDesign.of(x[split:], duration[split:], event[split:])
 grid = survival.ElasticNetGrid()
-l1, l2, model = survival.grid_search(samples[:split], samples[split:], grid)
+l1, l2, model = survival.grid_search(train, val, grid)
 print(f"grid searched {len(grid.results)} penalty pairs; "
       f"selected l1={l1}, l2={l2}")
 print("coefficients:", np.round(model.coef, 3))
 print(f"validation concordance: "
-      f"{survival.concordance_index(model, samples[split:]):.3f}")
+      f"{survival.concordance_index(model, val):.3f}")
 
-mortality = np.array([survival.predict_mortality7(model, s.covariates)
-                      for s in samples[split:]])
-actual = np.array([s.event for s in samples[split:]])
+mortality = survival.predict_mortality7(model, x[split:])
+actual = event[split:]
 predicted = mortality >= 0.5
 alive_pred = (~predicted).astype(float)
 alive_true = (~actual).astype(float)

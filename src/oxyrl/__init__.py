@@ -19,7 +19,7 @@ from .evaluation import (
     loho_cross_validate, subgroup_table,
 )
 from .survival import (
-    CoxModel, ElasticNetGrid, SurvivalSample, concordance_index,
+    CoxDesign, CoxModel, ElasticNetGrid, concordance_index,
     cosine_similarity, fit_cox, grid_search, paired_binary_test,
     predict_mortality7, predict_survival, prune_correlated,
 )

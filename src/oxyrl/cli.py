@@ -269,12 +269,10 @@ def cmd_evaluate(args) -> int:
         stats = cohort.FeatureStats(schema.names, bundle.feature_means,
                                     bundle.feature_sds)
         matrix = cohort.stack_trajectories(table, schema, bundle.interval_hours)
-        everyone = np.arange(matrix.n_patients)
         model, grid, retained, flow_stats = evaluation.fit_outcome_model(
-            cohort.apply_feature_stats(matrix, stats), everyone, schema,
-            seed=options.seed)
+            cohort.apply_feature_stats(matrix, stats), schema, seed=options.seed)
         fold = evaluation.evaluate_patients(
-            "all", matrix, everyone, schema, stats,
+            "all", matrix, np.arange(matrix.n_patients), schema, stats,
             evaluation.actor_policy(bundle.actor), model, retained, flow_stats,
             grid=grid)
         report = evaluation.build_report([fold], options)

@@ -331,14 +331,9 @@ class CohortMatrix:
     def n_patients(self) -> int:
         return len(self.offsets) - 1
 
-    def segments(self, patients):
-        """Rows of the given patients, concatenated in order, plus each
-        patient's start within that concatenation and its row count."""
-        return _segment_rows(self.offsets, patients)
-
     def normalized_rows(self, patients, stats: FeatureStats) -> CohortMatrix:
         """The given patients' rows, normalized with `stats`; patient i is patients[i]."""
-        rows, starts, _ = self.segments(patients)
+        rows, starts, _ = _segment_rows(self.offsets, patients)
         return CohortMatrix(
             self.interval_hours, np.append(starts, len(rows)),
             normalize_states(self.states[rows], stats.means, stats.sds),

@@ -71,7 +71,6 @@ class FoldResult:
     patients: list
     cox: survival.CoxModel
     grid: survival.ElasticNetGrid
-    retained_features: list
     concordance: float
 
 
@@ -95,66 +94,64 @@ class FlowStats:
 
 # --- outcome-model construction ------------------------------------------------
 
-def patient_state_means(matrix: cohort.CohortMatrix, patients):
-    """Per-patient time-averaged states and flows of the given patients."""
-    rows, starts, lengths = matrix.segments(patients)
-    states = np.add.reduceat(matrix.states[rows], starts, axis=0) / lengths[:, None]
-    flows = np.add.reduceat(matrix.actions[rows], starts) / lengths
+def outcome_covariates(states, flows, retained_idx, flow_stats: FlowStats):
+    """The outcome model's covariates, one row per state row: the retained
+    state columns, then the standardized flow (see `covariate_names`)."""
+    return np.column_stack([states[:, retained_idx], flow_stats.transform(flows)])
+
+
+def covariate_names(retained) -> tuple[str, ...]:
+    """Names of the `outcome_covariates` columns."""
+    return tuple(retained) + ("oxygen_flow",)
+
+
+def patient_state_means(matrix: cohort.CohortMatrix):
+    """Per-patient time-averaged states and flows of every patient."""
+    starts, lengths = matrix.offsets[:-1], np.diff(matrix.offsets)
+    states = np.add.reduceat(matrix.states, starts, axis=0) / lengths[:, None]
+    flows = np.add.reduceat(matrix.actions, starts) / lengths
     return states, flows
 
 
-def build_survival_samples(matrix: cohort.CohortMatrix, patients, retained_idx,
-                           flow_stats: FlowStats):
-    """One sample per patient: averaged normalized state (pruned columns)
-    plus the standardized mean flow; durations capped at the seven-day
-    window."""
-    states, flows = patient_state_means(matrix, patients)
-    covars = np.column_stack([states[:, retained_idx], flow_stats.transform(flows)])
-    event_times = matrix.event_times[patients]
-    durations = np.minimum(event_times, WINDOW_HOURS) / 24.0
-    events = (matrix.outcomes[patients] == cohort.DIED) & (event_times <= WINDOW_HOURS)
-    return [survival.SurvivalSample(covars[i], float(durations[i]), bool(events[i]))
-            for i in range(len(durations))]
+def survival_columns(matrix: cohort.CohortMatrix, retained_idx, flow_stats: FlowStats):
+    """(covariates, durations in days, events), one row per patient: the
+    outcome covariates of the patient's averaged normalized state and mean
+    flow, follow-up capped at the seven-day window, and death within it."""
+    states, flows = patient_state_means(matrix)
+    durations = np.minimum(matrix.event_times, WINDOW_HOURS) / 24.0
+    events = (matrix.outcomes == cohort.DIED) & (matrix.event_times <= WINDOW_HOURS)
+    return outcome_covariates(states, flows, retained_idx, flow_stats), durations, events
 
 
-def fit_outcome_model(normalized: cohort.CohortMatrix, patients, schema, seed,
+def fit_outcome_model(normalized: cohort.CohortMatrix, schema, seed,
                       grid: survival.ElasticNetGrid | None = None):
     """Prune correlated state features, then grid-search the elastic-net
-    penalties on an inner 80/20 split of the given (training) patients.
-
-    `normalized` must hold states normalized with the training-fold
-    statistics. Returns (model, grid, retained names, flow stats).
-    """
+    penalties on an inner 80/20 split of the patients of `normalized`, whose
+    states must be normalized with the training-fold statistics. Returns
+    (model, grid, retained names, flow stats)."""
     if grid is None:
         grid = survival.ElasticNetGrid()
-    states, flows = patient_state_means(normalized, patients)
+    states, flows = patient_state_means(normalized)
     retained = survival.prune_correlated(states, list(schema.names))
     retained_idx = [schema.index(name) for name in retained]
     flow_stats = FlowStats(float(flows.mean()), float(flows.std()) or 1.0)
-    samples = build_survival_samples(normalized, patients, retained_idx, flow_stats)
-    # stratified 80/20 split keeps events on both sides of the grid search
+    x, t, e = survival_columns(normalized, retained_idx, flow_stats)
+    # stratified 80/20 split: from three events on, both sides hold events;
+    # both sides keep the patients' order
     rng = np.random.default_rng(seed)
-    events = [i for i, s in enumerate(samples) if s.event]
-    censored = [i for i, s in enumerate(samples) if not s.event]
-    fit_idx, val_idx = [], []
-    for group in (events, censored):
+    in_fit = np.zeros(len(e), dtype=bool)
+    for group in (np.flatnonzero(e), np.flatnonzero(~e)):
         order = rng.permutation(len(group))
-        cut = max(1, int(round(0.8 * len(group)))) if group else 0
-        fit_idx.extend(group[i] for i in order[:cut])
-        val_idx.extend(group[i] for i in order[cut:])
-    fit_samples = [samples[i] for i in sorted(fit_idx)]
-    val_samples = [samples[i] for i in sorted(val_idx)]
-    if not any(s.event for s in val_samples):
+        cut = max(1, round(0.8 * len(group)))
+        in_fit[group[order[:cut]]] = True
+    fit, val = (survival.CoxDesign.of(x[rows], t[rows], e[rows])
+                for rows in (in_fit, ~in_fit))
+    if not len(val.events):
         warnings.warn("validation split has no events; scoring on the fit split")
-        val_samples = fit_samples
-    l1, l2, model = survival.grid_search(fit_samples, val_samples, grid)
-    model = replace(model, feature_names=tuple(retained) + ("oxygen_flow",))
+        val = fit
+    l1, l2, model = survival.grid_search(fit, val, grid)
+    model = replace(model, feature_names=covariate_names(retained))
     return model, grid, retained, flow_stats
-
-
-def mortality7_batch(model: survival.CoxModel, covariates) -> np.ndarray:
-    lam0, _ = model.cumulative_hazard(survival.MORTALITY_WINDOW_DAYS)
-    return 1.0 - np.exp(-lam0 * model.risk(covariates))
 
 
 def actor_policy(actor: ddpg.ActorNet):
@@ -188,11 +185,9 @@ def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, st
     starts, lengths = normalized.offsets[:-1], np.diff(normalized.offsets)
     recommended = np.asarray(np.clip(recommend_fn(states, logged),
                                      cohort.FLOW_MIN, cohort.FLOW_MAX), dtype=np.float64)
-    pruned = states[:, retained_idx]
-    covars = np.column_stack([
-        np.concatenate([pruned, pruned]),
-        flow_stats.transform(np.concatenate([logged, recommended]))])
-    sums = np.add.reduceat(mortality7_batch(model, covars),
+    covars = np.concatenate([outcome_covariates(states, flows, retained_idx, flow_stats)
+                             for flows in (logged, recommended)])
+    sums = np.add.reduceat(survival.predict_mortality7(model, covars),
                            np.concatenate([starts, starts + len(states)]))
     m_logged = sums[:len(patients)] / lengths
     m_rl = sums[len(patients):] / lengths
@@ -206,8 +201,7 @@ def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, st
              if kind == cohort.COMORBIDITY]
     present = {name: np.nan_to_num(statics[name]) != 0.0 for name in flags}
     male = np.nan_to_num(statics.get("male", missing)) != 0.0
-    died7 = ((matrix.outcomes[patients] == cohort.DIED)
-             & (matrix.event_times[patients] <= WINDOW_HOURS))
+    x, t, died7 = survival_columns(normalized, retained_idx, flow_stats)
     scored = [PatientEval(
         patient_id=matrix.patient_ids[patient],
         hospital_id=str(matrix.hospital_ids[patient]),
@@ -221,13 +215,11 @@ def evaluate_patients(fold_id, matrix: cohort.CohortMatrix, patients, schema, st
         bmi=float(statics.get("bmi", missing)[i]),
         comorbidities={name: bool(present[name][i]) for name in flags},
     ) for i, (patient, start, n) in enumerate(zip(patients, starts, lengths))]
-    test_samples = build_survival_samples(normalized, np.arange(len(patients)),
-                                          retained_idx, flow_stats)
     try:
-        concordance = survival.concordance_index(model, test_samples)
+        concordance = survival.concordance_index(model, survival.CoxDesign.of(x, t, died7))
     except ValueError:
         concordance = float("nan")
-    return FoldResult(fold_id, scored, model, grid, list(retained), concordance)
+    return FoldResult(fold_id, scored, model, grid, concordance)
 
 
 # --- fold orchestration -----------------------------------------------------------
@@ -251,7 +243,7 @@ def run_fold(matrix: cohort.CohortMatrix, schema,
     `stats` are the training patients' feature statistics."""
     fold_id = str(matrix.hospital_ids[test[0]])    # the held-out hospital
     model, grid, retained, flow_stats = fit_outcome_model(
-        matrix.normalized_rows(train, stats), np.arange(len(train)), schema,
+        matrix.normalized_rows(train, stats), schema,
         seed=training_config.seed + fold_index)
 
     fold = evaluate_patients(

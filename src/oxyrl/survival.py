@@ -34,16 +34,6 @@ class GridSearchError(ValueError):
 
 
 @dataclass
-class SurvivalSample:
-    """Covariates (oxygen flow included as one coordinate), follow-up duration
-    in days, and whether death was observed within the window."""
-
-    covariates: np.ndarray
-    duration: float
-    event: bool
-
-
-@dataclass
 class CoxModel:
     feature_names: tuple[str, ...]
     coef: np.ndarray
@@ -80,16 +70,9 @@ class CoxModel:
         return np.exp((x * self.coef).sum(axis=1))
 
 
-def _design(samples):
-    x = np.asarray([s.covariates for s in samples], dtype=np.float64)
-    t = np.asarray([s.duration for s in samples], dtype=np.float64)
-    e = np.asarray([s.event for s in samples], dtype=bool)
-    return x, t, e
-
-
 @dataclass(frozen=True)
 class CoxDesign:
-    """Samples sorted by duration once, with what every likelihood
+    """Survival data sorted by duration once, with what every likelihood
     evaluation needs: the event rows, the first row of each event's risk set
     (everyone with an equal or later duration), and the summed covariates of
     the events. One design serves every fit of a penalty grid."""
@@ -101,11 +84,14 @@ class CoxDesign:
     event_x_sum: np.ndarray  # (p,) covariates summed over the events
 
     @classmethod
-    def from_samples(cls, samples) -> "CoxDesign":
-        x, t, e = _design(samples)
+    def of(cls, covariates, durations, events) -> "CoxDesign":
+        """Design of (n, p) covariates, n durations in days and n event
+        flags; rows with equal durations keep their order."""
+        t = np.asarray(durations, dtype=np.float64)
         order = np.argsort(t, kind="stable")
-        x, t, e = x[order], t[order], e[order]
-        events = np.flatnonzero(e)
+        x = np.asarray(covariates, dtype=np.float64)[order]
+        t = t[order]
+        events = np.flatnonzero(np.asarray(events, dtype=bool)[order])
         return cls(x, t, events, np.searchsorted(t, t[events], side="left"),
                    x[events].sum(axis=0))
 
@@ -190,13 +176,12 @@ def _newton_point(hess, grad, beta, l1, tolerance):
     return z
 
 
-def fit_cox(samples, l1: float = 0.0, l2: float = 0.0, *, start=None,
+def fit_cox(design: CoxDesign, l1: float = 0.0, l2: float = 0.0, *, start=None,
             max_iterations: int = 10000, tolerance: float = 1e-6,
             debug: bool = False) -> CoxModel:
     """Penalized fit by proximal Newton with backtracking.
 
-    `samples` is a list of SurvivalSample or a CoxDesign shared by several
-    fits. The fit starts from `start` (zeros when omitted); a penalty path
+    The fit starts from `start` (zeros when omitted); a penalty path
     passes the coefficients of its previous fit. Each iteration solves the
     l1-penalized second-order model by coordinate descent and halves the
     step toward that point until the penalized objective decreases enough.
@@ -207,7 +192,6 @@ def fit_cox(samples, l1: float = 0.0, l2: float = 0.0, *, start=None,
     residual. With debug=True every accepted step is checked for a monotone
     decrease of the penalized objective.
     """
-    design = samples if isinstance(samples, CoxDesign) else CoxDesign.from_samples(samples)
     if len(design.events) == 0:
         raise FitError("cannot fit without at least one event")
     p = design.x.shape[1]
@@ -255,32 +239,33 @@ def fit_cox(samples, l1: float = 0.0, l2: float = 0.0, *, start=None,
                     l1=l1, l2=l2, iterations=iterations, residual=residual)
 
 
-def predict_survival(model: CoxModel, covariates, t: float) -> float:
-    """Probability of surviving past day t for one covariate vector."""
+def predict_survival(model: CoxModel, covariates, t: float) -> np.ndarray:
+    """Probability of surviving past day t, one per covariate row."""
     if t < 0:
         raise ValueError("time must be non-negative")
     lam0, _ = model.cumulative_hazard(t)
-    return float(np.exp(-lam0 * model.risk(covariates)[0]))
+    return np.exp(-lam0 * model.risk(covariates))
 
 
-def predict_mortality7(model: CoxModel, covariates) -> float:
+def predict_mortality7(model: CoxModel, covariates) -> np.ndarray:
+    """Seven-day mortality, one per covariate row."""
     return 1.0 - predict_survival(model, covariates, MORTALITY_WINDOW_DAYS)
 
 
-def concordance_index(model: CoxModel, samples) -> float:
+def concordance_index(model: CoxModel, design: CoxDesign) -> float:
     """Harrell's C over comparable pairs (i, j): i has an event and
     duration_i < duration_j. Concordant when risk_i > risk_j; risk ties
-    count one half."""
-    x, t, e = _design(samples)
-    risk = model.risk(x)
-    ev = np.flatnonzero(e)
+    count one half. The counts are sums of integers and halves, so they do
+    not depend on the row order."""
+    t, events = design.t, design.events
+    risk = model.risk(design.x)
     concordant = 0.0
     comparable = 0
-    for i in ev:
-        later = t > t[i]
-        comparable += int(later.sum())
-        concordant += float(np.sum(risk[later] < risk[i]))
-        concordant += 0.5 * float(np.sum(risk[later] == risk[i]))
+    # durations ascend: an event's later rows are those after its ties
+    for i, later in zip(events, np.searchsorted(t, t[events], side="right")):
+        comparable += len(t) - int(later)
+        concordant += float(np.sum(risk[later:] < risk[i]))
+        concordant += 0.5 * float(np.sum(risk[later:] == risk[i]))
     if comparable == 0:
         raise ValueError("no comparable pairs")
     return concordant / comparable
@@ -303,25 +288,24 @@ class ElasticNetGrid:
     results: list[GridCell] = field(default_factory=list)
 
 
-def grid_search(samples_train, samples_val, grid: ElasticNetGrid | None = None):
-    """Fit every (l1, l2) pair on the training samples and score concordance
-    on the validation samples; ties break toward smaller l1, then smaller l2.
-    The training samples are sorted once, and each fit starts from the
-    previous cell's coefficients (cells run in ascending l1, then l2).
-    Returns (best_l1, best_l2, best_model); scores land in grid.results."""
+def grid_search(train: CoxDesign, val: CoxDesign, grid: ElasticNetGrid | None = None):
+    """Fit every (l1, l2) pair on the training design and score concordance
+    on the validation design; ties break toward smaller l1, then smaller l2.
+    Each fit starts from the previous cell's coefficients (cells run in
+    ascending l1, then l2). Returns (best_l1, best_l2, best_model); scores
+    land in grid.results."""
     if grid is None:
         grid = ElasticNetGrid()
     if not grid.l1_values or not grid.l2_values:
         raise GridSearchError("empty penalty grid")
     grid.results.clear()
-    design = CoxDesign.from_samples(samples_train)
     best = None
     coef = None
     for l1 in sorted(grid.l1_values):
         for l2 in sorted(grid.l2_values):
-            model = fit_cox(design, l1, l2, start=coef)
+            model = fit_cox(train, l1, l2, start=coef)
             coef = model.coef
-            score = concordance_index(model, samples_val)
+            score = concordance_index(model, val)
             grid.results.append(GridCell(l1, l2, score, model.converged,
                                          model.iterations, model.residual))
             if model.converged and (best is None or score > best[0]):

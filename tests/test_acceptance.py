@@ -134,9 +134,7 @@ def test_criterion_2_cox_oracle():
             e = rng.random(n) < 0.6
             if e.sum() < 2 or (~e).sum() < 1:
                 continue
-            samples = [survival.SurvivalSample(x[i], float(t[i]), bool(e[i]))
-                       for i in range(n)]
-            model = fit = survival.fit_cox(samples, debug=True)
+            model = fit = survival.fit_cox(survival.CoxDesign.of(x, t, e), debug=True)
             if not (fit.converged and np.all(np.abs(fit.coef) < 3.0)):
                 continue
             oracle = brute_force_argmax(
@@ -164,11 +162,10 @@ def test_criterion_3_concordance_oracle():
             e = rng.random(n) < 0.6
             if not e.any():
                 e[int(rng.integers(0, n))] = True
-            samples = [survival.SurvivalSample(x[i], float(t[i]), bool(e[i]))
-                       for i in range(n)]
+            design = survival.CoxDesign.of(x, t, e)
             risk = model.risk(x)
             try:
-                ours = survival.concordance_index(model, samples)
+                ours = survival.concordance_index(model, design)
             except ValueError:
                 continue
             assert ours == concordance_loop(risk, t, e)
@@ -231,7 +228,7 @@ def test_criterion_4_exact_identities():
         stats = cohort.compute_feature_stats(records, schema)
         normalized = cohort.apply_feature_stats(matrix, stats)
         model, grid_obj, retained, fstats = evaluation.fit_outcome_model(
-            normalized, everyone, schema, seed=0)
+            normalized, schema, seed=0)
         fold = evaluation.evaluate_patients(
             "all", matrix, everyone, schema, stats, evaluation.mirror_policy(),
             model, retained, fstats, grid=grid_obj)
@@ -397,9 +394,7 @@ def test_criterion_8_grid_search_audit():
             x = r.normal(size=(n, 3))
             t = r.exponential(1.0 / np.exp(x @ coef))
             censor = r.exponential(np.median(t) * 2, size=n)
-            return [survival.SurvivalSample(x[i], float(min(t[i], censor[i])),
-                                            bool(t[i] <= censor[i]))
-                    for i in range(n)]
+            return survival.CoxDesign.of(x, np.minimum(t, censor), t <= censor)
 
         grid = survival.ElasticNetGrid()
         l1, l2, model = survival.grid_search(survival_set(81), survival_set(82), grid)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,7 @@ def make_patient(pid="p0", logged=(20.0, 20.0), rec=(20.0, 20.0),
 
 def fold_of(patients, fold_id="H1"):
     model = survival.CoxModel(("x",), np.zeros(1), np.array([]), np.array([]))
-    return FoldResult(fold_id, patients, model, survival.ElasticNetGrid(),
-                      ["x"], 0.5)
+    return FoldResult(fold_id, patients, model, survival.ElasticNetGrid(), 0.5)
 
 
 def options(n_boot=50, seed=0):
@@ -204,8 +204,75 @@ def outcome_model_setup(records, schema, interval_hours=4.0):
     matrix = cohort.stack_trajectories(records, schema, interval_hours)
     everyone = np.arange(len(records))
     model, grid, retained, flow_stats = evaluation.fit_outcome_model(
-        cohort.apply_feature_stats(matrix, stats), everyone, schema, seed=0)
+        cohort.apply_feature_stats(matrix, stats), schema, seed=0)
     return matrix, everyone, stats, model, grid, retained, flow_stats
+
+
+def split_designs(monkeypatch, normalized, schema):
+    """The fit and validation designs that the outcome model hands to its
+    grid search, and the survival columns of every patient."""
+    searched = []
+    search = survival.grid_search
+
+    def capture(fit, val, grid):
+        searched.append((fit, val))
+        return search(fit, val, grid)
+
+    monkeypatch.setattr(survival, "grid_search", capture)
+    _, _, retained, flow_stats = evaluation.fit_outcome_model(
+        normalized, schema, seed=3,
+        grid=survival.ElasticNetGrid(l1_values=(0.04,), l2_values=(0.04,)))
+    columns = evaluation.survival_columns(
+        normalized, [schema.index(name) for name in retained], flow_stats)
+    (fit, val), = searched
+    return fit, val, columns
+
+
+def rows_of(x, t, e):
+    return sorted(zip(t.tolist(), np.asarray(e).tolist(), map(tuple, x.tolist())))
+
+
+def design_rows(design):
+    events = np.isin(np.arange(len(design.t)), design.events)
+    return rows_of(design.x, design.t, events)
+
+
+def normalized_cohort(n_deaths=None):
+    """A 60-patient cohort normalized with its own statistics; with
+    `n_deaths`, its first patients die on day two and the rest are
+    discharged."""
+    records, schema = small_cohort(n=60, seed=9)
+    matrix = cohort.apply_feature_stats(
+        cohort.stack_trajectories(records, schema, 4.0),
+        cohort.compute_feature_stats(records, schema))
+    if n_deaths is not None:
+        dead = np.arange(matrix.n_patients) < n_deaths
+        matrix = replace(matrix, outcomes=np.where(dead, cohort.DIED, cohort.DISCHARGED),
+                         event_times=np.where(dead, 48.0, matrix.event_times))
+    return matrix, schema
+
+
+@pytest.mark.parametrize("n_deaths", [None, 3, 7])
+def test_outcome_model_split_is_stratified(monkeypatch, n_deaths):
+    normalized, schema = normalized_cohort(n_deaths)
+    fit, val, (x, t, e) = split_designs(monkeypatch, normalized, schema)
+    assert sorted(design_rows(fit) + design_rows(val)) == rows_of(x, t, e)
+    n_events = int(e.sum())
+    assert n_events >= 3
+    assert len(fit.events) == max(1, round(0.8 * n_events))
+    assert len(fit.t) - len(fit.events) == max(1, round(0.8 * (len(e) - n_events)))
+    assert len(fit.events) and len(val.events)
+
+
+@pytest.mark.parametrize("n_deaths", [1, 2])
+def test_outcome_model_scores_on_the_fit_split_without_validation_events(
+        monkeypatch, n_deaths):
+    # round(0.8 * 2) == 2: two events both land in the fit split
+    normalized, schema = normalized_cohort(n_deaths)
+    with pytest.warns(UserWarning, match="validation split has no events"):
+        fit, val, _ = split_designs(monkeypatch, normalized, schema)
+    assert val is fit
+    assert len(fit.events) == n_deaths
 
 
 def test_null_policy_identities_end_to_end():

@@ -12,16 +12,10 @@ from _oracles import (
 )
 from oxyrl import survival
 from oxyrl.survival import (
-    CoxDesign, CoxModel, ElasticNetGrid, FitError, SurvivalSample,
-    concordance_index, cosine_similarity, fit_cox, grid_search,
-    paired_binary_test, partial_loglik, predict_mortality7, predict_survival,
-    prune_correlated,
+    CoxDesign, CoxModel, ElasticNetGrid, FitError, concordance_index,
+    cosine_similarity, fit_cox, grid_search, paired_binary_test,
+    partial_loglik, predict_mortality7, predict_survival, prune_correlated,
 )
-
-
-def samples_from(x, t, e):
-    return [SurvivalSample(np.atleast_1d(np.asarray(xi, dtype=float)), float(ti), bool(ei))
-            for xi, ti, ei in zip(x, t, e)]
 
 
 # --- fitting against the brute-force oracle -------------------------------------
@@ -32,7 +26,7 @@ def test_fit_matches_brute_force_on_one_covariate():
     x = np.array([[1.0], [0.0], [1.0], [0.0]])
     t = np.array([1.0, 2.0, 3.0, 4.0])
     e = np.array([True, True, False, False])
-    model = fit_cox(samples_from(x, t, e))
+    model = fit_cox(CoxDesign.of(x, t, e))
     assert model.converged
     oracle = brute_force_argmax(lambda b: breslow_loglik_loop(x, t, e, b), 1)
     np.testing.assert_allclose(model.coef, oracle, atol=1e-3)
@@ -48,7 +42,7 @@ def test_fit_matches_brute_force_on_random_micro_datasets():
                 t = rng.uniform(0.5, 10.0, size=n)
                 e = rng.random(n) < 0.6
                 if e.sum() >= 2 and (~e).sum() >= 1:
-                    model = fit_cox(samples_from(x, t, e))
+                    model = fit_cox(CoxDesign.of(x, t, e))
                     if model.converged and np.all(np.abs(model.coef) < 3.0):
                         break
             oracle = brute_force_argmax(
@@ -60,7 +54,7 @@ def test_all_zero_covariates_recover_event_count_hazard():
     x = np.zeros((5, 2))
     t = np.array([1.0, 2.0, 2.0, 3.0, 4.0])
     e = np.array([True, True, True, False, True])
-    model = fit_cox(samples_from(x, t, e))
+    model = fit_cox(CoxDesign.of(x, t, e))
     np.testing.assert_array_equal(model.coef, np.zeros(2))
     # risk sets shrink 5 -> 4 -> 1; two deaths share the t=2 denominator
     np.testing.assert_allclose(model.baseline_times, [1.0, 2.0, 4.0])
@@ -73,7 +67,7 @@ def test_huge_l1_zeroes_every_coefficient():
     x = rng.normal(size=(20, 3))
     t = rng.uniform(1, 5, 20)
     e = rng.random(20) < 0.5
-    model = fit_cox(samples_from(x, t, e), l1=1e3)
+    model = fit_cox(CoxDesign.of(x, t, e), l1=1e3)
     np.testing.assert_array_equal(model.coef, np.zeros(3))
     assert model.converged
 
@@ -81,7 +75,7 @@ def test_huge_l1_zeroes_every_coefficient():
 def test_fit_requires_an_event():
     x = np.ones((3, 1))
     with pytest.raises(FitError):
-        fit_cox(samples_from(x, [1, 2, 3], [False, False, False]))
+        fit_cox(CoxDesign.of(x, [1, 2, 3], [False, False, False]))
 
 
 def test_debug_mode_checks_monotone_objective():
@@ -90,7 +84,7 @@ def test_debug_mode_checks_monotone_objective():
         x = rng.normal(size=(30, 3))
         t = rng.uniform(1, 8, 30)
         e = rng.random(30) < 0.5
-        model = fit_cox(samples_from(x, t, e), l1=l1, l2=l2, debug=True)
+        model = fit_cox(CoxDesign.of(x, t, e), l1=l1, l2=l2, debug=True)
         assert model.converged
 
 
@@ -99,10 +93,10 @@ def test_scale_covariance_of_unpenalized_fit():
     x = rng.normal(size=(25, 2))
     t = rng.uniform(1, 6, 25)
     e = rng.random(25) < 0.6
-    base = fit_cox(samples_from(x, t, e))
+    base = fit_cox(CoxDesign.of(x, t, e))
     scaled_x = x.copy()
     scaled_x[:, 1] *= 10.0
-    scaled = fit_cox(samples_from(scaled_x, t, e))
+    scaled = fit_cox(CoxDesign.of(scaled_x, t, e))
     np.testing.assert_allclose(scaled.coef[1], base.coef[1] / 10.0, atol=1e-6)
     np.testing.assert_allclose(scaled.risk(scaled_x), base.risk(x), atol=1e-6)
 
@@ -123,10 +117,6 @@ def tied_cox_data(draw):
     return x, t, e, beta
 
 
-def design_of(x, t, e):
-    return CoxDesign.from_samples(samples_from(x, t, e))
-
-
 def penalized_objective(x, t, e, beta, l1, l2):
     """The fit's objective, by the double-loop likelihood."""
     return (-breslow_loglik_loop(x, t, e, beta) + 0.5 * l2 * float(beta @ beta)
@@ -141,7 +131,7 @@ def test_penalized_objective_never_rises(data, l1, l2, warm):
     # l2 > 0 keeps every drawn problem bounded below
     x, t, e, beta = data
     start = beta if warm else np.zeros(x.shape[1])
-    model = fit_cox(samples_from(x, t, e), l1=l1, l2=l2, start=start,
+    model = fit_cox(CoxDesign.of(x, t, e), l1=l1, l2=l2, start=start,
                     max_iterations=200, debug=True)
     before = penalized_objective(x, t, e, start, l1, l2)
     after = penalized_objective(x, t, e, model.coef, l1, l2)
@@ -153,7 +143,7 @@ def test_penalized_objective_never_rises(data, l1, l2, warm):
 @given(tied_cox_data())
 def test_presorted_loglik_matches_double_loop(data):
     x, t, e, beta = data
-    ll, _, _ = partial_loglik(design_of(x, t, e), beta)
+    ll, _, _ = partial_loglik(CoxDesign.of(x, t, e), beta)
     np.testing.assert_allclose(ll, breslow_loglik_loop(x, t, e, beta),
                                rtol=1e-12, atol=1e-12)
 
@@ -162,7 +152,7 @@ def test_presorted_loglik_matches_double_loop(data):
 @given(tied_cox_data())
 def test_gradient_and_information_match_central_differences(data):
     x, t, e, beta = data
-    design = design_of(x, t, e)
+    design = CoxDesign.of(x, t, e)
     _, grad, info = partial_loglik(design, beta)
     h = 1e-6
     for j in range(len(beta)):
@@ -183,20 +173,20 @@ def fitted_toy_model():
     x = rng.normal(size=(40, 2))
     t = rng.uniform(0.5, 9.0, 40)
     e = rng.random(40) < 0.5
-    return fit_cox(samples_from(x, t, e)), x
+    return fit_cox(CoxDesign.of(x, t, e)), x
 
 
 def test_survival_is_one_at_time_zero():
     model, x = fitted_toy_model()
-    assert predict_survival(model, x[0], 0.0) == 1.0
+    np.testing.assert_array_equal(predict_survival(model, x, 0.0), 1.0)
 
 
 def test_zero_coef_gives_identical_survival():
     model, x = fitted_toy_model()
     flat = CoxModel(model.feature_names, np.zeros(2), model.baseline_times,
                     model.baseline_cumhaz)
-    values = {predict_survival(flat, xi, 5.0) for xi in x}
-    assert len(values) == 1
+    values = predict_survival(flat, x, 5.0)
+    np.testing.assert_array_equal(values, values[0])
 
 
 def test_doubling_relative_risk_squares_survival():
@@ -206,18 +196,16 @@ def test_doubling_relative_risk_squares_survival():
     # shift along coef so the linear predictor grows by exactly ln 2
     s2 = s1 + coef * (math.log(2.0) / float(coef @ coef))
     for t in (1.0, 3.0, 6.5):
-        q1 = predict_survival(model, s1, t)
-        q2 = predict_survival(model, s2, t)
+        q1, q2 = predict_survival(model, [s1, s2], t)
         np.testing.assert_allclose(q2, q1 ** 2, rtol=1e-10)
 
 
 def test_survival_monotone_in_time_and_bounded():
     model, x = fitted_toy_model()
     times = np.linspace(0, 12, 40)
-    for xi in x[:5]:
-        values = [predict_survival(model, xi, t) for t in times]
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+    values = np.array([predict_survival(model, x[:5], t) for t in times])
+    assert np.all((0.0 <= values) & (values <= 1.0))
+    assert np.all(np.diff(values, axis=0) <= 1e-15)
 
 
 def test_extrapolation_flag_beyond_last_step():
@@ -232,22 +220,24 @@ def test_extrapolation_flag_beyond_last_step():
 
 def test_mortality7_zero_without_baseline_hazard():
     model = CoxModel(("a",), np.zeros(1), np.array([]), np.array([]))
-    assert predict_mortality7(model, np.array([3.0])) == 0.0
+    assert predict_mortality7(model, np.array([3.0])).tolist() == [0.0]
 
 
 def test_mortality7_in_unit_interval_and_monotone():
     rng = np.random.default_rng(11)
     model, x = fitted_toy_model()
-    for xi in x[:10]:
-        m = predict_mortality7(model, xi)
-        assert 0.0 <= m <= 1.0
+    m = predict_mortality7(model, x[:10])
+    assert np.all((0.0 <= m) & (m <= 1.0))
+    # a row's value does not depend on the rows predicted with it
+    np.testing.assert_array_equal(m, [predict_mortality7(model, xi)[0] for xi in x[:10]])
     # raising a coordinate with positive coefficient raises mortality
     k = int(np.argmax(np.abs(model.coef)))
     sign = math.copysign(1.0, model.coef[k])
     base = np.zeros(2)
     bumped = base.copy()
     bumped[k] += sign
-    assert predict_mortality7(model, bumped) > predict_mortality7(model, base)
+    m_base, m_bumped = predict_mortality7(model, [base, bumped])
+    assert m_bumped > m_base
 
 
 # --- concordance ----------------------------------------------------------------
@@ -257,7 +247,7 @@ def test_concordance_perfectly_anti_ordered_is_one():
     t = [1.0, 2.0, 3.0, 4.0]
     e = [True, True, True, True]
     model = CoxModel(("a",), np.ones(1), np.array([]), np.array([]))
-    assert concordance_index(model, samples_from(x, t, e)) == 1.0
+    assert concordance_index(model, CoxDesign.of(x, t, e)) == 1.0
 
 
 def test_concordance_ordered_with_time_is_zero():
@@ -265,7 +255,7 @@ def test_concordance_ordered_with_time_is_zero():
     t = [1.0, 2.0, 3.0, 4.0]
     e = [True, True, True, True]
     model = CoxModel(("a",), np.ones(1), np.array([]), np.array([]))
-    assert concordance_index(model, samples_from(x, t, e)) == 0.0
+    assert concordance_index(model, CoxDesign.of(x, t, e)) == 0.0
 
 
 def test_concordance_matches_pair_counting_oracle():
@@ -281,16 +271,16 @@ def test_concordance_matches_pair_counting_oracle():
         e = rng.random(n) < 0.6
         if not e.any():
             e[0] = True
-        samples = samples_from(x, t, e)
+        design = CoxDesign.of(x, t, e)
         risk = model.risk(x)
-        assert concordance_index(model, samples) == concordance_loop(risk, t, e)
+        assert concordance_index(model, design) == concordance_loop(risk, t, e)
 
 
 def test_concordance_rejects_no_comparable_pairs():
     model = CoxModel(("a",), np.ones(1), np.array([]), np.array([]))
-    samples = samples_from(np.ones((2, 1)), [3.0, 1.0], [False, False])
+    design = CoxDesign.of(np.ones((2, 1)), [3.0, 1.0], [False, False])
     with pytest.raises(ValueError):
-        concordance_index(model, samples)
+        concordance_index(model, design)
 
 
 # --- grid search -----------------------------------------------------------------
@@ -304,11 +294,11 @@ def grid_data(seed=0, n=60):
     censor = rng.exponential(np.median(t) * 2, size=n)
     e = t <= censor
     obs = np.minimum(t, censor)
-    return samples_from(x, obs, e)
+    return x, obs, e
 
 
 def test_grid_search_singleton_grid():
-    train, val = grid_data(1), grid_data(2)
+    train, val = CoxDesign.of(*grid_data(1)), CoxDesign.of(*grid_data(2))
     grid = ElasticNetGrid(l1_values=(0.04,), l2_values=(0.02,))
     l1, l2, model = grid_search(train, val, grid)
     assert (l1, l2) == (0.04, 0.02)
@@ -316,7 +306,7 @@ def test_grid_search_singleton_grid():
 
 
 def test_grid_search_records_all_25_default_cells():
-    train, val = grid_data(3), grid_data(4)
+    train, val = CoxDesign.of(*grid_data(3)), CoxDesign.of(*grid_data(4))
     grid = ElasticNetGrid()
     l1, l2, model = grid_search(train, val, grid)
     assert len(grid.results) == 25
@@ -332,21 +322,16 @@ def test_grid_search_records_all_25_default_cells():
 @pytest.mark.parametrize("train_seed, val_seed, n", [(3, 4, 60), (9, 10, 150)])
 def test_warm_newton_grid_matches_cold_proximal_gradient(monkeypatch, train_seed,
                                                          val_seed, n):
-    train, val = grid_data(train_seed, n), grid_data(val_seed, n)
+    x, t, e = grid_data(train_seed, n)
+    xv, tv, ev = grid_data(val_seed, n)
     models = []
     fit = survival.fit_cox
     monkeypatch.setattr(survival, "fit_cox",
                         lambda *a, **k: models.append(fit(*a, **k)) or models[-1])
     grid = ElasticNetGrid()
-    l1, l2, _ = grid_search(train, val, grid)
+    l1, l2, _ = grid_search(CoxDesign.of(x, t, e), CoxDesign.of(xv, tv, ev), grid)
     assert len(models) == 25
 
-    x = np.array([s.covariates for s in train])
-    t = np.array([s.duration for s in train])
-    e = np.array([s.event for s in train])
-    xv = np.array([s.covariates for s in val])
-    tv = np.array([s.duration for s in val])
-    ev = np.array([s.event for s in val])
     best = None
     for cell, model in zip(grid.results, models):
         coef, converged = proximal_gradient_cox(x, t, e, cell.l1, cell.l2)
@@ -363,8 +348,8 @@ def test_grid_search_tie_break_prefers_smaller_l1_then_l2():
     x = np.zeros((12, 2))
     t = np.linspace(1, 12, 12)
     e = np.tile([True, False], 6)
-    train = samples_from(x, t, e)
-    val = samples_from(np.zeros((8, 2)), np.arange(1, 9), [True] * 8)
+    train = CoxDesign.of(x, t, e)
+    val = CoxDesign.of(np.zeros((8, 2)), np.arange(1, 9), [True] * 8)
     grid = ElasticNetGrid(l1_values=(0.04, 0.02), l2_values=(0.04, 0.02))
     l1, l2, _ = grid_search(train, val, grid)
     assert (l1, l2) == (0.02, 0.02)
@@ -489,7 +474,7 @@ def test_malformed_model_file_rejected(tmp_path, text):
 
 
 def test_grid_report_csv(tmp_path):
-    train, val = grid_data(5), grid_data(6)
+    train, val = CoxDesign.of(*grid_data(5)), CoxDesign.of(*grid_data(6))
     grid = ElasticNetGrid(l1_values=(0.01, 0.02), l2_values=(0.01,))
     grid_search(train, val, grid)
     path = tmp_path / "grid.csv"

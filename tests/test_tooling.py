@@ -72,6 +72,16 @@ def test_network_demo_round_trips_without_writing_files(tmp_path, monkeypatch, c
     assert "network text round trip bit-exact: True" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
 
+
+def test_survival_demo_writes_only_its_model_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(ROOT / "demos" / "04_survival_model.py"))
+    out = capsys.readouterr().out
+    assert "selected l1=0.01, l2=0.01" in out
+    assert "validation concordance: 0.635" in out
+    assert [path.name for path in tmp_path.iterdir()] == ["demo_cox.txt"]
+
+
 def count_step_calls(monkeypatch):
     """Wrap every `nn` and `ddpg` entry of the tracer's list the way the
     tracer does; returns the per-name call counts."""
