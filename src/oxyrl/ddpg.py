@@ -16,7 +16,9 @@ over every fold's whole minibatch and keeps the bootstrap only on live
 rows, which infer mode's row independence makes exact. Each fold keeps its
 own sampler, batch-norm statistics, Adam moments and early stop, and its
 result is bit-identical to training it alone. The step functions below
-take plain or stacked networks alike.
+take plain or stacked networks alike, and update the online networks and
+their Adam moments in place; :func:`polyak_update` blends the targets into
+fresh containers.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ class ActorNet:
         return FLOW_MAX * out[..., 0]
 
     def backward(self, cache, dflow):
-        return nn.backward(self.net, cache, FLOW_MAX * np.asarray(dflow)[..., None])[0]
+        """Parameter gradients (an nn.Gradients) of sum(flow * dflow)."""
+        return nn.backward(self.net, cache, FLOW_MAX * np.asarray(dflow)[..., None],
+                           input_grad=False)[0]
 
     def copy(self) -> "ActorNet":
         return ActorNet(self.state_dim, self.net.copy())
@@ -212,12 +216,21 @@ class CriticNet:
         return q[..., 0]
 
     def backward(self, caches, dq):
+        """((state-branch gradients, trunk gradients), None, action
+        gradient) of sum(q * dq); the state gradient is not computed."""
         cache_s, cache_t = caches
-        dq2d = np.asarray(dq, dtype=np.float64)[..., None]
-        trunk_grads, dz = nn.backward(self.trunk, cache_t, dq2d)
+        dq = np.asarray(dq, dtype=np.float64)[..., None]
+        trunk_grads, dz = nn.backward(self.trunk, cache_t, dq)
         dh, daction = dz[..., :STATE_HIDDEN], dz[..., STATE_HIDDEN]
-        state_grads, dstates = nn.backward(self.state_net, cache_s, dh)
-        return (state_grads, trunk_grads), dstates, daction
+        state_grads, _ = nn.backward(self.state_net, cache_s, dh, input_grad=False)
+        return (state_grads, trunk_grads), None, daction
+
+    def action_gradient(self, caches, dq):
+        """The gradient of sum(q * dq) with respect to the actions alone:
+        the trunk's input gradient, without any parameter gradient."""
+        dq = np.asarray(dq, dtype=np.float64)[..., None]
+        _, dz = nn.backward(self.trunk, caches[1], dq, param_grads=False)
+        return dz[..., STATE_HIDDEN]
 
     def copy(self) -> "CriticNet":
         return CriticNet(self.state_dim, self.state_net.copy(), self.trunk.copy())
@@ -296,28 +309,30 @@ def td_target(batch: Batch, targets: TargetPair, discount: float) -> np.ndarray:
 def critic_step(critic: CriticNet, batch: Batch, targets_vec, opt: CriticOptState,
                 lr: float):
     """One Adam step on the mean of half the squared TD error; the targets
-    are constants. Returns (critic, opt, pre-update mean squared TD error,
-    one per stacked fold)."""
+    are constants. Updates `critic` and `opt` in place and returns them with
+    the pre-update mean squared TD error, one per stacked fold. A
+    non-finite gradient in either network raises before either is written."""
     q, caches = critic.forward_train(batch.states, batch.actions)
     diff = q - np.asarray(targets_vec, dtype=np.float64)
-    td_mse = np.mean(diff * diff, axis=-1)
+    n = diff.shape[-1]
+    td_mse = np.add.reduce(diff * diff, axis=-1) / n   # np.mean's bits
     _check_finite(td_mse, "critic loss")
-    dq = diff / diff.shape[-1]
-    (state_grads, trunk_grads), _, _ = critic.backward(caches, dq)
-    new_state, opt_state = nn.apply_update(critic.state_net, state_grads,
-                                           opt.state_net, lr)
-    new_trunk, opt_trunk = nn.apply_update(critic.trunk, trunk_grads, opt.trunk, lr)
-    new_state = nn.commit_running_stats(new_state, caches[0])
-    new_trunk = nn.commit_running_stats(new_trunk, caches[1])
-    updated = CriticNet(critic.state_dim, new_state, new_trunk)
-    return updated, CriticOptState(opt_state, opt_trunk), td_mse
+    (state_grads, trunk_grads), _, _ = critic.backward(caches, diff / n)
+    # the trunk's gradient is checked here and the state branch's by its
+    # own update, so a rejected step writes into neither network
+    nn.check_gradient(critic.trunk, trunk_grads)
+    nn.apply_update(critic.state_net, state_grads, opt.state_net, lr)
+    nn.apply_update(critic.trunk, trunk_grads, opt.trunk, lr)
+    nn.commit_running_stats(critic.state_net, caches[0])
+    nn.commit_running_stats(critic.trunk, caches[1])
+    return critic, opt, td_mse
 
 
 def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
                opt: nn.OptimizerState, lr: float):
     """One Adam ascent step on mean Q(s, pi(s)); the critic is frozen (its
-    parameters receive no update). Returns (actor, opt, pre-update
-    objective, one per stacked fold).
+    parameters receive no update). Updates `actor` and `opt` in place and
+    returns them with the pre-update objective, one per stacked fold.
 
     The critic is evaluated in deployment mode here: with train-mode batch
     statistics active after the action merge, the objective would be
@@ -326,15 +341,15 @@ def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
     """
     flows, actor_cache = actor.forward_train(batch.states)
     q, critic_caches = critic.forward_infer_cached(batch.states, flows)
-    objective = np.mean(q, axis=-1)
+    n = q.shape[-1]
+    objective = np.add.reduce(q, axis=-1) / n   # np.mean's bits
     _check_finite(objective, "actor objective")
-    dq = np.full(q.shape, 1.0 / q.shape[-1])
-    _, _, daction = critic.backward(critic_caches, dq)
+    daction = critic.action_gradient(critic_caches, np.full(q.shape, 1.0 / n))
     grads = actor.backward(actor_cache, daction)
-    ascent = [{k: -g for k, g in entry.items()} for entry in grads]
-    new_net, new_opt = nn.apply_update(actor.net, ascent, opt, lr)
-    new_net = nn.commit_running_stats(new_net, actor_cache)
-    return ActorNet(actor.state_dim, new_net), new_opt, objective
+    np.negative(grads.flat, out=grads.flat)   # ascent
+    nn.apply_update(actor.net, grads, opt, lr)
+    nn.commit_running_stats(actor.net, actor_cache)
+    return actor, opt, objective
 
 
 def polyak_update(targets: TargetPair, critic: CriticNet, actor: ActorNet,
@@ -394,10 +409,12 @@ def train_folds(memories, config: TrainingConfig,
     ascends through the frozen critic, and both target copies are blended.
     `consistency_fn(actor, memory)` is evaluated per fold every
     `consistency_every` iterations (a hook mainly for tests; defaults to
-    :func:`consistency_metric`), and a fold halts once it has not improved
-    within `patience` iterations; the others go on without it. Each result
-    is bit-identical to training its memory alone, and fully reproducible
-    from the config and memory seeds.
+    :func:`consistency_metric`). Its actor is a view of the online network,
+    which later steps update in place, so a hook copies anything of it that
+    it keeps. A fold halts once it has not improved within `patience`
+    iterations; the others go on without it. Each result is bit-identical
+    to training its memory alone, and fully reproducible from the config
+    and memory seeds.
     """
     config.validate()
     memories = list(memories)
@@ -455,10 +472,9 @@ def train_folds(memories, config: TrainingConfig,
         batch = batch if stacked else batch.take(0)
         try:
             targets_vec = td_target(batch, targets, config.discount)
-            critic, critic_opt, td_mse = critic_step(
+            _, _, td_mse = critic_step(
                 critic, batch, targets_vec, critic_opt, config.critic_lr)
-            actor, actor_opt, _ = actor_step(
-                actor, critic, batch, actor_opt, config.actor_lr)
+            actor_step(actor, critic, batch, actor_opt, config.actor_lr)
         except TrainingAbortedError as err:
             fold = active[0 if err.fold is None else err.fold]
             raise TrainingAbortedError(f"fold {fold}, iteration {iteration}: {err}",

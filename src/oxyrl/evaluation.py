@@ -136,13 +136,14 @@ def fit_outcome_model(normalized: cohort.CohortMatrix, schema, seed,
     retained_idx = [schema.index(name) for name in retained]
     flow_stats = FlowStats(float(flows.mean()), float(flows.std()) or 1.0)
     x, t, e = survival_columns(normalized, retained_idx, flow_stats)
-    # stratified 80/20 split: from three events on, both sides hold events;
-    # both sides keep the patients' order
+    # stratified 80/20 split: from two events on, both sides hold events
+    # (a single event goes to the fit split); both sides keep the patients'
+    # order
     rng = np.random.default_rng(seed)
     in_fit = np.zeros(len(e), dtype=bool)
     for group in (np.flatnonzero(e), np.flatnonzero(~e)):
         order = rng.permutation(len(group))
-        cut = max(1, round(0.8 * len(group)))
+        cut = max(1, min(len(group) - 1, round(0.8 * len(group))))
         in_fit[group[order[:cut]]] = True
     fit, val = (survival.CoxDesign.of(x[rows], t[rows], e[rows])
                 for rows in (in_fit, ~in_fit))

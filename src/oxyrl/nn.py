@@ -31,19 +31,26 @@ which gives each row the same bits for the layer widths used here
 (tests/test_nn.py checks the training networks' chains); a one-row batch is
 multiplied as two equal rows, since numpy hands one-row products to gemv.
 Without a cache, an infer pass runs at most ``INFER_BLOCK_ROWS`` rows at a
-time into one preallocated output, so its temporaries stay the same size
-however long the batch is.
+time into one preallocated output, and each layer after the first works in
+place on the array the layer before it made, so its temporaries stay few
+and the same size however long the batch is.
 
-The engine is functional: no function writes into an array it was given.
-:func:`apply_update`, :func:`commit_running_stats` and :func:`blend_params`
-each return a container with a fresh buffer, computed by whole-vector
-operations whose per-element arithmetic is the same as a per-array update.
-Train-mode forward passes return a cache holding per-layer inputs,
-pre-activations and the batch statistics needed for the exact batch-norm
-backward pass; the momentum-advanced running statistics are carried in that
-cache and applied explicitly with :func:`commit_running_stats`. A caller
-may therefore keep any container or cache it was handed, or a view of one,
-without a copy.
+Updates write in place and blends do not. :func:`apply_update` and
+:func:`commit_running_stats` write into the container and
+:class:`OptimizerState` they are given and return those same objects, so a
+training loop owns its online networks and their layer views are made once;
+anything a caller wants to keep across an update it copies first. An update
+checks its gradient before its first write, so a rejected one changes
+nothing. :func:`blend_params` returns a container with a fresh buffer and
+writes into nothing it was given. Whole-vector operations give each element
+the same arithmetic as a per-array update. :func:`backward` writes the
+parameter gradients into one flat vector laid out like the trainable part
+of the buffer (:class:`Gradients`), so an update reads them without a
+concatenation. Train-mode forward passes return a cache holding per-layer
+inputs, pre-activations and the batch statistics needed for the exact
+batch-norm backward pass; the momentum-advanced running statistics are
+carried in that cache and applied explicitly with
+:func:`commit_running_stats`.
 """
 
 from __future__ import annotations
@@ -145,37 +152,38 @@ class Layout:
     def __init__(self, specs):
         self.specs = tuple(specs)
         self.in_dim, self.out_dim = validate_specs(self.specs)
-        # per layer: (key, slice, shape) in the layer's key order
-        self.entries = [[] for _ in self.specs]
-        self.trainable = []   # (layer, key, shape) in buffer order
+        # (layer, key, slice, shape) per array, in buffer order
+        self.entries = []
         offset = 0
         for i, spec in enumerate(self.specs):
             for key in TRAINABLE_KEYS[spec.kind]:
                 shape = (spec.in_dim, spec.out_dim) if key == "W" else (spec.out_dim,)
                 size = math.prod(shape)
-                self.entries[i].append((key, slice(offset, offset + size), shape))
-                self.trainable.append((i, key, shape))
+                self.entries.append((i, key, slice(offset, offset + size), shape))
                 offset += size
         self.n_trainable = offset
+        self.trainable = list(self.entries)   # the trainable arrays' entries
         for i, spec in enumerate(self.specs):
             if spec.kind == BATCHNORM:
                 for key in RUNNING_KEYS:
-                    self.entries[i].append(
-                        (key, slice(offset, offset + spec.out_dim), (spec.out_dim,)))
+                    self.entries.append(
+                        (i, key, slice(offset, offset + spec.out_dim), (spec.out_dim,)))
                     offset += spec.out_dim
         self.size = offset
 
     def views(self, buffer):
         """One read-only mapping of key -> view into `buffer` per layer; the
         views keep the buffer's leading dimensions."""
+        return [MappingProxyType(layer) for layer in self._views(self.entries, buffer)]
+
+    def _views(self, entries, buffer):
+        """Per layer, a dict of key -> view into `buffer` for the given
+        entries, behind the buffer's leading dimensions."""
         lead = buffer.shape[:-1]
-        out = []
-        for entries in self.entries:
-            layer = {}
-            for key, where, shape in entries:
-                view = buffer[..., where]
-                layer[key] = view if len(shape) == 1 else view.reshape(lead + shape)
-            out.append(MappingProxyType(layer))
+        out = [{} for _ in self.specs]
+        for i, key, where, shape in entries:
+            view = buffer[..., where]
+            out[i][key] = view if len(shape) == 1 else view.reshape(lead + shape)
         return out
 
 
@@ -239,6 +247,16 @@ class ForwardCache:
     running: np.ndarray | None = None
 
 
+class Gradients(list):
+    """Per-layer mappings of key -> gradient for the trainable arrays
+    (dense W/b, batch-norm gamma/beta), all views into `flat`: one vector
+    laid out like the trainable part of the parameter buffer."""
+
+    def __init__(self, layout: Layout, lead: tuple):
+        self.flat = np.empty(lead + (layout.n_trainable,))
+        super().__init__(layout._views(layout.trainable, self.flat))
+
+
 @dataclass(eq=False)
 class OptimizerState:
     """Adam first/second moments, flat over the trainable part of the
@@ -282,20 +300,29 @@ def _row(vector):
     return vector[..., None, :] if vector.ndim > 1 else vector
 
 
-def _activate(name, z):
+def _activate(name, z, out=None):
+    """The activation of `z`, into `out` if given (which may be `z`)."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        # 1 / (1 + exp(-z)), operation for operation
+        s = np.negative(z, out=out)
+        np.exp(s, out=s)
+        s += 1.0
+        return np.divide(1.0, s, out=s)
     return z
 
 
 def _run_layers(layout: Layout, layers, x, mode, caches=None, stats=None):
     """The layer chain on a validated batch. With `caches`, records each
     layer's intermediates there; in train mode, appends the batch means
-    and variances to `stats`."""
+    and variances to `stats`. Without `caches`, each layer after the first
+    works in place on the array the layer before it made (never on `x`):
+    fresh temporaries as wide as a long infer pass cost more than the
+    arithmetic."""
+    batch, own = x, None   # own: an array of this pass that no cache holds
     for spec, layer in zip(layout.specs, layers):
         if spec.kind == DENSE:
             if caches is not None:
@@ -303,7 +330,8 @@ def _run_layers(layout: Layout, layers, x, mode, caches=None, stats=None):
             if spec.out_dim == 1:
                 # a row-wise sum: a matrix-vector product gives a row other
                 # bits when the row count around it changes
-                x = np.add.reduce(x * _row(layer["W"][..., 0]), axis=-1, keepdims=True)
+                x = np.multiply(x, _row(layer["W"][..., 0]), out=own)
+                x = np.add.reduce(x, axis=-1, keepdims=True)
             elif x.shape[-2] == 1:
                 # numpy sends a one-row product to gemv, which sums in
                 # another order than gemm: run the row twice, keep one
@@ -323,17 +351,22 @@ def _run_layers(layout: Layout, layers, x, mode, caches=None, stats=None):
                 stats += (mean, var)
             else:
                 ivar = 1.0 / np.sqrt(_row(layer["running_var"]) + BN_EPS)
-                xhat = x - _row(layer["running_mean"])
+                xhat = np.subtract(x, _row(layer["running_mean"]), out=own)
             xhat *= ivar
             if caches is not None:
                 caches.append({"xhat": xhat, "ivar": ivar})
-            x = _row(layer["gamma"]) * xhat
+                x = _row(layer["gamma"]) * xhat
+            else:
+                xhat *= _row(layer["gamma"])
+                x = xhat
             x += _row(layer["beta"])
         else:
-            out = _activate(spec.activation, x)
+            out = _activate(spec.activation, x, own)
             if caches is not None:
                 caches.append({"z": x, "out": out})
             x = out
+        # a linear activation hands on its input, which may be the batch
+        own = x if caches is None and x is not batch else None
     return x
 
 
@@ -395,12 +428,15 @@ def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
 forward_cached = functools.partial(forward, want_cache=True)
 
 
-def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarray):
+def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarray,
+             param_grads: bool = True, input_grad: bool = True):
     """Exact gradients of the forward map recorded in `cache`.
 
-    Returns (grads, input_grad) where grads mirrors the trainable entries of
-    `params` (dense W/b, batch-norm gamma/beta). Train-mode batch-norm
-    gradients include the dependence of the batch statistics on the inputs.
+    Returns (grads, input_grad): grads is a :class:`Gradients` over the
+    trainable entries of `params`, and input_grad the gradient with respect
+    to the batch; either is None, and not computed, when its argument is
+    false. Train-mode batch-norm gradients include the dependence of the
+    batch statistics on the inputs.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a train-mode forward")
@@ -408,18 +444,22 @@ def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarr
     specs = params.layout.specs
     if len(cache.layers) != len(specs):
         raise ValueError("cache does not match the parameter container")
-    grads = [{} for _ in specs]
+    grads = Gradients(params.layout, params.buffer.shape[:-1]) if param_grads else None
     for i in range(len(specs) - 1, -1, -1):
         spec, layer, lcache = specs[i], params.layers[i], cache.layers[i]
+        if grads is not None and spec.kind == DENSE:
+            np.matmul(lcache["x"].swapaxes(-1, -2), dy, out=grads[i]["W"])
+            np.add.reduce(dy, axis=-2, out=grads[i]["b"])
+        elif grads is not None and spec.kind == BATCHNORM:
+            np.add.reduce(dy * lcache["xhat"], axis=-2, out=grads[i]["gamma"])
+            np.add.reduce(dy, axis=-2, out=grads[i]["beta"])
+        if i == 0 and not input_grad:
+            return grads, None
         if spec.kind == DENSE:
-            grads[i]["W"] = lcache["x"].swapaxes(-1, -2) @ dy
-            grads[i]["b"] = np.add.reduce(dy, axis=-2)
             dy = dy @ layer["W"].swapaxes(-1, -2)
         elif spec.kind == BATCHNORM:
             xhat, ivar = lcache["xhat"], lcache["ivar"]
             n = cache.batch_size
-            grads[i]["gamma"] = np.add.reduce(dy * xhat, axis=-2)
-            grads[i]["beta"] = np.add.reduce(dy, axis=-2)
             dxhat = dy * _row(layer["gamma"])
             if cache.mode == TRAIN:
                 # (ivar / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
@@ -446,40 +486,71 @@ def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarr
 
 
 def commit_running_stats(params: NetworkParams, cache: ForwardCache) -> NetworkParams:
-    """Return params with batch-norm running statistics advanced per the cache."""
+    """Write the batch-norm running statistics advanced in `cache` into
+    `params`' buffer; returns `params`."""
     if cache.mode != TRAIN:
         raise ValueError("running statistics only advance on train-mode passes")
-    if cache.running is None:
-        return params.copy()
-    n = params.layout.n_trainable
-    return NetworkParams(params.layout,
-                         np.concatenate((params.buffer[..., :n], cache.running), axis=-1))
+    if cache.running is not None:
+        running = params.buffer[..., params.layout.n_trainable:]
+        if cache.running.shape != running.shape:
+            raise ValueError(f"running statistics of shape {cache.running.shape} "
+                             f"do not fit the container's {running.shape}")
+        running[...] = cache.running
+    return params
+
+
+def check_gradient(params: NetworkParams, grads) -> np.ndarray:
+    """The gradient as one vector laid out like the trainable part of
+    `params`' buffer, from a :class:`Gradients` or from per-layer mappings
+    of key -> array. Raises ValueError on a shape that does not fit and
+    NonFiniteGradientError when a value is not finite."""
+    layout = params.layout
+    lead = params.buffer.shape[:-1]
+    if isinstance(grads, Gradients):
+        g = grads.flat
+        if g.shape != lead + (layout.n_trainable,):
+            raise ValueError(f"gradient vector of shape {g.shape} does not fit "
+                             f"the layout's {lead + (layout.n_trainable,)}")
+    else:
+        flat = []
+        for i, key, _, shape in layout.trainable:
+            grad = grads[i][key]
+            if grad.shape != lead + shape:
+                raise ValueError(f"gradient {i}:{key} has shape {grad.shape}, "
+                                 f"the layer layout needs {lead + shape}")
+            flat.append(grad.reshape(lead + (-1,)))
+        g = np.concatenate(flat, axis=-1)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradientError("non-finite gradient encountered; update rejected")
+    return g
 
 
 def apply_update(params: NetworkParams, grads, opt_state: OptimizerState,
                  learning_rate: float):
-    """One Adam step with bias correction; returns (new_params, new_opt_state)."""
-    layout = params.layout
-    lead = params.buffer.shape[:-1]
-    flat = []
-    for i, key, shape in layout.trainable:
-        grad = grads[i][key]
-        if grad.shape != lead + shape:
-            raise ValueError(f"gradient {i}:{key} has shape {grad.shape}, "
-                             f"the layer layout needs {lead + shape}")
-        flat.append(grad.reshape(lead + (-1,)))
-    g = np.concatenate(flat, axis=-1)
-    if not np.isfinite(g).all():
-        raise NonFiniteGradientError("non-finite gradient encountered; update rejected")
-    step = opt_state.step + 1
-    corr1 = 1.0 - ADAM_BETA1 ** step
-    corr2 = 1.0 - ADAM_BETA2 ** step
-    m = ADAM_BETA1 * opt_state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * opt_state.v + (1.0 - ADAM_BETA2) * g * g
-    buffer = params.buffer.copy()
-    buffer[..., :layout.n_trainable] -= learning_rate * (m / corr1) / (
-        np.sqrt(v / corr2) + ADAM_EPS)
-    return NetworkParams(layout, buffer), OptimizerState(m, v, step)
+    """One Adam step with bias correction, written into `params`' buffer and
+    `opt_state`; returns (params, opt_state). The gradient is checked (see
+    :func:`check_gradient`) before anything is written."""
+    g = check_gradient(params, grads)
+    opt_state.step += 1
+    corr1 = 1.0 - ADAM_BETA1 ** opt_state.step
+    corr2 = 1.0 - ADAM_BETA2 ** opt_state.step
+    # b1*m + (1-b1)*g and b2*v + (1-b2)*g*g, operation for operation
+    m, v = opt_state.m, opt_state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    sq = (1.0 - ADAM_BETA2) * g
+    sq *= g
+    v *= ADAM_BETA2
+    v += sq
+    # learning_rate * (m / corr1) / (sqrt(v / corr2) + eps)
+    step = m / corr1
+    step *= learning_rate
+    scale = v / corr2
+    np.sqrt(scale, out=scale)
+    scale += ADAM_EPS
+    step /= scale
+    params.buffer[..., :params.layout.n_trainable] -= step
+    return params, opt_state
 
 
 def blend_params(target: NetworkParams, online: NetworkParams, rho: float) -> NetworkParams:

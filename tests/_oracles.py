@@ -7,8 +7,9 @@ held flows and one-step transitions by per-step loops, the cohort CSV
 loader by one record per patient and one tuple per row, its row rules by
 dense time ranks, the generator's hazard one dose at a time, the network
 engine by per-layer, per-array loops over lists of parameter dicts,
-bootstrapped targets fold by fold on each fold's live rows, and replay
-memories by stacking dense states."""
+bootstrapped targets fold by fold on each fold's live rows, the training
+step by functional updates that return new containers and moments, and
+replay memories by stacking dense states."""
 
 import csv
 import math
@@ -21,7 +22,11 @@ from oxyrl.cohort import (
     FLOW_MAX, FLOW_MIN, CohortDataWarning, CohortFormatError, CohortTable,
     PatientRecord, SchemaMismatchError, _dose_vertex,
 )
-from oxyrl.ddpg import ReplayMemory
+from oxyrl import nn
+from oxyrl.ddpg import (
+    FLOW_MAX, STATE_HIDDEN, ActorNet, CriticNet, CriticOptState, ReplayMemory,
+    TargetPair,
+)
 
 
 def breslow_loglik_loop(x, t, e, beta):
@@ -306,6 +311,87 @@ def td_target_loop(batch, targets, discount):
             q_next = nets.critic.q_values(next_states, nets.actor.act(next_states))
             out[fold][rows] += discount * q_next
     return out
+
+
+def copy_optimizer(opt):
+    """An `nn.OptimizerState` with moments of its own."""
+    return nn.OptimizerState(opt.m.copy(), opt.v.copy(), opt.step)
+
+
+# --- the training step, functionally --------------------------------------------
+#
+# Each function returns new containers, moments and step counts and writes
+# into nothing it is given. Gradients come from `nn.backward` passes that
+# compute every parameter and input gradient.
+
+def adam_functional(params, grads, opt, learning_rate):
+    """One Adam step from per-layer gradients, by whole-vector operations;
+    returns (new params, new optimizer state)."""
+    layout = params.layout
+    lead = params.buffer.shape[:-1]
+    g = np.concatenate([grads[i][key].reshape(lead + (-1,))
+                        for i, key, _, _ in layout.trainable], axis=-1)
+    if not np.isfinite(g).all():
+        raise nn.NonFiniteGradientError("non-finite gradient")
+    step = opt.step + 1
+    corr1 = 1.0 - ADAM_BETA1 ** step
+    corr2 = 1.0 - ADAM_BETA2 ** step
+    m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * g * g
+    buffer = params.buffer.copy()
+    buffer[..., :layout.n_trainable] -= learning_rate * (m / corr1) / (
+        np.sqrt(v / corr2) + ADAM_EPS)
+    return nn.NetworkParams(layout, buffer), nn.OptimizerState(m, v, step)
+
+
+def commit_functional(params, cache):
+    """A new container with the running statistics of a train-mode cache."""
+    if cache.running is None:
+        return params.copy()
+    n = params.layout.n_trainable
+    return nn.NetworkParams(
+        params.layout, np.concatenate((params.buffer[..., :n], cache.running), axis=-1))
+
+
+def critic_step_functional(critic, batch, targets_vec, opt, lr):
+    """Returns (new critic, new optimizer states, mean squared TD error)."""
+    q, (cache_s, cache_t) = critic.forward_train(batch.states, batch.actions)
+    diff = q - targets_vec
+    td_mse = np.mean(diff * diff, axis=-1)
+    dq = diff / diff.shape[-1]
+    trunk_grads, dz = nn.backward(critic.trunk, cache_t, dq[..., None])
+    state_grads, _ = nn.backward(critic.state_net, cache_s, dz[..., :STATE_HIDDEN])
+    state_net, opt_state = adam_functional(critic.state_net, state_grads,
+                                           opt.state_net, lr)
+    trunk, opt_trunk = adam_functional(critic.trunk, trunk_grads, opt.trunk, lr)
+    updated = CriticNet(critic.state_dim, commit_functional(state_net, cache_s),
+                        commit_functional(trunk, cache_t))
+    return updated, CriticOptState(opt_state, opt_trunk), td_mse
+
+
+def actor_step_functional(actor, critic, batch, opt, lr):
+    """Returns (new actor, new optimizer state, mean Q objective)."""
+    flows, actor_cache = actor.forward_train(batch.states)
+    q, (_, cache_t) = critic.forward_infer_cached(batch.states, flows)
+    objective = np.mean(q, axis=-1)
+    dq = np.full(q.shape, 1.0 / q.shape[-1])
+    _, dz = nn.backward(critic.trunk, cache_t, dq[..., None])
+    grads, _ = nn.backward(actor.net, actor_cache,
+                           FLOW_MAX * dz[..., STATE_HIDDEN][..., None])
+    ascent = [{key: -g for key, g in entry.items()} for entry in grads]
+    net, opt = adam_functional(actor.net, ascent, opt, lr)
+    return ActorNet(actor.state_dim, commit_functional(net, actor_cache)), opt, objective
+
+
+def polyak_functional(targets, critic, actor, rho):
+    """rho * target + (1 - rho) * online over each network's whole buffer."""
+    def blend(target, online):
+        return nn.NetworkParams(target.layout,
+                                rho * target.buffer + (1.0 - rho) * online.buffer)
+    return TargetPair(
+        CriticNet(critic.state_dim, blend(targets.critic.state_net, critic.state_net),
+                  blend(targets.critic.trunk, critic.trunk)),
+        ActorNet(actor.state_dim, blend(targets.actor.net, actor.net)))
 
 
 def dense_memory(states, actions, rewards, next_states, terminal, seed=0):

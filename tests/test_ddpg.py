@@ -3,7 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_memory, td_target_loop
+from _oracles import (
+    actor_step_functional, copy_optimizer, critic_step_functional, dense_memory,
+    polyak_functional, td_target_loop,
+)
 from oxyrl import cohort, ddpg, nn
 from oxyrl.ddpg import (
     ActorNet, Batch, CriticNet, CriticOptState, PolicyBundle, ReplayMemory,
@@ -163,13 +166,16 @@ def test_critic_perfect_fit_is_fixed_point():
     q, _ = critic.forward_train(batch.states, batch.actions)
     opt = CriticOptState(nn.init_optimizer(critic.state_net),
                          nn.init_optimizer(critic.trunk))
+    before = critic.copy()
     updated, _, td_mse = critic_step(critic, batch, q, opt, 0.002)
     assert td_mse == 0.0
+    assert updated is critic
     # trainable parameters untouched; only running statistics advance
-    for net_a, net_b in ((critic.state_net, updated.state_net),
-                         (critic.trunk, updated.trunk)):
+    for net_a, net_b in ((before.state_net, updated.state_net),
+                         (before.trunk, updated.trunk)):
         for (i, key, arr) in nn.iter_arrays(net_a, trainable_only=True):
             np.testing.assert_array_equal(arr, net_b.layers[i][key])
+        assert net_a.buffer.tobytes() != net_b.buffer.tobytes()
 
 
 def test_critic_overfits_one_batch():
@@ -222,6 +228,37 @@ def test_critic_gradient_matches_finite_differences():
                 assert abs(fd - g[j]) / denom < 1e-4
 
 
+@pytest.mark.parametrize("poisoned", [0, 1])   # state branch, trunk
+def test_critic_step_rejects_a_non_finite_gradient_without_writing(monkeypatch,
+                                                                   poisoned):
+    rng = np.random.default_rng(10)
+    critic = CriticNet.build(3, 41)
+    opt = CriticOptState(nn.init_optimizer(critic.state_net),
+                         nn.init_optimizer(critic.trunk))
+    batch = Batch(rng.normal(size=(8, 3)), rng.uniform(0, 60, 8), np.zeros(8),
+                  rng.normal(size=(8, 3)), np.zeros(8, dtype=bool))
+    targets_vec = rng.normal(size=8)
+    critic_step(critic, batch, targets_vec, opt, 0.002)   # non-zero moments
+    backward = CriticNet.backward
+
+    def poisoning(self, caches, dq):
+        grads, dstates, daction = backward(self, caches, dq)
+        grads[poisoned].flat[..., -1] = np.nan
+        return grads, dstates, daction
+
+    monkeypatch.setattr(CriticNet, "backward", poisoning)
+
+    def written():
+        arrays = (critic.state_net.buffer, critic.trunk.buffer, opt.state_net.m,
+                  opt.state_net.v, opt.trunk.m, opt.trunk.v)
+        return [a.tobytes() for a in arrays] + [opt.state_net.step, opt.trunk.step]
+
+    before = written()
+    with pytest.raises(nn.NonFiniteGradientError):
+        critic_step(critic, batch, targets_vec, opt, 0.002)
+    assert written() == before
+
+
 # --- actor_step ------------------------------------------------------------------
 
 class QuadraticCriticStub:
@@ -234,9 +271,8 @@ class QuadraticCriticStub:
         a = np.asarray(actions, dtype=np.float64)
         return -(a - self.peak) ** 2, a
 
-    def backward(self, cache, dq):
-        daction = np.asarray(dq) * (-2.0 * (cache - self.peak))
-        return (None, None), None, daction
+    def action_gradient(self, cache, dq):
+        return np.asarray(dq) * (-2.0 * (cache - self.peak))
 
 
 def test_actor_climbs_quadratic_stub_to_peak():
@@ -276,8 +312,10 @@ def test_actor_gradient_zero_when_critic_ignores_action():
     opt = nn.init_optimizer(actor.net)
     states = rng.normal(size=(8, 3))
     batch = Batch(states, np.zeros(8), np.zeros(8), states, np.zeros(8, dtype=bool))
+    before = actor.copy()
     updated, _, _ = actor_step(actor, critic, batch, opt, 0.002)
-    for i, key, arr in nn.iter_arrays(actor.net, trainable_only=True):
+    assert updated is actor
+    for i, key, arr in nn.iter_arrays(before.net, trainable_only=True):
         np.testing.assert_array_equal(arr, updated.net.layers[i][key])
 
 
@@ -333,6 +371,71 @@ def test_polyak_endpoints_and_midpoint():
     b = critic_b.trunk.layers[-1]["b"].copy()
     mid = polyak_update(targets, critic_b, actor_b, 0.5)
     np.testing.assert_allclose(mid.critic.trunk.layers[-1]["b"], 0.5 * a + 0.5 * b)
+
+
+# --- the whole step against the functional oracle ----------------------------------
+
+def stacked_networks(state_dim, seeds):
+    """A critic and an actor per seed, stacked along a fold axis; plain
+    networks for a single seed given as an int."""
+    if isinstance(seeds, int):
+        return CriticNet.build(state_dim, seeds), ActorNet.build(state_dim, seeds + 1)
+    nets = [stacked_networks(state_dim, int(seed)) for seed in seeds]
+    stack = nn.NetworkParams.stack
+    critic = CriticNet(state_dim, stack([c.state_net for c, _ in nets]),
+                       stack([c.trunk for c, _ in nets]))
+    return critic, ActorNet(state_dim, stack([a.net for _, a in nets]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_folds=st.integers(0, 4), batch_size=st.integers(2, 64),
+       state_dim=st.integers(1, 6), terminal_rate=st.sampled_from((0.0, 0.3, 1.0)),
+       iterations=st.integers(1, 4), discount=st.sampled_from((0.0, 0.99)),
+       seed=st.integers(0, 2**31))
+@example(n_folds=4, batch_size=64, state_dim=14, terminal_rate=0.3, iterations=3,
+         discount=0.99, seed=0)
+def test_training_steps_match_the_functional_oracle(n_folds, batch_size, state_dim,
+                                                    terminal_rate, iterations,
+                                                    discount, seed):
+    # consecutive in-place steps equal functional ones that rebuild every
+    # container and moment, bit for bit
+    rng = np.random.default_rng(seed)
+    lead = (n_folds,) if n_folds else ()
+    critic, actor = stacked_networks(
+        state_dim, rng.integers(0, 2**31, n_folds) if n_folds else seed)
+    targets = TargetPair.from_online(critic, actor)
+    critic_opt = CriticOptState(nn.init_optimizer(critic.state_net),
+                                nn.init_optimizer(critic.trunk))
+    actor_opt = nn.init_optimizer(actor.net)
+    o_critic, o_actor = critic.copy(), actor.copy()
+    o_targets = TargetPair.from_online(critic, actor)
+    o_critic_opt = CriticOptState(copy_optimizer(critic_opt.state_net),
+                                  copy_optimizer(critic_opt.trunk))
+    o_actor_opt = copy_optimizer(actor_opt)
+    for _ in range(iterations):
+        shape = lead + (batch_size,)
+        terminal = rng.random(shape) < terminal_rate
+        batch = Batch(rng.normal(size=shape + (state_dim,)), rng.uniform(0, 60, shape),
+                      np.where(terminal, rng.choice([-15.0, 15.0], shape), 0.0),
+                      rng.normal(size=shape + (state_dim,)), terminal)
+        targets_vec = td_target(batch, targets, discount)
+        o_targets_vec = td_target_loop(batch, o_targets, discount)
+        assert targets_vec.tobytes() == o_targets_vec.tobytes()
+        _, _, td_mse = critic_step(critic, batch, targets_vec, critic_opt, 0.002)
+        o_critic, o_critic_opt, o_td_mse = critic_step_functional(
+            o_critic, batch, o_targets_vec, o_critic_opt, 0.002)
+        _, _, objective = actor_step(actor, critic, batch, actor_opt, 0.002)
+        o_actor, o_actor_opt, o_objective = actor_step_functional(
+            o_actor, o_critic, batch, o_actor_opt, 0.002)
+        targets = polyak_update(targets, critic, actor, 0.9)
+        o_targets = polyak_functional(o_targets, o_critic, o_actor, 0.9)
+        assert np.asarray(td_mse).tobytes() == np.asarray(o_td_mse).tobytes()
+        assert np.asarray(objective).tobytes() == np.asarray(o_objective).tobytes()
+        log = ddpg.TrainingLog()
+        assert result_bytes(ddpg.TrainResult(actor, critic, targets, log, critic_opt,
+                                             actor_opt)) == \
+            result_bytes(ddpg.TrainResult(o_actor, o_critic, o_targets, log,
+                                          o_critic_opt, o_actor_opt))
 
 
 # --- consistency / recommend ----------------------------------------------------------
@@ -461,7 +564,8 @@ def test_targets_replay_as_exponential_average(monkeypatch):
     original = ddpg.polyak_update
 
     def recording(targets, critic, actor, rho):
-        history.append((critic, actor, rho))
+        # the loop updates its online networks in place: keep copies
+        history.append((critic.copy(), actor.copy(), rho))
         return original(targets, critic, actor, rho)
 
     monkeypatch.setattr(ddpg, "polyak_update", recording)
@@ -480,6 +584,35 @@ def test_targets_replay_as_exponential_average(monkeypatch):
                          (replay.critic.trunk, result.targets.critic.trunk)):
         for (i, key, arr) in nn.iter_arrays(net_a):
             np.testing.assert_allclose(arr, net_b.layers[i][key], atol=1e-8)
+
+
+def test_training_step_makes_online_views_once_and_skips_unread_gradients(monkeypatch):
+    # per iteration: layer views only for polyak's three new target
+    # containers, and four backward passes (critic trunk and state branch;
+    # the trunk's action gradient and the actor), against six and five when
+    # every update built new containers and every gradient was computed
+    counts = {}
+    views, backward = nn.Layout.views, nn.backward
+
+    def counting_views(self, buffer):
+        counts["views"] += 1
+        return views(self, buffer)
+
+    def counting_backward(*args, **kwargs):
+        counts["backward"] += 1
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(nn.Layout, "views", counting_views)
+    monkeypatch.setattr(nn, "backward", counting_backward)
+    memory = random_memory(np.random.default_rng(24), n=60)
+    runs = {}
+    for iterations in (10, 30):
+        counts.update(views=0, backward=0)
+        train(memory, TrainingConfig(batch_size=8, max_iterations=iterations,
+                                     consistency_every=1000, seed=1))
+        runs[iterations] = dict(counts)
+    assert runs[30]["backward"] == 4 * 30
+    assert runs[30]["views"] - runs[10]["views"] <= 3 * 20
 
 
 def test_training_log_csv_layout(tmp_path):

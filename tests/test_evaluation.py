@@ -252,27 +252,30 @@ def normalized_cohort(n_deaths=None):
     return matrix, schema
 
 
-@pytest.mark.parametrize("n_deaths", [None, 3, 7])
+def fit_share(n):
+    """Rows of an n-row stratum that land in the fit split."""
+    return max(1, min(n - 1, round(0.8 * n)))
+
+
+@pytest.mark.parametrize("n_deaths", [None, 2, 3, 7])
 def test_outcome_model_split_is_stratified(monkeypatch, n_deaths):
     normalized, schema = normalized_cohort(n_deaths)
     fit, val, (x, t, e) = split_designs(monkeypatch, normalized, schema)
     assert sorted(design_rows(fit) + design_rows(val)) == rows_of(x, t, e)
     n_events = int(e.sum())
-    assert n_events >= 3
-    assert len(fit.events) == max(1, round(0.8 * n_events))
-    assert len(fit.t) - len(fit.events) == max(1, round(0.8 * (len(e) - n_events)))
+    assert n_events >= 2
+    assert len(fit.events) == fit_share(n_events)
+    assert len(fit.t) - len(fit.events) == fit_share(len(e) - n_events)
     assert len(fit.events) and len(val.events)
 
 
-@pytest.mark.parametrize("n_deaths", [1, 2])
-def test_outcome_model_scores_on_the_fit_split_without_validation_events(
-        monkeypatch, n_deaths):
-    # round(0.8 * 2) == 2: two events both land in the fit split
-    normalized, schema = normalized_cohort(n_deaths)
+def test_outcome_model_scores_on_the_fit_split_without_validation_events(monkeypatch):
+    # a single event goes to the fit split
+    normalized, schema = normalized_cohort(1)
     with pytest.warns(UserWarning, match="validation split has no events"):
         fit, val, _ = split_designs(monkeypatch, normalized, schema)
     assert val is fit
-    assert len(fit.events) == n_deaths
+    assert len(fit.events) == 1
 
 
 def test_null_policy_identities_end_to_end():

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    adam_loop, backward_loop, blend_loop, commit_loop, forward_loop, zero_grads,
+    adam_loop, backward_loop, blend_loop, commit_loop, copy_optimizer, forward_loop,
+    zero_grads,
 )
 from oxyrl import ddpg, nn
 
@@ -130,13 +131,15 @@ def test_running_stats_commit_matches_momentum_rule():
     rng = np.random.default_rng(0)
     x = rng.normal(loc=5.0, size=(32, 2))
     _, cache = nn.forward(params, x, nn.TRAIN)
+    trainable = params.buffer[:params.layout.n_trainable].copy()
     updated = nn.commit_running_stats(params, cache)
     expect_mean = 0.99 * 0.0 + 0.01 * x.mean(axis=0)
     expect_var = 0.99 * 1.0 + 0.01 * x.var(axis=0)
-    np.testing.assert_allclose(updated.layers[0]["running_mean"], expect_mean)
-    np.testing.assert_allclose(updated.layers[0]["running_var"], expect_var)
-    # original container untouched
-    np.testing.assert_array_equal(params.layers[0]["running_mean"], np.zeros(2))
+    # written into the given container; its trainable arrays untouched
+    assert updated is params
+    np.testing.assert_allclose(params.layers[0]["running_mean"], expect_mean)
+    np.testing.assert_allclose(params.layers[0]["running_var"], expect_var)
+    assert params.buffer[:params.layout.n_trainable].tobytes() == trainable.tobytes()
 
 
 # --- backward --------------------------------------------------------------
@@ -201,9 +204,11 @@ def test_linear_dense_weight_gradient_closed_form():
 
 def test_zero_gradients_leave_params_unchanged():
     params = small_net(seed=1)
+    before = params.copy()
     opt = nn.init_optimizer(params)
     updated, _ = nn.apply_update(params, zero_grads(params), opt, 0.002)
-    for (_, _, a), (_, _, b) in zip(nn.iter_arrays(params), nn.iter_arrays(updated)):
+    assert updated is params
+    for (_, _, a), (_, _, b) in zip(nn.iter_arrays(before), nn.iter_arrays(updated)):
         np.testing.assert_array_equal(a, b)
 
 
@@ -214,11 +219,12 @@ def test_update_is_deterministic():
     x = rng.normal(size=(4, 4))
     out, cache = nn.forward(params, x, nn.TRAIN)
     grads, _ = nn.backward(params, cache, np.ones_like(out))
-    a1, o1 = nn.apply_update(params, grads, opt, 0.002)
-    a2, o2 = nn.apply_update(params, grads, opt, 0.002)
+    a1, o1 = nn.apply_update(params.copy(), grads, copy_optimizer(opt), 0.002)
+    a2, o2 = nn.apply_update(params.copy(), grads, copy_optimizer(opt), 0.002)
     assert o1.step == o2.step == 1
-    for (_, _, u), (_, _, v) in zip(nn.iter_arrays(a1), nn.iter_arrays(a2)):
-        np.testing.assert_array_equal(u, v)
+    assert (o1.m.tobytes(), o1.v.tobytes()) == (o2.m.tobytes(), o2.v.tobytes())
+    assert a1.buffer.tobytes() == a2.buffer.tobytes()
+    assert a1.buffer.tobytes() != params.buffer.tobytes()
 
 
 def reachable_arrays(*objs):
@@ -244,30 +250,50 @@ def reachable_arrays(*objs):
     return out
 
 
-def test_updates_leave_input_arrays_unchanged():
-    # NetworkParams.copy shares arrays between the old and the new container,
-    # which is only safe while no update writes into an input array
+def unchanged_by(fn, *objs):
+    """The result of fn(), checking that every array reachable from `objs`
+    is still the same object with the same bits afterwards."""
+    before = reachable_arrays(*objs)
+    snapshot = [a.copy() for a in before]
+    result = fn()
+    after = reachable_arrays(*objs)
+    assert len(after) == len(before)
+    for a, b, copy in zip(after, before, snapshot):
+        assert a is b and a.tobytes() == copy.tobytes()
+    return result
+
+
+def test_updates_write_only_into_what_they_return():
+    # an update writes into the container and optimizer state it is given,
+    # in their own arrays, and returns them; a blend writes into nothing
     params = small_net(seed=1)
     other = small_net(seed=2)
     opt = nn.init_optimizer(params)
     x = np.random.default_rng(0).normal(size=(5, 4))
     out, cache = nn.forward(params, x, nn.TRAIN)
     grads, _ = nn.backward(params, cache, np.ones_like(out))
-    params, opt = nn.apply_update(params, grads, opt, 0.002)  # non-zero moments
-    calls = (
-        (nn.apply_update, (params, grads, opt, 0.002)),
-        (nn.commit_running_stats, (params, cache)),
-        (nn.blend_params, (params, other, 0.9)),
-    )
-    for fn, args in calls:
-        before = reachable_arrays(*args)
-        snapshot = [a.copy() for a in before]
-        fn(*args)
-        after = reachable_arrays(*args)
-        assert len(after) == len(before)
-        for a, b, copy in zip(after, before, snapshot):
-            assert a is b, fn.__name__
-            np.testing.assert_array_equal(a, copy, err_msg=fn.__name__)
+    nn.apply_update(params, grads, opt, 0.002)  # non-zero moments
+    n = params.layout.n_trainable
+    buffer, m, v, view = params.buffer, opt.m, opt.v, params.layers[0]["W"]
+
+    running = buffer[n:].copy()
+    result = unchanged_by(lambda: nn.apply_update(params, grads, opt, 0.002),
+                          grads, cache, other)
+    assert result[0] is params and result[1] is opt and opt.step == 2
+    assert (params.buffer is buffer) and (opt.m is m) and (opt.v is v)
+    assert buffer[n:].tobytes() == running.tobytes()
+
+    trainable = buffer[:n].copy()
+    result = unchanged_by(lambda: nn.commit_running_stats(params, cache),
+                          grads, cache, other, opt)
+    assert result is params and params.buffer is buffer
+    assert buffer[:n].tobytes() == trainable.tobytes()
+
+    blended = unchanged_by(lambda: nn.blend_params(params, other, 0.9),
+                           params, other, grads, cache, opt)
+    assert not np.shares_memory(blended.buffer, buffer)
+    # the layer views were made once and still alias the buffer
+    assert params.layers[0]["W"] is view and np.shares_memory(view, buffer)
 
 
 def test_adam_converges_on_scalar_quadratic():
@@ -284,11 +310,22 @@ def test_adam_converges_on_scalar_quadratic():
 
 
 def test_non_finite_gradient_rejected():
-    params = nn.init_params([nn.dense(2, 1)], seed=0)
+    # a rejected update writes nothing: not the buffer, the moments or the step
+    params = small_net(seed=3)
     opt = nn.init_optimizer(params)
-    bad = [{"W": np.array([[np.nan], [0.0]]), "b": np.zeros(1)}]
-    with pytest.raises(nn.NonFiniteGradientError):
-        nn.apply_update(params, bad, opt, 0.002)
+    x = np.random.default_rng(3).normal(size=(5, 4))
+    out, cache = nn.forward(params, x, nn.TRAIN)
+    grads, _ = nn.backward(params, cache, np.ones_like(out))
+    nn.apply_update(params, grads, opt, 0.002)  # non-zero moments
+    per_array = [{key: g.copy() for key, g in entry.items()} for entry in grads]
+    per_array[-1]["b"][0] = np.nan
+    grads.flat[0] = np.inf
+    for bad in (grads, per_array):
+        before = (params.buffer.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step)
+        with pytest.raises(nn.NonFiniteGradientError):
+            nn.apply_update(params, bad, opt, 0.002)
+        assert (params.buffer.tobytes(), opt.m.tobytes(), opt.v.tobytes(),
+                opt.step) == before
 
 
 # --- init ------------------------------------------------------------------
@@ -424,6 +461,11 @@ def assert_bits_equal(ours, oracle):
 @given(specs=layer_chains(), mode=st.sampled_from((nn.TRAIN, nn.INFER)),
        batch_size=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
        rho=st.floats(0.0, 1.0), lr=st.floats(1e-4, 0.1))
+# an infer pass that hands the batch through a linear activation must not
+# go on to work in place on it
+@example(specs=[nn.activation("linear"), nn.batchnorm(3), nn.activation("sigmoid"),
+                nn.activation("linear"), nn.dense(3, 1)],
+         mode=nn.INFER, batch_size=4, seed=0, rho=0.5, lr=0.01)
 def test_flat_engine_matches_per_array_oracle(specs, mode, batch_size, seed, rho, lr):
     rng = np.random.default_rng(seed)
     params = random_params(specs, rng)
@@ -445,15 +487,17 @@ def test_flat_engine_matches_per_array_oracle(specs, mode, batch_size, seed, rho
     assert_bits_equal(grads, grads_oracle)
     assert dx.tobytes() == dx_oracle.tobytes()
 
-    # two steps, so the second starts from non-zero moments
+    # two steps, so the second starts from non-zero moments: the first from
+    # the flat gradient vector, the second from per-layer arrays
     opt = nn.init_optimizer(params)
     moments = [{key: (np.zeros_like(arr), np.zeros_like(arr))
                 for key, arr in layer.items() if key in grads[i]}
                for i, layer in enumerate(layers)]
-    updated, step = params, 0
+    updated, step = params.copy(), 0
     for scale in (1.0, -0.5):
-        scaled = [{key: scale * g for key, g in entry.items()} for entry in grads]
-        updated, opt = nn.apply_update(updated, scaled, opt, lr)
+        scaled = grads if scale == 1.0 else \
+            [{key: scale * g for key, g in entry.items()} for entry in grads]
+        assert nn.apply_update(updated, scaled, opt, lr)[0] is updated
         layers, moments, step = adam_loop(specs, layers, scaled, moments, step, lr)
     assert opt.step == step == 2
     assert_bits_equal(updated.layers, layers)
@@ -464,7 +508,8 @@ def test_flat_engine_matches_per_array_oracle(specs, mode, batch_size, seed, rho
         assert flat.tobytes() == np.concatenate([np.zeros(0), *oracle]).tobytes()
 
     if mode == nn.TRAIN:
-        committed = nn.commit_running_stats(updated, cache)
+        committed = updated.copy()
+        assert nn.commit_running_stats(committed, cache) is committed
         assert_bits_equal(committed.layers, commit_loop(specs, layers, caches))
 
     blended = nn.blend_params(updated, other, rho)
@@ -489,17 +534,19 @@ def test_stacked_engine_matches_each_network_alone(specs, mode, n_folds, batch_s
     other = nn.NetworkParams.stack(others)
     x = rng.normal(size=(n_folds, batch_size, params.in_dim))
     upstream = rng.normal(size=(n_folds, batch_size, params.out_dim))
-    inputs = [arr.copy() for arr in (x, upstream, params.buffer, other.buffer)]
+    given = (x, upstream, params.buffer, other.buffer, *(p.buffer for p in plain))
+    inputs = [arr.copy() for arr in given]
 
     y, cache = nn.forward_cached(params, x, mode)
     grads, dx = nn.backward(params, cache, upstream)
     opt = nn.init_optimizer(params)
-    updated = params
+    updated = params.copy()
     for scale in (1.0, -0.5):
-        scaled = [{key: scale * g for key, g in entry.items()} for entry in grads]
-        updated, opt = nn.apply_update(updated, scaled, opt, lr)
+        scaled = grads if scale == 1.0 else \
+            [{key: scale * g for key, g in entry.items()} for entry in grads]
+        nn.apply_update(updated, scaled, opt, lr)
     if mode == nn.TRAIN:
-        updated = nn.commit_running_stats(updated, cache)
+        nn.commit_running_stats(updated, cache)
     blended = nn.blend_params(updated, other, rho)
 
     for f in range(n_folds):
@@ -511,19 +558,20 @@ def test_stacked_engine_matches_each_network_alone(specs, mode, n_folds, batch_s
                           grads_f)
         assert dx[f].tobytes() == dx_f.tobytes()
         opt_f = nn.init_optimizer(plain[f])
-        updated_f = plain[f]
+        updated_f = plain[f].copy()
         for scale in (1.0, -0.5):
-            scaled = [{key: scale * g for key, g in entry.items()} for entry in grads_f]
-            updated_f, opt_f = nn.apply_update(updated_f, scaled, opt_f, lr)
+            scaled = grads_f if scale == 1.0 else \
+                [{key: scale * g for key, g in entry.items()} for entry in grads_f]
+            nn.apply_update(updated_f, scaled, opt_f, lr)
         if mode == nn.TRAIN:
-            updated_f = nn.commit_running_stats(updated_f, cache_f)
+            nn.commit_running_stats(updated_f, cache_f)
         assert updated.take(f).buffer.tobytes() == updated_f.buffer.tobytes()
         taken = opt.take(f)
         assert (taken.m.tobytes(), taken.v.tobytes(), taken.step) == \
             (opt_f.m.tobytes(), opt_f.v.tobytes(), opt_f.step)
         blended_f = nn.blend_params(updated_f, others[f], rho)
         assert blended.take(f).buffer.tobytes() == blended_f.buffer.tobytes()
-    for before, after in zip(inputs, (x, upstream, params.buffer, other.buffer)):
+    for before, after in zip(inputs, given):
         assert before.tobytes() == after.tobytes()
 
 
