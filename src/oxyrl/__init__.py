@@ -13,11 +13,7 @@ from .ddpg import (
     ActorNet, CriticNet, ReplayMemory, TargetPair, TrainingConfig,
     consistency_metric, polyak_update, recommend, td_target, train, train_folds,
 )
-from .evaluation import (
-    EvalOptions, EvalReport, build_report, consistency_rate,
-    difference_mortality_curve, estimate_policy_mortality, flow_histograms,
-    loho_cross_validate, subgroup_table,
-)
+from .evaluation import EvalOptions, EvalReport, build_report, loho_cross_validate
 from .survival import (
     CoxDesign, CoxModel, ElasticNetGrid, concordance_index,
     cosine_similarity, fit_cox, grid_search, paired_binary_test,

@@ -9,6 +9,7 @@ is flat `key = value` text over the keys in DEFAULTS and DOTTED.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -58,10 +59,20 @@ def _parse(default, raw):
     return type(default)(raw)
 
 
+def _finite(key, value):
+    """`value`, unless it is or holds a NaN or an infinity: those pass the
+    `x <= 0` checks of the option validators. Flags and config-file values
+    both go through here."""
+    items = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(item, float) and not math.isfinite(item) for item in items):
+        raise ValueError(f"{key} must be finite, not {value!r}")
+    return value
+
+
 def read_config_file(path):
     """Flat `key = value` lines; '#' starts a comment. A malformed line, a
-    key outside DEFAULTS and DOTTED, or a value its type cannot parse raises
-    ValueError naming the line."""
+    key outside DEFAULTS and DOTTED, or a value its type cannot parse or
+    that is not finite raises ValueError naming the line."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -77,7 +88,7 @@ def read_config_file(path):
             if default is None:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             try:
-                values[key] = _parse(default, raw)
+                values[key] = _finite(key, _parse(default, raw))
             except ValueError:
                 raise ValueError(f"config line {lineno}: {key} cannot be "
                                  f"{raw!r}") from None
@@ -90,7 +101,7 @@ def _configure(target, keys, args, values):
     for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
-            setattr(target, key, flag)
+            setattr(target, key, _finite(key, flag))
         elif key in values:
             setattr(target, key, values[key])
     return target

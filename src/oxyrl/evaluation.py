@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class EvalOptions:
     n_bootstrap: int = 1000
     seed: int = 0
     mortality_label_threshold: float = 0.5
-    significance_p: float = 0.001
 
     def validate(self) -> None:
         if self.consistency_threshold <= 0:
@@ -285,8 +285,38 @@ def loho_cross_validate(table: cohort.CohortTable, schema,
 
 # --- aggregation -------------------------------------------------------------------
 
-def _all_patients(fold_results):
-    return [p for fold in fold_results for p in fold.patients]
+# a subgroup's policy difference is significant below this two-sided p
+SIGNIFICANCE_P = 0.001
+
+
+# What a report reads of its folds' patients. Per patient: both mortality
+# estimates, the mean recommended and logged flows and their mean difference,
+# the observed death and the subgroup covariates (comorbidities: flag name ->
+# presence). Per decision point: both flows.
+_ReportColumns = namedtuple(
+    "_ReportColumns", "m_rl m_lg f_rl f_lg diff died7 age male bmi comorbidities "
+                      "rec_flows logged_flows")
+
+
+def _report_columns(fold_results) -> _ReportColumns:
+    """Read each fold's patients once, in fold order. A patient's flow means
+    are `np.mean` over its own slice."""
+    rows, flags, rec, logged = [], [], [], []
+    for fold in fold_results:
+        for p in fold.patients:
+            rows.append((p.mortality_rl, p.mortality_logged,
+                         np.mean(p.recommended_flows), np.mean(p.logged_flows),
+                         np.mean(p.recommended_flows - p.logged_flows),
+                         p.observed_death7, p.age, p.male, p.bmi))
+            flags.append(p.comorbidities)
+            rec.append(p.recommended_flows)
+            logged.append(p.logged_flows)
+    if not rows:
+        raise ValueError("no patients to report on")
+    present = {name: np.asarray([bool(f.get(name)) for f in flags])
+               for name in sorted(set().union(*flags))}
+    return _ReportColumns(*map(np.asarray, zip(*rows)), present,
+                          np.concatenate(rec), np.concatenate(logged))
 
 
 def _percentile_ci(samples):
@@ -314,46 +344,6 @@ def _bootstrap_means(arrays, options: EvalOptions):
     return means
 
 
-def _policy_arrays(patients):
-    """Per-patient mortality and mean flow, recommended then logged:
-    (m_rl, m_lg, f_rl, f_lg)."""
-    return (np.asarray([p.mortality_rl for p in patients]),
-            np.asarray([p.mortality_logged for p in patients]),
-            np.asarray([float(np.mean(p.recommended_flows)) for p in patients]),
-            np.asarray([float(np.mean(p.logged_flows)) for p in patients]))
-
-
-def estimate_policy_mortality(fold_results, policy: str, options: EvalOptions):
-    """Patient-mean seven-day mortality under a policy with a bootstrap CI.
-
-    `fold_results` may be a single FoldResult or a list (pooled estimate:
-    the patient-weighted mean across folds).
-    """
-    if isinstance(fold_results, FoldResult):
-        fold_results = [fold_results]
-    patients = _all_patients(fold_results)
-    if not patients:
-        raise ValueError("no patients to evaluate")
-    key = {"rl": "mortality_rl", "logged": "mortality_logged"}[policy.lower()]
-    values = np.asarray([getattr(p, key) for p in patients])
-    (boot,) = _bootstrap_means([values], options)
-    return float(values.mean()), _percentile_ci(boot)
-
-
-def consistency_rate(fold_results, threshold: float = 10.0) -> float:
-    """Fraction of decision points with |recommended - logged| strictly
-    below the threshold."""
-    agree = 0
-    total = 0
-    for p in _all_patients(fold_results):
-        diffs = np.abs(p.recommended_flows - p.logged_flows)
-        agree += int(np.sum(diffs < threshold))
-        total += len(diffs)
-    if total == 0:
-        raise ValueError("no decision points")
-    return agree / total
-
-
 @dataclass
 class CurvePoint:
     center: float
@@ -367,18 +357,14 @@ class CurvePoint:
     low_support: bool
 
 
-def difference_mortality_curve(fold_results, options: EvalOptions):
+def _difference_curve(columns: _ReportColumns, options: EvalOptions):
     """Observed seven-day mortality binned by each patient's mean
     (recommended - logged) flow difference. Bins are half-open intervals
     between multiples of the bin width (histogram convention); zero
     difference falls in the [0, width) bin."""
-    patients = _all_patients(fold_results)
     width = options.curve_bin_width
-    diffs = np.asarray([float(np.mean(p.recommended_flows - p.logged_flows))
-                        for p in patients])
-    observed = np.asarray([p.observed_death7 for p in patients], dtype=float)
-    estimated = np.asarray([p.mortality_logged for p in patients])
-    lows = width * np.floor(diffs / width)
+    observed = columns.died7.astype(float)
+    lows = width * np.floor(columns.diff / width)
     points = []
     for low in np.unique(lows):
         mask = lows == low
@@ -390,7 +376,7 @@ def difference_mortality_curve(fold_results, options: EvalOptions):
             center=float(low + width / 2), low=float(low),
             high=float(low + width), count=count,
             observed_mortality=float(values.mean()), ci_low=ci_lo, ci_high=ci_hi,
-            estimated_mortality=float(estimated[mask].mean()),
+            estimated_mortality=float(columns.m_lg[mask].mean()),
             low_support=count < options.curve_min_count))
     return points
 
@@ -421,7 +407,7 @@ def _subgroup_row(name, arrays, options: EvalOptions) -> SubgroupRow:
         significant = False
     else:
         z = float(m_rl.mean() - m_lg.mean()) / sd
-        significant = math.erfc(abs(z) / math.sqrt(2.0)) < options.significance_p
+        significant = math.erfc(abs(z) / math.sqrt(2.0)) < SIGNIFICANCE_P
     return SubgroupRow(
         name, len(m_rl),
         float(m_rl.mean()), float(b_m_rl.std()),
@@ -431,37 +417,29 @@ def _subgroup_row(name, arrays, options: EvalOptions) -> SubgroupRow:
         significant)
 
 
-def _subgroup_rows(patients, arrays, options: EvalOptions):
+def _subgroup_rows(columns: _ReportColumns, options: EvalOptions):
+    """Overall, sex, age-band, BMI-band and comorbidity rows (comorbidity
+    rows may overlap; a patient counts in each flag it carries)."""
+    arrays = (columns.m_rl, columns.m_lg, columns.f_rl, columns.f_lg)
+
     def row(name, member):
-        idx = np.flatnonzero(np.asarray(member, dtype=bool))
+        idx = np.flatnonzero(member)
         return _subgroup_row(name, [arr[idx] for arr in arrays], options)
 
-    rows = [row("overall", [True] * len(patients))]
-    rows.append(row("male", [p.male for p in patients]))
-    rows.append(row("female", [not p.male for p in patients]))
+    rows = [row("overall", np.ones(len(columns.male), dtype=bool)),
+            row("male", columns.male), row("female", ~columns.male)]
     for name, lo, hi in AGE_BANDS:
-        rows.append(row(name, [lo <= p.age < hi for p in patients]))
+        rows.append(row(name, (lo <= columns.age) & (columns.age < hi)))
     for name, lo, hi in BMI_BANDS:
-        rows.append(row(name, [lo <= p.bmi < hi for p in patients]))
-    flags = sorted({name for p in patients for name in p.comorbidities})
-    for flag in flags:
-        rows.append(row(flag, [bool(p.comorbidities.get(flag)) for p in patients]))
+        rows.append(row(name, (lo <= columns.bmi) & (columns.bmi < hi)))
+    rows.extend(row(flag, present) for flag, present in columns.comorbidities.items())
     return rows
 
 
-def subgroup_table(fold_results, options: EvalOptions):
-    """Overall, sex, age-band, BMI-band and comorbidity rows (comorbidity
-    rows may overlap; a patient counts in each flag it carries)."""
-    patients = _all_patients(fold_results)
-    return _subgroup_rows(patients, _policy_arrays(patients), options)
-
-
-def flow_histograms(fold_results, options: EvalOptions):
+def _flow_histograms(columns: _ReportColumns, options: EvalOptions):
     """Decision-point histograms: recommended and logged flows over [0, 60],
     differences over [-60, 60]. Counts sum to the decision-point total."""
-    patients = _all_patients(fold_results)
-    rl = np.concatenate([p.recommended_flows for p in patients])
-    logged = np.concatenate([p.logged_flows for p in patients])
+    rl, logged = columns.rec_flows, columns.logged_flows
     width = options.hist_bin_width
     flow_edges = np.arange(0.0, 60.0 + width, width)
     diff_edges = np.arange(-60.0, 60.0 + width, width)
@@ -474,7 +452,6 @@ def flow_histograms(fold_results, options: EvalOptions):
         "logged": logged_counts,
         "diff_edges": diff_edges,
         "diff": diff_counts,
-        "total": len(rl),
     }
 
 
@@ -493,6 +470,7 @@ class EvalReport:
     logged_flow: float
     logged_flow_ci: tuple
     consistency: float
+    consistency_threshold: float
     cosine_similarity: float
     accuracy: float
     concordance: float
@@ -501,20 +479,20 @@ class EvalReport:
     subgroups: list
     curve: list
     histograms: dict
-    fold_summaries: list = field(default_factory=list)
 
 
 def build_report(fold_results, options: EvalOptions) -> EvalReport:
+    """The report over every patient of `fold_results`, a list of
+    FoldResult: pooled estimates weigh each patient alike, whatever its
+    fold. Each fold's patients are read once."""
     options.validate()
-    patients = _all_patients(fold_results)
-    if not patients:
-        raise ValueError("no patients to report on")
-    arrays = _policy_arrays(patients)
-    m_rl, m_lg, f_rl, f_lg = arrays
+    columns = _report_columns(fold_results)
+    m_rl, m_lg, f_rl, f_lg = arrays = (columns.m_rl, columns.m_lg,
+                                       columns.f_rl, columns.f_lg)
     b_m_rl, b_m_lg, b_f_rl, b_f_lg = _bootstrap_means(arrays, options)
 
     predicted_dead = m_lg >= options.mortality_label_threshold
-    actual_dead = np.asarray([p.observed_death7 for p in patients])
+    actual_dead = columns.died7
     pred_alive = (~predicted_dead).astype(float)
     actual_alive = (~actual_dead).astype(float)
     try:
@@ -526,35 +504,29 @@ def build_report(fold_results, options: EvalOptions) -> EvalReport:
     concordances = [f.concordance for f in fold_results
                     if not math.isnan(f.concordance)]
     concordance = float(np.mean(concordances)) if concordances else float("nan")
-
-    fold_summaries = []
-    for fold in fold_results:
-        fm_rl = float(np.mean([p.mortality_rl for p in fold.patients])) \
-            if fold.patients else float("nan")
-        fm_lg = float(np.mean([p.mortality_logged for p in fold.patients])) \
-            if fold.patients else float("nan")
-        fold_summaries.append((fold.fold_id, len(fold.patients), fm_rl, fm_lg,
-                               fold.concordance))
+    n_decisions = len(columns.rec_flows)
+    agree = np.count_nonzero(np.abs(columns.rec_flows - columns.logged_flows)
+                             < options.consistency_threshold)
 
     return EvalReport(
-        n_patients=len(patients),
-        n_decision_points=int(sum(len(p.logged_flows) for p in patients)),
+        n_patients=len(m_rl),
+        n_decision_points=n_decisions,
         rl_mortality=float(m_rl.mean()), rl_ci=_percentile_ci(b_m_rl),
         logged_mortality=float(m_lg.mean()), logged_ci=_percentile_ci(b_m_lg),
         reduction=float(m_lg.mean() - m_rl.mean()),
         reduction_ci=_percentile_ci(b_m_lg - b_m_rl),
         rl_flow=float(f_rl.mean()), rl_flow_ci=_percentile_ci(b_f_rl),
         logged_flow=float(f_lg.mean()), logged_flow_ci=_percentile_ci(b_f_lg),
-        consistency=consistency_rate(fold_results, options.consistency_threshold),
+        consistency=agree / n_decisions,
+        consistency_threshold=options.consistency_threshold,
         cosine_similarity=cosine,
         accuracy=accuracy,
         concordance=concordance,
         mcnemar_statistic=statistic,
         mcnemar_p=p_value,
-        subgroups=_subgroup_rows(patients, arrays, options),
-        curve=difference_mortality_curve(fold_results, options),
-        histograms=flow_histograms(fold_results, options),
-        fold_summaries=fold_summaries,
+        subgroups=_subgroup_rows(columns, options),
+        curve=_difference_curve(columns, options),
+        histograms=_flow_histograms(columns, options),
     )
 
 
@@ -660,7 +632,8 @@ def format_summary(report: EvalReport) -> str:
         "",
         f"mortality reduction: {pct(report.reduction)} "
         f"(95% CI {pct(report.reduction_ci[0])} to {pct(report.reduction_ci[1])})",
-        f"consistency (<10 L/min): {pct(report.consistency)}",
+        f"consistency (<{report.consistency_threshold:g} L/min): "
+        f"{pct(report.consistency)}",
         f"outcome model: cosine {report.cosine_similarity:.4f}, "
         f"accuracy {pct(report.accuracy)}, concordance {report.concordance:.3f}, "
         f"paired chi-squared p {report.mcnemar_p:.3g}",

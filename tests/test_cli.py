@@ -114,7 +114,8 @@ def test_generate_reads_back_its_generator_config(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "n_patients 5", "nosuch = 1", "coef.nosuch = 1.0", "mean.nosuch = 1.0",
-    "optimal_dose.age_lt_6 = 10.0", "n_patients = abc",
+    "optimal_dose.age_lt_6 = 10.0", "n_patients = abc", "horizon_hours = nan",
+    "mean.age = inf",
 ])
 def test_generate_bad_config_line_is_config_error(tmp_path, capsys, line):
     cfg = tmp_path / "gen.cfg"
@@ -140,6 +141,24 @@ def test_every_command_reads_its_config_in_config_stage(tmp_path, capsys, comman
         assert run([command, "--out", str(out), "--config", str(config),
                     *inputs.get(command, [])]) == 1
         assert "[config]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--behavior-bias nan"), ("train", "--interval-hours nan"),
+    ("evaluate", "--consistency-threshold inf"), ("loho", "--curve-bin-width nan"),
+])
+def test_non_finite_flag_is_config_error(tmp_path, capsys, cohort_dir, trained_dir,
+                                         command, flag):
+    inputs = ["--cohort", str(cohort_dir / "cohort.csv"),
+              "--schema", str(cohort_dir / "schema.txt")]
+    inputs = {"generate": ["--n-patients", "20"], "train": inputs,
+              "evaluate": [*inputs, "--checkpoint", str(trained_dir / "policy.ckpt")],
+              "loho": inputs}[command]
+    out = tmp_path / "out"
+    assert run([command, "--out", str(out), *inputs, *flag.split()]) == 1
+    err = capsys.readouterr().err
+    assert "[config]" in err and "must be finite" in err
     assert not out.exists()
 
 

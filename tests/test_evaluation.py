@@ -8,9 +8,7 @@ import pytest
 
 from oxyrl import cohort, ddpg, evaluation, figures, survival
 from oxyrl.evaluation import (
-    EvalOptions, FoldResult, PatientEval, build_report, consistency_rate,
-    difference_mortality_curve, estimate_policy_mortality, flow_histograms,
-    mirror_policy, subgroup_table,
+    EvalOptions, FoldResult, PatientEval, build_report, mirror_policy,
 )
 
 
@@ -34,22 +32,35 @@ def options(n_boot=50, seed=0):
     return EvalOptions(n_bootstrap=n_boot, seed=seed)
 
 
+def report_of(patients, opt=None):
+    return build_report([fold_of(patients)], opt or options())
+
+
 # --- consistency ---------------------------------------------------------------
 
 def test_consistency_identical_policies_is_one():
-    fold = fold_of([make_patient(rec=(20.0, 20.0), logged=(20.0, 20.0))])
-    assert consistency_rate([fold]) == 1.0
+    report = report_of([make_patient(rec=(20.0, 20.0), logged=(20.0, 20.0))])
+    assert report.consistency == 1.0
 
 
 def test_consistency_boundary_is_strict():
-    fold = fold_of([make_patient(rec=(30.0, 30.0), logged=(20.0, 20.0))])
-    assert consistency_rate([fold]) == 0.0
+    report = report_of([make_patient(rec=(30.0, 30.0), logged=(20.0, 20.0))])
+    assert report.consistency == 0.0
 
 
 def test_consistency_counts_fraction():
-    fold = fold_of([make_patient(rec=(3.0, 12.0, 7.0, 15.0),
-                                 logged=(0.0, 0.0, 0.0, 0.0))])
-    assert consistency_rate([fold]) == 0.5
+    report = report_of([make_patient(rec=(3.0, 12.0, 7.0, 15.0),
+                                     logged=(0.0, 0.0, 0.0, 0.0))])
+    assert report.consistency == 0.5
+
+
+def test_summary_names_the_consistency_threshold():
+    patients = [make_patient(rec=(3.0, 12.0, 7.0, 15.0), logged=(0.0, 0.0, 0.0, 0.0))]
+    assert "consistency (<10 L/min): 50.00%" in evaluation.format_summary(
+        report_of(patients))
+    report = report_of(patients, EvalOptions(n_bootstrap=50, consistency_threshold=5.0))
+    assert report.consistency == 0.25
+    assert "consistency (<5 L/min): 25.00%" in evaluation.format_summary(report)
 
 
 # --- estimates ------------------------------------------------------------------
@@ -57,24 +68,24 @@ def test_consistency_counts_fraction():
 def test_estimate_mirrors_when_policies_agree():
     patients = [make_patient(pid=f"p{i}", m_rl=0.1 * i, m_lg=0.1 * i)
                 for i in range(5)]
-    fold = fold_of(patients)
-    opt = options()
-    rl, rl_ci = estimate_policy_mortality([fold], "rl", opt)
-    lg, lg_ci = estimate_policy_mortality([fold], "logged", opt)
-    assert rl == lg
-    assert rl_ci == lg_ci
+    report = report_of(patients)
+    assert report.rl_mortality == report.logged_mortality
+    assert report.rl_ci == report.logged_ci
 
 
 def test_bootstrap_cis_are_seed_deterministic():
     rng = np.random.default_rng(0)
     patients = [make_patient(pid=f"p{i}", m_rl=float(rng.random()))
                 for i in range(40)]
-    fold = fold_of(patients)
-    a = estimate_policy_mortality([fold], "rl", options(seed=7))
-    b = estimate_policy_mortality([fold], "rl", options(seed=7))
-    c = estimate_policy_mortality([fold], "rl", options(seed=8))
-    assert a == b
-    assert a[1] != c[1]
+    a, b, c = (report_of(patients, options(seed=seed)) for seed in (7, 7, 8))
+    assert (a.rl_mortality, a.rl_ci) == (b.rl_mortality, b.rl_ci)
+    assert a.rl_ci != c.rl_ci
+
+
+@pytest.mark.parametrize("folds", [[], [fold_of([]), fold_of([], fold_id="H2")]])
+def test_report_without_patients_is_an_error(folds):
+    with pytest.raises(ValueError, match="^no patients to report on$"):
+        build_report(folds, options())
 
 
 # --- curve ----------------------------------------------------------------------
@@ -82,7 +93,7 @@ def test_bootstrap_cis_are_seed_deterministic():
 def test_curve_single_bin_equals_cohort_mortality():
     patients = [make_patient(pid=f"p{i}", rec=(21.0,), logged=(20.0,),
                              dead=(i < 3)) for i in range(10)]
-    curve = difference_mortality_curve([fold_of(patients)], options())
+    curve = report_of(patients).curve
     assert len(curve) == 1
     pt = curve[0]
     assert (pt.low, pt.high) == (0.0, 5.0)
@@ -94,21 +105,21 @@ def test_curve_single_bin_equals_cohort_mortality():
 def test_curve_survivor_bin_has_zero_mortality():
     patients = [make_patient(pid=f"p{i}", rec=(35.0,), logged=(20.0,), dead=False)
                 for i in range(12)]
-    curve = difference_mortality_curve([fold_of(patients)], options())
+    curve = report_of(patients).curve
     assert (curve[0].low, curve[0].high) == (15.0, 20.0)
     assert curve[0].observed_mortality == 0.0
 
 
 def test_curve_flags_low_support():
     patients = [make_patient(pid="p0", rec=(0.0,), logged=(20.0,))]
-    curve = difference_mortality_curve([fold_of(patients)], options())
+    curve = report_of(patients).curve
     assert curve[0].low_support
 
 
 def test_curve_zero_difference_lands_in_zero_bin():
     patients = [make_patient(pid=f"p{i}", rec=(20.0 + d,), logged=(20.0,))
                 for i, d in enumerate((0.0, 1.0, 2.4, 4.9))]
-    curve = difference_mortality_curve([fold_of(patients)], options())
+    curve = report_of(patients).curve
     assert len(curve) == 1
     assert curve[0].low == 0.0 and curve[0].high == 5.0
     # the bin containing zero difference is [0, width)
@@ -132,26 +143,23 @@ def build_mixed_patients():
 
 def test_subgroup_overall_row_matches_pooled():
     patients = build_mixed_patients()
-    fold = fold_of(patients)
-    opt = options()
-    rows = subgroup_table([fold], opt)
-    overall = rows[0]
+    report = report_of(patients)
+    overall = report.subgroups[0]
     assert overall.name == "overall"
     assert overall.count == 60
-    pooled, _ = estimate_policy_mortality([fold], "rl", opt)
-    assert overall.rl_mortality == pytest.approx(pooled)
+    assert overall.rl_mortality == pytest.approx(report.rl_mortality)
 
 
 def test_subgroup_age_bands_partition_cohort():
     patients = build_mixed_patients()
-    rows = subgroup_table([fold_of(patients)], options())
+    rows = report_of(patients).subgroups
     bands = [r for r in rows if r.name.startswith("age")]
     assert sum(r.count for r in bands) == len(patients)
 
 
 def test_subgroup_comorbidity_rows_overlap():
     patients = build_mixed_patients()
-    rows = subgroup_table([fold_of(patients)], options())
+    rows = report_of(patients).subgroups
     by_name = {r.name: r for r in rows}
     total = by_name["hypertension"].count + by_name["diabetes"].count
     assert total > max(by_name["hypertension"].count, by_name["diabetes"].count)
@@ -162,7 +170,7 @@ def test_subgroup_comorbidity_rows_overlap():
 
 def test_empty_subgroup_emits_null_row():
     patients = [make_patient(age=55.0, male=True)]
-    rows = subgroup_table([fold_of(patients)], options())
+    rows = report_of(patients).subgroups
     female = next(r for r in rows if r.name == "female")
     assert female.count == 0
     assert math.isnan(female.rl_mortality)
@@ -173,8 +181,9 @@ def test_empty_subgroup_emits_null_row():
 def test_histograms_conserve_mass_and_point_masses():
     patients = [make_patient(pid=f"p{i}", rec=(20.0, 20.0), logged=(37.0, 12.0))
                 for i in range(7)]
-    hist = flow_histograms([fold_of(patients)], options())
-    assert hist["rl"].sum() == hist["logged"].sum() == hist["total"] == 14
+    report = report_of(patients)
+    hist = report.histograms
+    assert hist["rl"].sum() == hist["logged"].sum() == report.n_decision_points == 14
     # constant recommended policy: a single nonzero flow bin
     assert (hist["rl"] > 0).sum() == 1
     assert hist["rl"][4] == 14  # [20, 25) bin
@@ -183,7 +192,7 @@ def test_histograms_conserve_mass_and_point_masses():
 def test_difference_histogram_point_mass_at_zero_for_mirror():
     patients = [make_patient(pid=f"p{i}", rec=(17.0, 33.0), logged=(17.0, 33.0))
                 for i in range(5)]
-    hist = flow_histograms([fold_of(patients)], options())
+    hist = report_of(patients).histograms
     nz = np.flatnonzero(hist["diff"])
     assert len(nz) == 1
     assert hist["diff_edges"][nz[0]] <= 0.0 < hist["diff_edges"][nz[0] + 1]
@@ -411,8 +420,10 @@ def test_pooled_mortality_is_patient_weighted_fold_mean():
     runs = evaluation.loho_cross_validate(records, schema, config,
                                           interval_hours=8.0)
     report = build_report([r.fold for r in runs], options())
-    weighted = sum(n * m for _, n, m, _, _ in report.fold_summaries)
-    total = sum(n for _, n, _, _, _ in report.fold_summaries)
+    fold_reports = [build_report([r.fold], options()) for r in runs]
+    weighted = sum(f.n_patients * f.rl_mortality for f in fold_reports)
+    total = sum(f.n_patients for f in fold_reports)
+    assert report.n_patients == total
     assert report.rl_mortality == pytest.approx(weighted / total, abs=1e-12)
 
 
@@ -440,25 +451,44 @@ def mixed_folds():
 
 
 def report_digest(folds, opt, outdir):
-    """SHA-256 over the report files and a one-policy estimate."""
+    """SHA-256 over the report files and the logged-care estimate."""
     report = build_report(folds, opt)
     digest = hashlib.sha256()
     for path in sorted(evaluation.write_report_files(outdir, report)):
         digest.update(path.split("/")[-1].encode())
         with open(path, "rb") as fh:
             digest.update(fh.read())
-    digest.update(repr(estimate_policy_mortality(folds, "logged", opt)).encode())
+    digest.update(repr((report.logged_mortality, report.logged_ci)).encode())
     return digest.hexdigest()
 
 
 # written by the code that kept a separate bootstrap block in build_report,
-# the subgroup rows, the curve and estimate_policy_mortality
+# the subgroup rows, the curve and a one-policy estimate, which hashed the
+# same (mortality, CI) pair as the report's logged-care fields
 REPORT_DIGEST = "786480edbdb868f09f37852116702635d5488d403d6042a7ec04912e475d5e5c"
 
 
 def test_report_bytes_match_pinned_digest(tmp_path):
     assert report_digest(mixed_folds(), options(n_boot=200, seed=5),
                          tmp_path) == REPORT_DIGEST
+
+
+class WalkCountingList(list):
+    """A list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_build_report_walks_each_fold_once():
+    folds = mixed_folds()[:2]
+    for fold in folds:
+        fold.patients = WalkCountingList(fold.patients)
+    build_report(folds, options())
+    assert [fold.patients.walks for fold in folds] == [1, 1]
 
 
 # --- report files and figures -----------------------------------------------------------
