@@ -4,14 +4,23 @@ policy, and evaluate it against logged care.
 Every subcommand is byte-deterministic given its inputs and seed. Options
 resolve with precedence flag > config file > default, where the config file
 is flat `key = value` text over the keys in DEFAULTS and DOTTED.
+
+A subcommand writes its files into a hidden staging directory beside `--out`
+and renames them into `--out` only once every one is written. A command that
+fails leaves `--out` as it was; one that is killed leaves at most that
+hidden `.<name>.*` directory. Writers called as library functions write
+their paths in place.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -133,41 +142,33 @@ def _training_config(args, values) -> tuple[ddpg.TrainingConfig, float]:
     return config, interval
 
 
-class _OutputTracker:
-    """Collects written paths and created directories so a failing command
-    can remove its partial output. Commands create their directories only
-    once their results are computed, just before writing them."""
-
-    def __init__(self):
-        self.paths = []
-        self.dirs = []
-
-    def register(self, path):
-        self.paths.append(path)
-        return path
-
-    def make_dir(self, path):
-        """Create `path` and any missing parents, remembering each one."""
-        missing = []
-        head = os.path.abspath(path)
-        while not os.path.isdir(head):
-            missing.append(head)
-            head = os.path.dirname(head)
-        os.makedirs(path, exist_ok=True)
-        self.dirs.extend(reversed(missing))
-        return path
-
-    def discard_all(self):
-        for path in self.paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        for path in reversed(self.dirs):
-            try:
-                os.rmdir(path)
-            except OSError:
-                pass
+@contextlib.contextmanager
+def _staged(out):
+    """A fresh directory to write a command's files into, in the nearest
+    existing ancestor of `out`'s real path, so that nothing on `out`'s path
+    exists before the command succeeds and the renames stay on one
+    filesystem, even where `out` is a symlink. On a clean exit `out` and the
+    staged subdirectories are made with `os.makedirs` (a renamed staging
+    directory would keep its 0700 mode) before any file is renamed into
+    place; files in `out` that the command does not write stay. The staging
+    directory is removed on every exit."""
+    real = os.path.realpath(out)
+    parent = os.path.dirname(real)
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    stage = tempfile.mkdtemp(prefix=f".{os.path.basename(real)}.", dir=parent)
+    try:
+        yield stage
+        moves = []
+        for root, _, files in os.walk(stage):
+            target = os.path.normpath(os.path.join(out, os.path.relpath(root, stage)))
+            os.makedirs(target, exist_ok=True)
+            moves.extend((os.path.join(root, name), os.path.join(target, name))
+                         for name in files)
+        for source, target in moves:
+            os.replace(source, target)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -179,20 +180,16 @@ def cmd_generate(args) -> int:
         config.validate()
     except (OSError, ValueError, cohort.GeneratorConfigError) as err:
         raise StageError("config", err) from err
-    tracker = _OutputTracker()
     try:
         schema = cohort.default_schema()
         table = cohort.generate_synthetic_cohort(config, schema)
-        out = tracker.make_dir(args.out)
-        cohort.write_schema(tracker.register(os.path.join(out, "schema.txt")), schema)
-        cohort.write_cohort_csv(
-            tracker.register(os.path.join(out, "cohort.csv")), table, schema)
-        cohort.write_generator_config(
-            tracker.register(os.path.join(out, "generator.cfg")), config)
+        with _staged(args.out) as out:
+            cohort.write_schema(os.path.join(out, "schema.txt"), schema)
+            cohort.write_cohort_csv(os.path.join(out, "cohort.csv"), table, schema)
+            cohort.write_generator_config(os.path.join(out, "generator.cfg"), config)
     except Exception as err:
-        tracker.discard_all()
         raise StageError("generate", err) from err
-    print(f"wrote {len(table)} patients to {out}")
+    print(f"wrote {len(table)} patients to {args.out}")
     return 0
 
 
@@ -224,37 +221,31 @@ def cmd_train(args) -> int:
         result = ddpg.train(memory, config)
     except (ddpg.TrainingAbortedError, ValueError) as err:
         raise StageError("train", err) from err
-    tracker = _OutputTracker()
     try:
         bundle = ddpg.PolicyBundle(
             actor=result.actor, critic=result.critic, targets=result.targets,
             config=config, interval_hours=interval, feature_names=schema.names,
             feature_means=stats.means, feature_sds=stats.sds)
-        out = tracker.make_dir(args.out)
-        ddpg.save_policy(tracker.register(os.path.join(out, "policy.ckpt")), bundle)
-        ddpg.write_training_log(
-            tracker.register(os.path.join(out, "training_log.csv")), result.log)
+        with _staged(args.out) as out:
+            ddpg.save_policy(os.path.join(out, "policy.ckpt"), bundle)
+            ddpg.write_training_log(os.path.join(out, "training_log.csv"), result.log)
     except Exception as err:
-        tracker.discard_all()
         raise StageError("write", err) from err
     print(f"trained {result.log.n_iterations} iterations "
-          f"({result.log.stop_reason}); checkpoint in {out}")
+          f"({result.log.stop_reason}); checkpoint in {args.out}")
     return 0
 
 
-def _write_figures(outdir, report, tracker):
-    curve_path = tracker.register(os.path.join(outdir, "curve.svg"))
-    with open(curve_path, "w", newline="\n") as fh:
+def _write_figures(outdir, report):
+    with open(os.path.join(outdir, "curve.svg"), "w", newline="\n") as fh:
         fh.write(figures.render_curve(report.curve))
     hist = report.histograms
-    flows_path = tracker.register(os.path.join(outdir, "hist_flows.svg"))
-    with open(flows_path, "w", newline="\n") as fh:
+    with open(os.path.join(outdir, "hist_flows.svg"), "w", newline="\n") as fh:
         fh.write(figures.render_histogram(
             hist["flow_edges"],
             {"recommended": hist["rl"], "logged": hist["logged"]},
             "Oxygen flow rates", "flow (L/min)"))
-    diff_path = tracker.register(os.path.join(outdir, "hist_difference.svg"))
-    with open(diff_path, "w", newline="\n") as fh:
+    with open(os.path.join(outdir, "hist_difference.svg"), "w", newline="\n") as fh:
         fh.write(figures.render_histogram(
             hist["diff_edges"], {"difference": hist["diff"]},
             "Flow difference", "recommended - logged (L/min)"))
@@ -275,7 +266,6 @@ def cmd_evaluate(args) -> int:
     if bundle.feature_names != schema.names:
         raise StageError("load", ValueError(
             "checkpoint features do not match the schema"))
-    tracker = _OutputTracker()
     try:
         stats = cohort.FeatureStats(schema.names, bundle.feature_means,
                                     bundle.feature_sds)
@@ -287,18 +277,14 @@ def cmd_evaluate(args) -> int:
             evaluation.actor_policy(bundle.actor), model, retained, flow_stats,
             grid=grid)
         report = evaluation.build_report([fold], options)
-        out = tracker.make_dir(args.out)
-        for path in evaluation.write_report_files(out, report):
-            tracker.register(path)
-        survival.write_grid_report(
-            tracker.register(os.path.join(out, "gridsearch.csv")), grid)
-        survival.save_cox_model(
-            tracker.register(os.path.join(out, "cox_model.txt")), model)
-        _write_figures(out, report, tracker)
+        with _staged(args.out) as out:
+            evaluation.write_report_files(out, report)
+            survival.write_grid_report(os.path.join(out, "gridsearch.csv"), grid)
+            survival.save_cox_model(os.path.join(out, "cox_model.txt"), model)
+            _write_figures(out, report)
     except Exception as err:
-        tracker.discard_all()
         raise StageError("evaluate", err) from err
-    print(f"evaluated {report.n_patients} patients; report in {out}")
+    print(f"evaluated {report.n_patients} patients; report in {args.out}")
     return 0
 
 
@@ -321,35 +307,29 @@ def cmd_loho(args) -> int:
                                               interval_hours=interval)
     except Exception as err:
         raise StageError("folds", err) from err
-    tracker = _OutputTracker()
     try:
-        out = tracker.make_dir(args.out)
-        for run in runs:
-            fold_dir = tracker.make_dir(os.path.join(out, f"fold_{run.fold.fold_id}"))
-            ddpg.save_policy(
-                tracker.register(os.path.join(fold_dir, "policy.ckpt")), run.bundle)
-            ddpg.write_training_log(
-                tracker.register(os.path.join(fold_dir, "training_log.csv")),
-                run.training_log)
-            survival.save_cox_model(
-                tracker.register(os.path.join(fold_dir, "cox_model.txt")),
-                run.fold.cox)
-            survival.write_grid_report(
-                tracker.register(os.path.join(fold_dir, "gridsearch.csv")),
-                run.fold.grid)
-            fold_report = evaluation.build_report([run.fold], options)
-            for path in evaluation.write_report_files(fold_dir, fold_report):
-                tracker.register(path)
-        pooled_dir = tracker.make_dir(os.path.join(out, "pooled"))
-        report = evaluation.build_report([run.fold for run in runs], options)
-        for path in evaluation.write_report_files(pooled_dir, report):
-            tracker.register(path)
-        _write_figures(pooled_dir, report, tracker)
+        with _staged(args.out) as out:
+            for run in runs:
+                fold_dir = os.path.join(out, f"fold_{run.fold.fold_id}")
+                os.mkdir(fold_dir)
+                ddpg.save_policy(os.path.join(fold_dir, "policy.ckpt"), run.bundle)
+                ddpg.write_training_log(os.path.join(fold_dir, "training_log.csv"),
+                                        run.training_log)
+                survival.save_cox_model(os.path.join(fold_dir, "cox_model.txt"),
+                                        run.fold.cox)
+                survival.write_grid_report(os.path.join(fold_dir, "gridsearch.csv"),
+                                           run.fold.grid)
+                evaluation.write_report_files(
+                    fold_dir, evaluation.build_report([run.fold], options))
+            pooled_dir = os.path.join(out, "pooled")
+            os.mkdir(pooled_dir)
+            report = evaluation.build_report([run.fold for run in runs], options)
+            evaluation.write_report_files(pooled_dir, report)
+            _write_figures(pooled_dir, report)
     except Exception as err:
-        tracker.discard_all()
         raise StageError("report", err) from err
     print(f"leave-one-hospital-out complete: {len(runs)} folds; "
-          f"pooled report in {pooled_dir}")
+          f"pooled report in {os.path.join(args.out, 'pooled')}")
     return 0
 
 

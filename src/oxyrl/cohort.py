@@ -24,9 +24,10 @@ import csv
 import functools
 import io
 import math
+import numbers
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -825,6 +826,18 @@ class GeneratorConfig:
     obs_noise_frac: float = 0.1
 
     def validate(self) -> None:
+        # a NaN makes every comparison below false, and an infinity passes the
+        # sign tests
+        entries = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        entries += [(f"hospital_weights[{i}]", w)
+                    for i, w in enumerate(self.hospital_weights)]
+        entries += [(f"optimal_dose.{k}", v) for k, v in self.optimal_dose_profile.items()]
+        entries += [(f"coef.{k}", v) for k, v in self.hazard_coefficients.items()]
+        for k, (mean, sd) in self.covariate_moments.items():
+            entries += [(f"mean.{k}", mean), (f"sd.{k}", sd)]
+        for name, value in entries:
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise GeneratorConfigError(f"{name} must be finite, not {value!r}")
         if self.n_patients <= 0:
             raise GeneratorConfigError("n_patients must be positive")
         if len(self.hospitals) < 2:

@@ -23,6 +23,7 @@ fresh containers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,8 @@ class TrainingConfig:
             raise ValueError("batch_size must be at least 2")
         if self.max_iterations < 0 or self.patience <= 0 or self.consistency_every <= 0:
             raise ValueError("iteration counts must be positive")
-        if self.critic_lr <= 0 or self.actor_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.critic_lr < math.inf and 0 < self.actor_lr < math.inf):
+            raise ValueError("learning rates must be positive and finite")
 
 
 @dataclass

@@ -40,10 +40,10 @@ class EvalOptions:
     mortality_label_threshold: float = 0.5
 
     def validate(self) -> None:
-        if self.consistency_threshold <= 0:
-            raise ValueError("consistency threshold must be positive")
-        if self.curve_bin_width <= 0 or self.hist_bin_width <= 0:
-            raise ValueError("bin widths must be positive")
+        if not 0 < self.consistency_threshold < math.inf:
+            raise ValueError("consistency threshold must be positive and finite")
+        if not (0 < self.curve_bin_width < math.inf and 0 < self.hist_bin_width < math.inf):
+            raise ValueError("bin widths must be positive and finite")
         if self.n_bootstrap < 1:
             raise ValueError("bootstrap count must be at least 1")
         if not 0.0 < self.mortality_label_threshold < 1.0:

@@ -1,6 +1,11 @@
 import hashlib
+import math
 import os
+import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,6 +82,7 @@ def test_generate_same_seed_byte_identical(tmp_path):
                     "--seed", "9"]) == 0
         outs.append(read_all_bytes(out))
     assert outs[0] == outs[1]
+    assert sorted(os.listdir(tmp_path)) == ["a", "b"]
 
 
 def test_generate_rejects_zero_patients(tmp_path, capsys):
@@ -162,6 +168,45 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, cohort_dir, trained_d
     assert not out.exists()
 
 
+def with_entry_set(config, value):
+    """(name, copy of `config`) for every float field of `config` and, for a
+    generator config, every hospital weight and every entry of its three
+    tables, the copy holding `value` there."""
+    for f in fields(config):
+        if isinstance(getattr(config, f.name), float):
+            yield f.name, replace(config, **{f.name: value})
+    if not isinstance(config, cohort.GeneratorConfig):
+        return
+    weights = config.hospital_weights
+    for i in range(len(weights)):
+        yield f"hospital_weights[{i}]", replace(
+            config, hospital_weights=weights[:i] + (value,) + weights[i + 1:])
+    for table in ("optimal_dose_profile", "hazard_coefficients"):
+        entries = getattr(config, table)
+        for key in entries:
+            yield f"{table}.{key}", replace(config, **{table: {**entries, key: value}})
+    moments = config.covariate_moments
+    for key, (mean, sd) in moments.items():
+        for name, pair in ((f"mean.{key}", (value, sd)), (f"sd.{key}", (mean, value))):
+            yield name, replace(config, covariate_moments={**moments, key: pair})
+
+
+@pytest.mark.parametrize("config", [
+    ddpg.TrainingConfig(), evaluation.EvalOptions(), cohort.GeneratorConfig(n_patients=5),
+], ids=lambda config: type(config).__name__)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validators_reject_non_finite_values(config, value):
+    # the library twin of the CLI's own check, for scripts that build configs
+    accepted = []
+    for name, changed in with_entry_set(config, value):
+        try:
+            changed.validate()
+        except (ValueError, cohort.GeneratorConfigError):
+            continue
+        accepted.append(name)
+    assert accepted == []
+
+
 # --- train -----------------------------------------------------------------------
 
 def test_train_checkpoint_reproduces_recommendations(trained_dir):
@@ -237,6 +282,7 @@ def test_train_byte_deterministic(tmp_path, cohort_dir):
                     "--seed", "4", "--max-iterations", "6"]) == 0
         outs.append(read_all_bytes(out))
     assert outs[0] == outs[1]
+    assert sorted(os.listdir(tmp_path)) == ["a", "b"]
 
 
 # --- evaluate ---------------------------------------------------------------------
@@ -261,6 +307,7 @@ def test_evaluate_writes_report_set(tmp_path, cohort_dir, trained_dir):
     out = tmp_path / "report"
     assert run(eval_args(out, cohort_dir, trained_dir / "policy.ckpt")) == 0
     assert set(os.listdir(out)) == EXPECTED_REPORT_FILES
+    assert os.listdir(tmp_path) == ["report"]
 
 
 def test_evaluate_byte_deterministic(tmp_path, cohort_dir, trained_dir):
@@ -320,6 +367,7 @@ def loho_args(out, cohort_dir, extra=()):
 def test_loho_emits_fold_dirs_and_pooled(tmp_path, cohort_dir):
     out = tmp_path / "loho"
     assert run(loho_args(out, cohort_dir)) == 0
+    assert os.listdir(tmp_path) == ["loho"]
     entries = set(os.listdir(out))
     assert entries == {"fold_H1", "fold_H2", "fold_H3", "fold_H4", "pooled"}
     for fold in ("fold_H1", "fold_H2", "fold_H3", "fold_H4"):
@@ -425,3 +473,72 @@ def test_loho_runs_one_fold_per_hospital(tmp_path, hospitals):
     metrics = dict(line.split(",") for line
                    in (out / "pooled" / "metrics.csv").read_text().splitlines()[1:])
     assert int(float(metrics["n_patients"])) == len(records)
+
+
+# --- staged outputs ----------------------------------------------------------------
+
+def test_failed_generate_keeps_the_earlier_output(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "cohort"
+    assert run(["generate", "--out", str(out), "--n-patients", "20", "--seed", "1"]) == 0
+    before = read_all_bytes(out)
+
+    def broken(path, table, schema):
+        with open(path, "w") as fh:
+            fh.write("patient_id,hosp")
+        raise OSError("disk full")
+    monkeypatch.setattr(cohort, "write_cohort_csv", broken)
+    assert run(["generate", "--out", str(out), "--n-patients", "30", "--seed", "2"]) == 1
+    assert "[generate]" in capsys.readouterr().err
+    assert read_all_bytes(out) == before
+    assert os.listdir(tmp_path) == ["cohort"]
+
+
+KILLED_GENERATE = """
+import os, signal, sys
+from oxyrl import cli, cohort
+
+def killed(path, table, schema):
+    with open(path, "w") as fh:
+        fh.write("patient_id,hosp")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+cohort.write_cohort_csv = killed
+cli.main(["generate", "--out", sys.argv[1], "--n-patients", "20", "--seed", "2"])
+"""
+
+
+@pytest.mark.parametrize("populated", [False, True])
+def test_killed_generate_leaves_out_as_it_was(tmp_path, populated):
+    out = tmp_path / "cohort"
+    if populated:
+        assert run(["generate", "--out", str(out), "--n-patients", "20",
+                    "--seed", "1"]) == 0
+    before = read_all_bytes(out)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    killed = subprocess.run([sys.executable, "-c", KILLED_GENERATE, str(out)],
+                            env=env, capture_output=True, timeout=120)
+    assert killed.returncode == -signal.SIGKILL, killed.stderr.decode()
+    assert out.exists() == populated
+    assert read_all_bytes(out) == before
+    left = [name for name in os.listdir(tmp_path) if name != "cohort"]
+    assert len(left) <= 1 and all(name.startswith(".cohort.") for name in left)
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("generate", "generate"), ("train", "write"), ("evaluate", "evaluate"),
+    ("loho", "report"),
+])
+def test_out_naming_a_file_is_stage_error(tmp_path, capsys, cohort_dir, trained_dir,
+                                          command, stage):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    inputs = ["--cohort", str(cohort_dir / "cohort.csv"),
+              "--schema", str(cohort_dir / "schema.txt"), "--max-iterations", "3"]
+    argv = {"generate": ["generate", "--out", str(out), "--n-patients", "20"],
+            "train": ["train", "--out", str(out), *inputs],
+            "evaluate": eval_args(out, cohort_dir, trained_dir / "policy.ckpt"),
+            "loho": loho_args(out, cohort_dir)}[command]
+    assert run(argv) == 1
+    assert f"[{stage}]" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+    assert os.listdir(tmp_path) == ["taken"]
