@@ -17,8 +17,8 @@ rows, which infer mode's row independence makes exact. Each fold keeps its
 own sampler, batch-norm statistics, Adam moments and early stop, and its
 result is bit-identical to training it alone. The step functions below
 take plain or stacked networks alike, and update the online networks and
-their Adam moments in place; :func:`polyak_update` blends the targets into
-fresh containers.
+their Adam moments in place; the loop also blends its targets in place and
+keeps one gradient vector per network, and gathers minibatches in blocks.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from . import cohort, nn
 FLOW_MAX = 60.0
 STATE_HIDDEN = 32
 TRUNK_HIDDEN = 16
+
+# minibatch rows (folds x iterations) train_folds gathers in one pass; its
+# buffer then stays under glibc's 128 KiB mmap threshold at 16 features
+GATHER_BLOCK_ROWS = 448
 
 
 class TrainingAbortedError(RuntimeError):
@@ -83,9 +87,10 @@ class Batch:
     def __len__(self):
         return len(self.actions)
 
-    def take(self, fold) -> "Batch":
-        """Fold `fold` of a stacked batch."""
-        return Batch(*(column[fold] for column in vars(self).values()))
+    def take(self, fold, rows=slice(None)) -> "Batch":
+        """Rows `rows` of fold `fold` (an index, or a slice of folds) of a
+        stacked batch."""
+        return Batch(*(column[fold, rows] for column in vars(self).values()))
 
 
 @dataclass
@@ -112,14 +117,24 @@ class ReplayMemory:
         return self.source.shape[1]
 
 
-def gather_minibatches(memories, draws, means, sds) -> Batch:
+def _batch_buffers(n_folds, size, state_dim):
+    """Room for `size` gathered transitions of `n_folds` folds: the states
+    over the next states, the actions over the rewards, the terminal flags."""
+    return (np.empty((2, n_folds, size, state_dim)), np.empty((2, n_folds, size)),
+            np.empty((n_folds, size), dtype=bool))
+
+
+def gather_minibatches(memories, draws, means, sds, out=None) -> Batch:
     """The transitions `draws[f]` of each memory `memories[f]`, stacked along a
     leading fold axis and normalized in one pass with `means` and `sds`: the
-    memories' own statistics, stacked as (folds, 1, state_dim) arrays."""
+    memories' own statistics, stacked as (folds, 1, state_dim) arrays; into
+    the leading folds and rows of `out` (from :func:`_batch_buffers`) if given."""
     n_folds, size = len(memories), len(draws[0])
-    states = np.empty((2, n_folds, size, memories[0].state_dim))
-    actions, rewards = np.empty((2, n_folds, size))
-    terminal = np.empty((n_folds, size), dtype=bool)
+    if out is None:
+        out = _batch_buffers(n_folds, size, memories[0].state_dim)
+    states = out[0][:, :n_folds, :size]
+    actions, rewards = out[1][:, :n_folds, :size]
+    terminal = out[2][:n_folds, :size]
     for f, (memory, idx) in enumerate(zip(memories, draws)):
         memory.source.take(memory.rows[idx], axis=0, out=states[0, f])
         memory.source.take(memory.next_rows[idx], axis=0, out=states[1, f])
@@ -166,10 +181,10 @@ class ActorNet:
         out, _ = nn.forward(self.net, states, nn.INFER)
         return FLOW_MAX * out[..., 0]
 
-    def backward(self, cache, dflow):
-        """Parameter gradients (an nn.Gradients) of sum(flow * dflow)."""
+    def backward(self, cache, dflow, grads=None):
+        """Parameter gradients (`grads` if given) of sum(flow * dflow)."""
         return nn.backward(self.net, cache, FLOW_MAX * np.asarray(dflow)[..., None],
-                           input_grad=False)[0]
+                           input_grad=False, grads=grads)[0]
 
     def copy(self) -> "ActorNet":
         return ActorNet(self.state_dim, self.net.copy())
@@ -216,14 +231,16 @@ class CriticNet:
         q, _ = nn.forward(self.trunk, z, nn.INFER)
         return q[..., 0]
 
-    def backward(self, caches, dq):
+    def backward(self, caches, dq, grads=(None, None)):
         """((state-branch gradients, trunk gradients), None, action
-        gradient) of sum(q * dq); the state gradient is not computed."""
+        gradient) of sum(q * dq), into the pair `grads` where given; the state
+        gradient is not computed."""
         cache_s, cache_t = caches
         dq = np.asarray(dq, dtype=np.float64)[..., None]
-        trunk_grads, dz = nn.backward(self.trunk, cache_t, dq)
+        trunk_grads, dz = nn.backward(self.trunk, cache_t, dq, grads=grads[1])
         dh, daction = dz[..., :STATE_HIDDEN], dz[..., STATE_HIDDEN]
-        state_grads, _ = nn.backward(self.state_net, cache_s, dh, input_grad=False)
+        state_grads, _ = nn.backward(self.state_net, cache_s, dh, input_grad=False,
+                                     grads=grads[0])
         return (state_grads, trunk_grads), None, daction
 
     def action_gradient(self, caches, dq):
@@ -308,17 +325,18 @@ def td_target(batch: Batch, targets: TargetPair, discount: float) -> np.ndarray:
 
 
 def critic_step(critic: CriticNet, batch: Batch, targets_vec, opt: CriticOptState,
-                lr: float):
+                lr: float, grads=(None, None)):
     """One Adam step on the mean of half the squared TD error; the targets
     are constants. Updates `critic` and `opt` in place and returns them with
-    the pre-update mean squared TD error, one per stacked fold. A
+    the pre-update mean squared TD error, one per stacked fold. The
+    gradients go into `grads` (state branch, trunk) where given. A
     non-finite gradient in either network raises before either is written."""
     q, caches = critic.forward_train(batch.states, batch.actions)
     diff = q - np.asarray(targets_vec, dtype=np.float64)
     n = diff.shape[-1]
     td_mse = np.add.reduce(diff * diff, axis=-1) / n   # np.mean's bits
     _check_finite(td_mse, "critic loss")
-    (state_grads, trunk_grads), _, _ = critic.backward(caches, diff / n)
+    (state_grads, trunk_grads), _, _ = critic.backward(caches, diff / n, grads)
     # the trunk's gradient is checked here and the state branch's by its
     # own update, so a rejected step writes into neither network
     nn.check_gradient(critic.trunk, trunk_grads)
@@ -330,10 +348,11 @@ def critic_step(critic: CriticNet, batch: Batch, targets_vec, opt: CriticOptStat
 
 
 def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
-               opt: nn.OptimizerState, lr: float):
+               opt: nn.OptimizerState, lr: float, grads=None):
     """One Adam ascent step on mean Q(s, pi(s)); the critic is frozen (its
     parameters receive no update). Updates `actor` and `opt` in place and
-    returns them with the pre-update objective, one per stacked fold.
+    returns them with the pre-update objective, one per stacked fold. The
+    gradient goes into `grads` if given.
 
     The critic is evaluated in deployment mode here: with train-mode batch
     statistics active after the action merge, the objective would be
@@ -346,7 +365,7 @@ def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
     objective = np.add.reduce(q, axis=-1) / n   # np.mean's bits
     _check_finite(objective, "actor objective")
     daction = critic.action_gradient(critic_caches, np.full(q.shape, 1.0 / n))
-    grads = actor.backward(actor_cache, daction)
+    grads = actor.backward(actor_cache, daction, grads)
     np.negative(grads.flat, out=grads.flat)   # ascent
     nn.apply_update(actor.net, grads, opt, lr)
     nn.commit_running_stats(actor.net, actor_cache)
@@ -354,18 +373,20 @@ def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
 
 
 def polyak_update(targets: TargetPair, critic: CriticNet, actor: ActorNet,
-                  rho: float) -> TargetPair:
+                  rho: float, out: TargetPair | None = None) -> TargetPair:
     """Convex blend of every parameter tensor, batch-norm scale/shift and
-    running statistics included."""
+    running statistics included: written into `out`'s networks (`out` may
+    be `targets`), by default fresh copies of the targets; returns `out`."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    blended_critic = CriticNet(
-        critic.state_dim,
-        nn.blend_params(targets.critic.state_net, critic.state_net, rho),
-        nn.blend_params(targets.critic.trunk, critic.trunk, rho))
-    blended_actor = ActorNet(
-        actor.state_dim, nn.blend_params(targets.actor.net, actor.net, rho))
-    return TargetPair(blended_critic, blended_actor)
+    if out is None:
+        out = TargetPair.from_online(targets.critic, targets.actor)
+    for target, online, blended in (
+            (targets.critic.state_net, critic.state_net, out.critic.state_net),
+            (targets.critic.trunk, critic.trunk, out.critic.trunk),
+            (targets.actor.net, actor.net, out.actor.net)):
+        nn.blend_params(target, online, rho, out=blended)
+    return out
 
 
 def consistency_metric(actor: ActorNet, memory: ReplayMemory) -> float:
@@ -466,25 +487,38 @@ def train_folds(memories, config: TrainingConfig,
                 logs[active[row]], critic_opt.take(slot), actor_opt.take(slot))
 
     stats = [np.stack([getattr(m, k) for m in memories])[:, None] for k in ("means", "sds")]
-    for iteration in range(1, config.max_iterations + 1):
-        batch = gather_minibatches([memories[f] for f in active], [
-            samplers[f].integers(0, len(memories[f]), size=config.batch_size)
-            for f in active], *stats)
-        batch = batch if stacked else batch.take(0)
-        try:
-            targets_vec = td_target(batch, targets, config.discount)
-            _, _, td_mse = critic_step(
-                critic, batch, targets_vec, critic_opt, config.critic_lr)
-            actor_step(actor, critic, batch, actor_opt, config.actor_lr)
-        except TrainingAbortedError as err:
-            fold = active[0 if err.fold is None else err.fold]
-            raise TrainingAbortedError(f"fold {fold}, iteration {iteration}: {err}",
-                                       iteration=iteration, fold=fold) from None
-        targets = polyak_update(targets, critic, actor, config.polyak)
-        for slot, f in zip(slots, active):
-            logs[f].td_mse.append(float(td_mse[slot]))
-            logs[f].n_iterations = iteration
-        if iteration % config.consistency_every:
+    size, every = config.batch_size, config.consistency_every
+    # a block of iterations' minibatches, gathered in one pass, ends at a
+    # consistency check or the cap, so a fold that stops leaves none behind
+    block = max(1, GATHER_BLOCK_ROWS // (n_folds * size))
+    buffers = _batch_buffers(n_folds, block * size, state_dim)
+    folds = slice(None) if stacked else 0
+    # one gradient vector per network, made again when the stack shrinks
+    critic_grads = (nn.Gradients(critic.state_net), nn.Gradients(critic.trunk))
+    actor_grads = nn.Gradients(actor.net)
+    iteration = 0
+    while iteration < config.max_iterations:
+        n = min(block, config.max_iterations - iteration, every - iteration % every)
+        batches = gather_minibatches([memories[f] for f in active], [np.concatenate([
+            samplers[f].integers(0, len(memories[f]), size=size) for _ in range(n)])
+            for f in active], *stats, out=buffers)
+        for start in range(0, n * size, size):
+            iteration += 1
+            batch = batches.take(folds, slice(start, start + size))
+            try:
+                targets_vec = td_target(batch, targets, config.discount)
+                _, _, td_mse = critic_step(critic, batch, targets_vec, critic_opt,
+                                           config.critic_lr, critic_grads)
+                actor_step(actor, critic, batch, actor_opt, config.actor_lr, actor_grads)
+            except TrainingAbortedError as err:
+                fold = active[0 if err.fold is None else err.fold]
+                raise TrainingAbortedError(f"fold {fold}, iteration {iteration}: {err}",
+                                           iteration=iteration, fold=fold) from None
+            polyak_update(targets, critic, actor, config.polyak, out=targets)
+            for slot, f in zip(slots, active):
+                logs[f].td_mse.append(float(td_mse[slot]))
+                logs[f].n_iterations = iteration
+        if iteration % every:
             continue
         stopped = []
         for row, (slot, f) in enumerate(zip(slots, active)):
@@ -506,6 +540,8 @@ def train_folds(memories, config: TrainingConfig,
             slots = slots[:len(keep)]
             actor, critic, targets = actor.take(keep), critic.take(keep), targets.take(keep)
             actor_opt, critic_opt = actor_opt.take(keep), critic_opt.take(keep)
+            critic_grads = (nn.Gradients(critic.state_net), nn.Gradients(critic.trunk))
+            actor_grads = nn.Gradients(actor.net)
     finish(range(len(active)))
     return results
 

@@ -35,18 +35,21 @@ time into one preallocated output, and each layer after the first works in
 place on the array the layer before it made, so its temporaries stay few
 and the same size however long the batch is.
 
-Updates write in place and blends do not. :func:`apply_update` and
+Updates write in place. :func:`apply_update` and
 :func:`commit_running_stats` write into the container and
 :class:`OptimizerState` they are given and return those same objects, so a
-training loop owns its online networks and their layer views are made once;
-anything a caller wants to keep across an update it copies first. An update
-checks its gradient before its first write, so a rejected one changes
-nothing. :func:`blend_params` returns a container with a fresh buffer and
-writes into nothing it was given. Whole-vector operations give each element
-the same arithmetic as a per-array update. :func:`backward` writes the
-parameter gradients into one flat vector laid out like the trainable part
-of the buffer (:class:`Gradients`), so an update reads them without a
-concatenation. Train-mode forward passes return a cache holding per-layer
+training loop owns its online networks and their layer views, and the
+per-layer operands its passes read (:attr:`NetworkParams.operands`), are
+made once; anything a caller wants to keep across an update it copies
+first. An update checks its gradient before its first write, so a rejected
+one changes nothing. :func:`blend_params` writes into the container given
+as ``out``, which may be its target, and otherwise into a fresh one.
+Whole-vector operations give each element the same arithmetic as a
+per-array update. :func:`backward` writes the parameter gradients into one
+flat vector laid out like the trainable part of the buffer
+(:class:`Gradients`), so an update reads them without a concatenation; the
+vector is the caller's when it passes one, so a loop may keep one per
+network. Train-mode forward passes return a cache holding per-layer
 inputs, pre-activations and the batch statistics needed for the exact
 batch-norm backward pass; the momentum-advanced running statistics are
 carried in that cache and applied explicitly with
@@ -219,6 +222,27 @@ class NetworkParams:
     def layers(self) -> list:
         return self.layout.views(self.buffer)
 
+    @functools.cached_property
+    def operands(self) -> list:
+        """Per layer, its kind and the views its passes read, made once:
+        dense W, W transposed, b and a single output's W column (else None);
+        batch-norm gamma, beta, running mean and variance; an activation's
+        name. Vectors broadcast over rows: behind leading dims, by a row axis."""
+        def row(v):
+            return v[..., None, :] if v.ndim > 1 else v
+        ops = []
+        for spec, layer in zip(self.specs, self.layers):
+            if spec.kind == DENSE:
+                W = layer["W"]
+                ops.append((DENSE, W, W.swapaxes(-1, -2), row(layer["b"]),
+                            row(W[..., 0]) if spec.out_dim == 1 else None))
+            elif spec.kind == BATCHNORM:
+                ops.append((BATCHNORM, *(row(layer[key]) for key in
+                                         ("gamma", "beta", *RUNNING_KEYS))))
+            else:
+                ops.append((spec.activation,))
+        return ops
+
     @property
     def specs(self) -> tuple[LayerSpec, ...]:
         return self.layout.specs
@@ -249,12 +273,12 @@ class ForwardCache:
 
 class Gradients(list):
     """Per-layer mappings of key -> gradient for the trainable arrays
-    (dense W/b, batch-norm gamma/beta), all views into `flat`: one vector
-    laid out like the trainable part of the parameter buffer."""
+    (dense W/b, batch-norm gamma/beta) of `params`, all views into `flat`:
+    one vector laid out like the trainable part of the parameter buffer."""
 
-    def __init__(self, layout: Layout, lead: tuple):
-        self.flat = np.empty(lead + (layout.n_trainable,))
-        super().__init__(layout._views(layout.trainable, self.flat))
+    def __init__(self, params: NetworkParams):
+        self.flat = np.empty(params.buffer.shape[:-1] + (params.layout.n_trainable,))
+        super().__init__(params.layout._views(params.layout.trainable, self.flat))
 
 
 @dataclass(eq=False)
@@ -294,12 +318,6 @@ def init_optimizer(params: NetworkParams) -> OptimizerState:
     return OptimizerState(np.zeros(shape), np.zeros(shape))
 
 
-def _row(vector):
-    """A per-feature vector broadcast over batch rows; behind leading dims
-    it needs a row axis of its own."""
-    return vector[..., None, :] if vector.ndim > 1 else vector
-
-
 def _activate(name, z, out=None):
     """The activation of `z`, into `out` if given (which may be `z`)."""
     if name == "relu":
@@ -315,31 +333,34 @@ def _activate(name, z, out=None):
     return z
 
 
-def _run_layers(layout: Layout, layers, x, mode, caches=None, stats=None):
-    """The layer chain on a validated batch. With `caches`, records each
-    layer's intermediates there; in train mode, appends the batch means
-    and variances to `stats`. Without `caches`, each layer after the first
-    works in place on the array the layer before it made (never on `x`):
-    fresh temporaries as wide as a long infer pass cost more than the
-    arithmetic."""
+def _run_layers(operands, x, mode, caches=None, stats=None):
+    """The layer chain of these operands on a validated batch. With
+    `caches`, records each layer's intermediates there; in train mode,
+    appends the batch means and variances to `stats`. Without `caches`, each
+    layer after the first works in place on the array the layer before it
+    made (never on `x`): fresh temporaries as wide as a long infer pass cost
+    more than the arithmetic."""
     batch, own = x, None   # own: an array of this pass that no cache holds
-    for spec, layer in zip(layout.specs, layers):
-        if spec.kind == DENSE:
+    for ops in operands:
+        kind = ops[0]
+        if kind == DENSE:
+            _, W, _, b, column = ops
             if caches is not None:
                 caches.append({"x": x})
-            if spec.out_dim == 1:
+            if column is not None:
                 # a row-wise sum: a matrix-vector product gives a row other
                 # bits when the row count around it changes
-                x = np.multiply(x, _row(layer["W"][..., 0]), out=own)
+                x = np.multiply(x, column, out=own)
                 x = np.add.reduce(x, axis=-1, keepdims=True)
             elif x.shape[-2] == 1:
                 # numpy sends a one-row product to gemv, which sums in
                 # another order than gemm: run the row twice, keep one
-                x = (np.repeat(x, 2, axis=-2) @ layer["W"])[..., :1, :]
+                x = (np.repeat(x, 2, axis=-2) @ W)[..., :1, :]
             else:
-                x = x @ layer["W"]
-            x += _row(layer["b"])
-        elif spec.kind == BATCHNORM:
+                x = x @ W
+            x += b
+        elif kind == BATCHNORM:
+            _, gamma, beta, running_mean, running_var = ops
             if mode == TRAIN:
                 # numpy's mean and var, operation for operation
                 n = x.shape[-2]
@@ -350,18 +371,18 @@ def _run_layers(layout: Layout, layers, x, mode, caches=None, stats=None):
                 xhat = centered
                 stats += (mean, var)
             else:
-                ivar = 1.0 / np.sqrt(_row(layer["running_var"]) + BN_EPS)
-                xhat = np.subtract(x, _row(layer["running_mean"]), out=own)
+                ivar = 1.0 / np.sqrt(running_var + BN_EPS)
+                xhat = np.subtract(x, running_mean, out=own)
             xhat *= ivar
             if caches is not None:
                 caches.append({"xhat": xhat, "ivar": ivar})
-                x = _row(layer["gamma"]) * xhat
+                x = gamma * xhat
             else:
-                xhat *= _row(layer["gamma"])
+                xhat *= gamma
                 x = xhat
-            x += _row(layer["beta"])
+            x += beta
         else:
-            out = _activate(spec.activation, x, own)
+            out = _activate(kind, x, own)
             if caches is not None:
                 caches.append({"z": x, "out": out})
             x = out
@@ -370,16 +391,16 @@ def _run_layers(layout: Layout, layers, x, mode, caches=None, stats=None):
     return x
 
 
-def _infer(layout: Layout, layers, x):
+def _infer(params: NetworkParams, x):
     """Infer-mode output, at most INFER_BLOCK_ROWS rows at a time into one
     preallocated array, so the temporaries do not grow with the batch."""
     n = x.shape[-2]
     if n <= INFER_BLOCK_ROWS:
-        return _run_layers(layout, layers, x, INFER)
-    out = np.empty(x.shape[:-1] + (layout.out_dim,))
+        return _run_layers(params.operands, x, INFER)
+    out = np.empty(x.shape[:-1] + (params.out_dim,))
     for start in range(0, n, INFER_BLOCK_ROWS):
         rows = slice(start, start + INFER_BLOCK_ROWS)
-        out[..., rows, :] = _run_layers(layout, layers, x[..., rows, :], INFER)
+        out[..., rows, :] = _run_layers(params.operands, x[..., rows, :], INFER)
     return out
 
 
@@ -412,11 +433,11 @@ def forward(params: NetworkParams, batch: np.ndarray, mode: str = TRAIN,
     elif mode != INFER:
         raise ValueError(f"unknown mode {mode!r}")
     if not want_cache:
-        return _infer(layout, params.layers, x), None
+        return _infer(params, x), None
 
     caches = []
     stats = []
-    x = _run_layers(layout, params.layers, x, mode, caches, stats)
+    x = _run_layers(params.operands, x, mode, caches, stats)
     running = None
     if stats:
         running = (BN_MOMENTUM * params.buffer[..., layout.n_trainable:]
@@ -429,38 +450,46 @@ forward_cached = functools.partial(forward, want_cache=True)
 
 
 def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarray,
-             param_grads: bool = True, input_grad: bool = True):
+             param_grads: bool = True, input_grad: bool = True, grads=None):
     """Exact gradients of the forward map recorded in `cache`.
 
     Returns (grads, input_grad): grads is a :class:`Gradients` over the
     trainable entries of `params`, and input_grad the gradient with respect
     to the batch; either is None, and not computed, when its argument is
-    false. Train-mode batch-norm gradients include the dependence of the
-    batch statistics on the inputs.
+    false. The parameter gradients go into `grads` if given, else into a
+    fresh vector. Train-mode batch-norm gradients include the dependence of
+    the batch statistics on the inputs.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a train-mode forward")
     dy = np.asarray(upstream_grad, dtype=np.float64)
-    specs = params.layout.specs
-    if len(cache.layers) != len(specs):
+    operands = params.operands
+    if len(cache.layers) != len(operands):
         raise ValueError("cache does not match the parameter container")
-    grads = Gradients(params.layout, params.buffer.shape[:-1]) if param_grads else None
-    for i in range(len(specs) - 1, -1, -1):
-        spec, layer, lcache = specs[i], params.layers[i], cache.layers[i]
-        if grads is not None and spec.kind == DENSE:
+    if not param_grads:
+        grads = None
+    elif grads is None:
+        grads = Gradients(params)
+    elif grads.flat.shape != params.buffer.shape[:-1] + (params.layout.n_trainable,):
+        raise ValueError(f"gradient vector of shape {grads.flat.shape} does not fit "
+                         f"a parameter buffer of shape {params.buffer.shape}")
+    for i in range(len(operands) - 1, -1, -1):
+        ops, lcache = operands[i], cache.layers[i]
+        kind = ops[0]
+        if grads is not None and kind == DENSE:
             np.matmul(lcache["x"].swapaxes(-1, -2), dy, out=grads[i]["W"])
             np.add.reduce(dy, axis=-2, out=grads[i]["b"])
-        elif grads is not None and spec.kind == BATCHNORM:
+        elif grads is not None and kind == BATCHNORM:
             np.add.reduce(dy * lcache["xhat"], axis=-2, out=grads[i]["gamma"])
             np.add.reduce(dy, axis=-2, out=grads[i]["beta"])
         if i == 0 and not input_grad:
             return grads, None
-        if spec.kind == DENSE:
-            dy = dy @ layer["W"].swapaxes(-1, -2)
-        elif spec.kind == BATCHNORM:
+        if kind == DENSE:
+            dy = dy @ ops[2]
+        elif kind == BATCHNORM:
             xhat, ivar = lcache["xhat"], lcache["ivar"]
             n = cache.batch_size
-            dxhat = dy * _row(layer["gamma"])
+            dxhat = dy * ops[1]
             if cache.mode == TRAIN:
                 # (ivar / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
                 # operation for operation, in one fresh array
@@ -475,11 +504,11 @@ def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarr
                 dy = dxhat
         else:
             z, out = lcache["z"], lcache["out"]
-            if spec.activation == "relu":
+            if kind == "relu":
                 dy = dy * (z > 0.0)
-            elif spec.activation == "tanh":
+            elif kind == "tanh":
                 dy = dy * (1.0 - out * out)
-            elif spec.activation == "sigmoid":
+            elif kind == "sigmoid":
                 dy = dy * out * (1.0 - out)
             # linear: unchanged
     return grads, dy
@@ -553,14 +582,21 @@ def apply_update(params: NetworkParams, grads, opt_state: OptimizerState,
     return params, opt_state
 
 
-def blend_params(target: NetworkParams, online: NetworkParams, rho: float) -> NetworkParams:
+def blend_params(target: NetworkParams, online: NetworkParams, rho: float,
+                 out: NetworkParams | None = None) -> NetworkParams:
     """Elementwise rho*target + (1-rho)*online over every array, running
-    statistics included."""
-    if target.specs != online.specs:
+    statistics included: written into `out`'s buffer when given (`out` may
+    be `target`) and `out` returned, else into a fresh container."""
+    given = (target, online) if out is None else (target, online, out)
+    if online.specs != target.specs or (out is not None and out.specs != target.specs):
         raise ValueError("parameter containers have different layer specs")
-    buffer = rho * target.buffer
+    shape = target.buffer.shape
+    if online.buffer.shape != shape or (out is not None and out.buffer.shape != shape):
+        raise ValueError("parameter buffers of shapes "
+                         f"{', '.join(str(c.buffer.shape) for c in given)} do not match")
+    buffer = np.multiply(target.buffer, rho, out=None if out is None else out.buffer)
     buffer += (1.0 - rho) * online.buffer
-    return NetworkParams(target.layout, buffer)
+    return NetworkParams(target.layout, buffer) if out is None else out
 
 
 def iter_arrays(params: NetworkParams, trainable_only: bool = False):

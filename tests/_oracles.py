@@ -8,8 +8,9 @@ loader by one record per patient and one tuple per row, its row rules by
 dense time ranks, the generator's hazard one dose at a time, the network
 engine by per-layer, per-array loops over lists of parameter dicts,
 bootstrapped targets fold by fold on each fold's live rows, the training
-step by functional updates that return new containers and moments, and
-replay memories by stacking dense states."""
+step by functional updates that return new containers and moments, replay
+memories by stacking dense states, and minibatches by one fresh gather per
+training iteration."""
 
 import csv
 import math
@@ -22,9 +23,9 @@ from oxyrl.cohort import (
     FLOW_MAX, FLOW_MIN, CohortDataWarning, CohortFormatError, CohortTable,
     PatientRecord, SchemaMismatchError, _dose_vertex,
 )
-from oxyrl import nn
+from oxyrl import cohort, nn
 from oxyrl.ddpg import (
-    FLOW_MAX, STATE_HIDDEN, ActorNet, CriticNet, CriticOptState, ReplayMemory,
+    FLOW_MAX, STATE_HIDDEN, ActorNet, Batch, CriticNet, CriticOptState, ReplayMemory,
     TargetPair,
 )
 
@@ -403,6 +404,23 @@ def dense_memory(states, actions, rewards, next_states, terminal, seed=0):
         np.concatenate([states, next_states]), np.arange(n), np.arange(n, 2 * n),
         np.asarray(actions, dtype=np.float64), np.asarray(rewards, dtype=np.float64),
         np.asarray(terminal, dtype=bool), np.zeros(state_dim), np.ones(state_dim), seed)
+
+
+def gather_each_iteration(memories, draws, means, sds, out=None):
+    """`ddpg.gather_minibatches` as the training loop called it once per
+    iteration: every call gathers into fresh arrays, and `out` is ignored."""
+    n_folds, size = len(memories), len(draws[0])
+    states = np.empty((2, n_folds, size, memories[0].state_dim))
+    actions, rewards = np.empty((2, n_folds, size))
+    terminal = np.empty((n_folds, size), dtype=bool)
+    for f, (memory, idx) in enumerate(zip(memories, draws)):
+        memory.source.take(memory.rows[idx], axis=0, out=states[0, f])
+        memory.source.take(memory.next_rows[idx], axis=0, out=states[1, f])
+        memory.actions.take(idx, out=actions[f])
+        memory.rewards.take(idx, out=rewards[f])
+        memory.terminal.take(idx, out=terminal[f])
+    cohort.normalize_states(states, means, sds, out=states)
+    return Batch(states[0], actions, rewards, states[1], terminal)
 
 
 # --- cohort ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     actor_step_functional, copy_optimizer, critic_step_functional, dense_memory,
-    polyak_functional, td_target_loop,
+    gather_each_iteration, polyak_functional, td_target_loop,
 )
 from oxyrl import cohort, ddpg, nn
 from oxyrl.ddpg import (
@@ -241,8 +241,8 @@ def test_critic_step_rejects_a_non_finite_gradient_without_writing(monkeypatch,
     critic_step(critic, batch, targets_vec, opt, 0.002)   # non-zero moments
     backward = CriticNet.backward
 
-    def poisoning(self, caches, dq):
-        grads, dstates, daction = backward(self, caches, dq)
+    def poisoning(self, caches, dq, grads=(None, None)):
+        grads, dstates, daction = backward(self, caches, dq, grads)
         grads[poisoned].flat[..., -1] = np.nan
         return grads, dstates, daction
 
@@ -397,8 +397,10 @@ def stacked_networks(state_dim, seeds):
 def test_training_steps_match_the_functional_oracle(n_folds, batch_size, state_dim,
                                                     terminal_rate, iterations,
                                                     discount, seed):
-    # consecutive in-place steps equal functional ones that rebuild every
-    # container and moment, bit for bit
+    # consecutive in-place steps, as the training loop takes them (targets
+    # blended into their own buffers, one caller-owned gradient vector per
+    # network), equal functional ones that rebuild every container and
+    # moment, bit for bit
     rng = np.random.default_rng(seed)
     lead = (n_folds,) if n_folds else ()
     critic, actor = stacked_networks(
@@ -407,6 +409,8 @@ def test_training_steps_match_the_functional_oracle(n_folds, batch_size, state_d
     critic_opt = CriticOptState(nn.init_optimizer(critic.state_net),
                                 nn.init_optimizer(critic.trunk))
     actor_opt = nn.init_optimizer(actor.net)
+    critic_grads = (nn.Gradients(critic.state_net), nn.Gradients(critic.trunk))
+    actor_grads = nn.Gradients(actor.net)
     o_critic, o_actor = critic.copy(), actor.copy()
     o_targets = TargetPair.from_online(critic, actor)
     o_critic_opt = CriticOptState(copy_optimizer(critic_opt.state_net),
@@ -421,13 +425,15 @@ def test_training_steps_match_the_functional_oracle(n_folds, batch_size, state_d
         targets_vec = td_target(batch, targets, discount)
         o_targets_vec = td_target_loop(batch, o_targets, discount)
         assert targets_vec.tobytes() == o_targets_vec.tobytes()
-        _, _, td_mse = critic_step(critic, batch, targets_vec, critic_opt, 0.002)
+        _, _, td_mse = critic_step(critic, batch, targets_vec, critic_opt, 0.002,
+                                   critic_grads)
         o_critic, o_critic_opt, o_td_mse = critic_step_functional(
             o_critic, batch, o_targets_vec, o_critic_opt, 0.002)
-        _, _, objective = actor_step(actor, critic, batch, actor_opt, 0.002)
+        _, _, objective = actor_step(actor, critic, batch, actor_opt, 0.002,
+                                     actor_grads)
         o_actor, o_actor_opt, o_objective = actor_step_functional(
             o_actor, o_critic, batch, o_actor_opt, 0.002)
-        targets = polyak_update(targets, critic, actor, 0.9)
+        assert polyak_update(targets, critic, actor, 0.9, out=targets) is targets
         o_targets = polyak_functional(o_targets, o_critic, o_actor, 0.9)
         assert np.asarray(td_mse).tobytes() == np.asarray(o_td_mse).tobytes()
         assert np.asarray(objective).tobytes() == np.asarray(o_objective).tobytes()
@@ -563,17 +569,18 @@ def test_targets_replay_as_exponential_average(monkeypatch):
     history = []
     original = ddpg.polyak_update
 
-    def recording(targets, critic, actor, rho):
+    def recording(targets, critic, actor, rho, out=None):
         # the loop updates its online networks in place: keep copies
         history.append((critic.copy(), actor.copy(), rho))
-        return original(targets, critic, actor, rho)
+        return original(targets, critic, actor, rho, out=out)
 
     monkeypatch.setattr(ddpg, "polyak_update", recording)
     config = TrainingConfig(max_iterations=40, consistency_every=10,
                             polyak=0.9, seed=4)
     result = train(memory, config)
     assert len(history) == 40
-    # replay the exponential average from the recorded online parameters
+    # replay the exponential average from the recorded online parameters,
+    # into fresh containers: the same two operations give the same bits
     seeds = np.random.SeedSequence(4).spawn(2)
     replay = TargetPair.from_online(CriticNet.build(3, seeds[0]),
                                     ActorNet.build(3, seeds[1]))
@@ -583,16 +590,19 @@ def test_targets_replay_as_exponential_average(monkeypatch):
                          (replay.critic.state_net, result.targets.critic.state_net),
                          (replay.critic.trunk, result.targets.critic.trunk)):
         for (i, key, arr) in nn.iter_arrays(net_a):
-            np.testing.assert_allclose(arr, net_b.layers[i][key], atol=1e-8)
+            assert arr.tobytes() == net_b.layers[i][key].tobytes()
 
 
 def test_training_step_makes_online_views_once_and_skips_unread_gradients(monkeypatch):
-    # per iteration: layer views only for polyak's three new target
-    # containers, and four backward passes (critic trunk and state branch;
-    # the trunk's action gradient and the actor), against six and five when
-    # every update built new containers and every gradient was computed
+    # per iteration after the first: no layer views and no gradient vector
+    # (the targets are blended into their own buffers and the loop keeps one
+    # vector per network), and four backward passes (critic trunk and state
+    # branch; the trunk's action gradient and the actor), against six and
+    # five when every update built new containers and every gradient was
+    # computed
     counts = {}
     views, backward = nn.Layout.views, nn.backward
+    gradients = nn.Gradients.__init__
 
     def counting_views(self, buffer):
         counts["views"] += 1
@@ -602,17 +612,23 @@ def test_training_step_makes_online_views_once_and_skips_unread_gradients(monkey
         counts["backward"] += 1
         return backward(*args, **kwargs)
 
+    def counting_gradients(self, params):
+        counts["gradients"] += 1
+        gradients(self, params)
+
     monkeypatch.setattr(nn.Layout, "views", counting_views)
     monkeypatch.setattr(nn, "backward", counting_backward)
+    monkeypatch.setattr(nn.Gradients, "__init__", counting_gradients)
     memory = random_memory(np.random.default_rng(24), n=60)
     runs = {}
     for iterations in (10, 30):
-        counts.update(views=0, backward=0)
+        counts.update(views=0, backward=0, gradients=0)
         train(memory, TrainingConfig(batch_size=8, max_iterations=iterations,
                                      consistency_every=1000, seed=1))
         runs[iterations] = dict(counts)
     assert runs[30]["backward"] == 4 * 30
-    assert runs[30]["views"] - runs[10]["views"] <= 3 * 20
+    assert runs[30]["views"] == runs[10]["views"]
+    assert runs[30]["gradients"] == runs[10]["gradients"]
 
 
 def test_training_log_csv_layout(tmp_path):
@@ -692,6 +708,60 @@ def test_lockstep_folds_match_training_each_alone(sizes, terminal_rate, batch_si
         alone = train_folds([memory], config, staggered_consistency(evaluations))[0]
         assert result_bytes(result) == result_bytes(alone)
         assert result.actor.net.buffer.ndim == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+       batch_size=st.integers(2, 240), max_iterations=st.integers(0, 40),
+       every=st.integers(1, 12), patience=st.integers(1, 10),
+       improving=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+       seed=st.integers(0, 2**16))
+# one fold: blocks of 7 iterations, cut at checks (every 10) and the cap
+@example(sizes=[50], batch_size=64, max_iterations=33, every=10, patience=40,
+         improving=[9, 9, 9, 9], seed=0)
+# 2 x 230 rows exceed the block bound: one iteration per block
+@example(sizes=[40, 70], batch_size=230, max_iterations=9, every=4, patience=4,
+         improving=[0, 1, 0, 0], seed=1)
+# folds that stop at different checks
+@example(sizes=[30, 7, 64, 2], batch_size=8, max_iterations=37, every=3, patience=3,
+         improving=[0, 2, 5, 6], seed=2)
+def test_block_gathering_matches_gathering_each_iteration(sizes, batch_size,
+                                                         max_iterations, every,
+                                                         patience, improving, seed):
+    # blocks of iterations gathered in one pass into one buffer give every
+    # result and log the bits of a fresh gather per iteration; a block holds
+    # at most GATHER_BLOCK_ROWS rows (or one iteration) and never crosses a
+    # consistency check or the cap
+    rng = np.random.default_rng(seed)
+    memories = []
+    for n, memory_seed in zip(sizes, (9, 4, 30, 1)):
+        memory = random_memory(rng, n=n, seed=memory_seed)
+        memory.means, memory.sds = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+        memories.append(memory)
+    evaluations = {memory.seed: k for memory, k in zip(memories, improving)}
+    config = TrainingConfig(batch_size=batch_size, max_iterations=max_iterations,
+                            consistency_every=every, patience=patience, seed=seed)
+    blocks = []
+    gather = ddpg.gather_minibatches
+
+    def recording(memories, draws, means, sds, out=None):
+        blocks.append(len(draws[0]) // batch_size)
+        return gather(memories, draws, means, sds, out=out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ddpg, "gather_minibatches", recording)
+        blocked = train_folds(memories, config, staggered_consistency(evaluations))
+        patch.setattr(ddpg, "gather_minibatches", gather_each_iteration)
+        patch.setattr(ddpg, "GATHER_BLOCK_ROWS", 1)
+        reference = train_folds(memories, config, staggered_consistency(evaluations))
+    for result, expected in zip(blocked, reference):
+        assert result_bytes(result) == result_bytes(expected)
+    bound = max(1, ddpg.GATHER_BLOCK_ROWS // (len(memories) * batch_size))
+    assert all(1 <= length <= bound for length in blocks)
+    ends = set(np.cumsum(blocks).tolist())
+    last = max(result.log.n_iterations for result in blocked)
+    assert sum(blocks) == last
+    assert all(check in ends for check in range(every, last + 1, every))
 
 
 def test_lockstep_folds_stop_independently():

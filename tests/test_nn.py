@@ -200,6 +200,21 @@ def test_linear_dense_weight_gradient_closed_form():
     np.testing.assert_allclose(grads[0]["b"], upstream.sum(axis=0), atol=1e-12)
 
 
+def test_backward_writes_into_a_given_gradient_vector():
+    params = small_net(seed=6)
+    x = np.random.default_rng(6).normal(size=(5, 4))
+    out, cache = nn.forward(params, x, nn.TRAIN)
+    fresh, dx = nn.backward(params, cache, np.ones_like(out))
+    owned = nn.Gradients(params)
+    flat = owned.flat
+    grads, dx_owned = nn.backward(params, cache, np.ones_like(out), grads=owned)
+    assert grads is owned and owned.flat is flat
+    assert flat.tobytes() == fresh.flat.tobytes() and dx_owned.tobytes() == dx.tobytes()
+    stacked = nn.Gradients(nn.NetworkParams.stack([params] * 2))
+    with pytest.raises(ValueError, match="does not fit"):
+        nn.backward(params, cache, np.ones_like(out), grads=stacked)
+
+
 # --- optimizer -------------------------------------------------------------
 
 def test_zero_gradients_leave_params_unchanged():
@@ -371,6 +386,34 @@ def test_blend_midpoint_scalar():
     b.layers[0]["W"][...] = np.array([[4.0]])
     mid = nn.blend_params(a, b, 0.5)
     assert mid.layers[0]["W"][0, 0] == 3.0
+
+
+@pytest.mark.parametrize("into", ["target", "other"])
+def test_blend_into_out_gives_the_fresh_bits(into):
+    # a blend into a given container, the target itself included, writes
+    # the bits of a fresh blend there and keeps that container's views
+    a = nn.NetworkParams.stack([small_net(seed=1), small_net(seed=2)])
+    b = nn.NetworkParams.stack([small_net(seed=3), small_net(seed=4)])
+    fresh = nn.blend_params(a, b, 0.9)
+    out = a if into == "target" else nn.NetworkParams.stack([small_net(seed=5)] * 2)
+    buffer, view = out.buffer, out.layers[0]["W"]
+    assert nn.blend_params(a, b, 0.9, out=out) is out
+    assert out.buffer is buffer and out.layers[0]["W"] is view
+    assert out.buffer.tobytes() == fresh.buffer.tobytes()
+
+
+def test_blend_rejects_mismatched_shapes():
+    # a plain network does not broadcast over a stack, in either direction,
+    # and stacks of different fold counts do not blend
+    a = small_net(seed=1)
+    two, three = (nn.NetworkParams.stack([a] * n) for n in (2, 3))
+    for target, online, out in ((two, a, None), (a, two, None), (two, three, None),
+                                (three, two, None), (two, two, a), (a, a, three)):
+        before = [c.buffer.tobytes() for c in (target, online, out) if c is not None]
+        with pytest.raises(ValueError, match=r"shapes \(.*\) do not match"):
+            nn.blend_params(target, online, 0.5, out=out)
+        assert before == [c.buffer.tobytes() for c in (target, online, out)
+                          if c is not None]
 
 
 def test_checkpoint_round_trip_bit_exact():

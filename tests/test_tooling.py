@@ -82,9 +82,10 @@ def test_survival_demo_writes_only_its_model_file(tmp_path, monkeypatch, capsys)
     assert [path.name for path in tmp_path.iterdir()] == ["demo_cox.txt"]
 
 
-def count_step_calls(monkeypatch):
+def count_step_calls(monkeypatch, order=None):
     """Wrap every `nn` and `ddpg` entry of the tracer's list the way the
-    tracer does; returns the per-name call counts."""
+    tracer does; returns the per-name call counts, and appends each call's
+    name to `order` if given."""
     tracing = load_tracing(monkeypatch)
     calls = {}
 
@@ -92,6 +93,8 @@ def count_step_calls(monkeypatch):
         @functools.wraps(original)
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if order is not None:
+                order.append(name)
             return original(*args, **kwargs)
         return wrapper
 
@@ -112,12 +115,33 @@ def toy_memory(rng, seed):
 def test_traced_training_step_functions_are_called(monkeypatch):
     # the tracer swaps module attributes, so a step function the program
     # reaches some other way would silently read 0 in the per-layer metrics
-    calls = count_step_calls(monkeypatch)
+    order = []
+    calls = count_step_calls(monkeypatch, order)
     memory = toy_memory(np.random.default_rng(0), seed=1)
     config = ddpg.TrainingConfig(batch_size=8, max_iterations=4, consistency_every=2)
     result = ddpg.train(memory, config)
     assert result.log.n_iterations == 4
     assert [name for name in TRAINING_STEP if not calls.get(name)] == []
+    # the benchmark's ddpg.step_ms_* spans run from each ddpg.td_target to
+    # the next ddpg.polyak_update, and nn.calls_per_iter counts nn spans:
+    # without consistency checks an iteration is one such pair around 21
+    # nn calls (6 infer or train passes, 2 cached infer passes, 4 backward
+    # passes, 3 updates, 3 commits and 3 blends)
+    calls.clear()
+    order.clear()
+    iterations = 9
+    config = ddpg.TrainingConfig(batch_size=8, max_iterations=iterations,
+                                 consistency_every=1000)
+    assert ddpg.train(memory, config).log.n_iterations == iterations
+    steps = [name for name in order
+             if name in ("ddpg.td_target", "ddpg.polyak_update")]
+    assert steps == ["ddpg.td_target", "ddpg.polyak_update"] * iterations
+    per_iteration = {"nn.forward": 6, "nn.forward_cached": 2, "nn.backward": 4,
+                     "nn.apply_update": 3, "nn.commit_running_stats": 3,
+                     "nn.blend_params": 3}
+    assert {name: count for name, count in calls.items() if name.startswith("nn.")} \
+        == {name: count * iterations for name, count in per_iteration.items()}
+    assert sum(per_iteration.values()) == 21
 
 
 def test_traced_training_step_functions_are_called_in_lockstep(monkeypatch):
