@@ -41,8 +41,10 @@ print(f"max relative gradient error vs finite differences: {worst:.2e}")
 w = nn.init_params([nn.dense(1, 1)], seed=0)
 w.layers[0]["W"][:] = 0.0
 opt = nn.init_optimizer(w)
+g = nn.Gradients(w)   # one flat vector, viewed per layer
+g.flat[...] = 0.0
 for _ in range(800):
-    g = [{"W": w.layers[0]["W"] - 0.7, "b": np.zeros(1)}]
+    np.subtract(w.layers[0]["W"], 0.7, out=g[0]["W"])
     w, opt = nn.apply_update(w, g, opt, 0.002)
 print(f"Adam on 0.5*(w-0.7)^2 after 800 steps: w = {w.layers[0]['W'][0, 0]:.4f}")
 

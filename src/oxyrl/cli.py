@@ -44,10 +44,8 @@ class StageError(Exception):
 _GENERATOR = cohort.GeneratorConfig(n_patients=1)
 GENERATOR_KEYS = tuple(f.name for f in fields(_GENERATOR)
                        if not isinstance(getattr(_GENERATOR, f.name), dict))
-TRAIN_KEYS = ("discount", "batch_size", "critic_lr", "actor_lr", "polyak",
-              "max_iterations", "patience", "consistency_every", "seed")
-EVAL_KEYS = ("consistency_threshold", "curve_bin_width", "curve_min_count",
-             "hist_bin_width", "n_bootstrap", "mortality_label_threshold", "seed")
+TRAIN_KEYS = tuple(f.name for f in fields(ddpg.TrainingConfig))
+EVAL_KEYS = tuple(f.name for f in fields(evaluation.EvalOptions))
 DEFAULTS = {
     **{key: getattr(_GENERATOR, key) for key in GENERATOR_KEYS},
     **{key: getattr(ddpg.TrainingConfig(), key) for key in TRAIN_KEYS},

@@ -386,8 +386,9 @@ def resample_trajectory(table: CohortTable, interval_hours: float,
                         schema: FeatureSchema, patient: int = 0) -> Trajectory:
     """Assemble one patient's raw states on the uniform grid [0, event_time]
     at the given interval. Features with no observations are NaN."""
-    if interval_hours <= 0:
-        raise ValueError("interval_hours must be positive")
+    if not 0 < interval_hours < math.inf:
+        raise ValueError(f"interval_hours must be positive and finite, "
+                         f"not {interval_hours!r}")
     _check_schema(table, schema)
     n_steps = int(np.floor(table.event_times[patient] / interval_hours + 1e-9)) + 1
     grid = np.arange(n_steps, dtype=np.float64) * interval_hours

@@ -9,22 +9,23 @@ recommended and logged flows and halts once it stops improving for a
 configured number of iterations.
 
 :func:`train_folds` trains one policy per replay memory (one per
-cross-validation fold) in lockstep: every network is stacked along a
+cross-validation fold) in lockstep: every network is a stack along a
 leading fold axis (see :mod:`oxyrl.nn`), so one step makes as many numpy
 calls as a single fold's. :func:`td_target` runs the target networks once
 over every fold's whole minibatch and keeps the bootstrap only on live
 rows, which infer mode's row independence makes exact. Each fold keeps its
 own sampler, batch-norm statistics, Adam moments and early stop, and its
-result is bit-identical to training it alone. The step functions below
-take plain or stacked networks alike, and update the online networks and
-their Adam moments in place; the loop also blends its targets in place and
-keeps one gradient vector per network, and gathers minibatches in blocks.
+result is bit-identical to training it alone; :func:`train` is a stack of
+one. The step functions below take plain networks and stacks alike, and
+update the online networks and their Adam moments in place, through the
+gradient vectors the networks own; the loop also blends its targets in
+place and gathers minibatches in blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +43,7 @@ GATHER_BLOCK_ROWS = 448
 class TrainingAbortedError(RuntimeError):
     """Non-finite loss or objective; carries the failing iteration and
     fold. From :func:`train_folds` the fold is the index of the memory; from
-    a step function it is the row of the stacked fold axis (None for plain
+    a step function it is the row of the stack's fold axis (None for plain
     networks) and the iteration is unknown."""
 
     def __init__(self, message, iteration=None, fold=None):
@@ -89,7 +90,7 @@ class Batch:
 
     def take(self, fold, rows=slice(None)) -> "Batch":
         """Rows `rows` of fold `fold` (an index, or a slice of folds) of a
-        stacked batch."""
+        batch with a leading fold axis."""
         return Batch(*(column[fold, rows] for column in vars(self).values()))
 
 
@@ -125,9 +126,9 @@ def _batch_buffers(n_folds, size, state_dim):
 
 
 def gather_minibatches(memories, draws, means, sds, out=None) -> Batch:
-    """The transitions `draws[f]` of each memory `memories[f]`, stacked along a
+    """The transitions `draws[f]` of each memory `memories[f]`, gathered along a
     leading fold axis and normalized in one pass with `means` and `sds`: the
-    memories' own statistics, stacked as (folds, 1, state_dim) arrays; into
+    memories' own statistics, as (folds, 1, state_dim) arrays; into
     the leading folds and rows of `out` (from :func:`_batch_buffers`) if given."""
     n_folds, size = len(memories), len(draws[0])
     if out is None:
@@ -181,16 +182,16 @@ class ActorNet:
         out, _ = nn.forward(self.net, states, nn.INFER)
         return FLOW_MAX * out[..., 0]
 
-    def backward(self, cache, dflow, grads=None):
-        """Parameter gradients (`grads` if given) of sum(flow * dflow)."""
+    def backward(self, cache, dflow):
+        """Parameter gradients (`net.grads`) of sum(flow * dflow)."""
         return nn.backward(self.net, cache, FLOW_MAX * np.asarray(dflow)[..., None],
-                           input_grad=False, grads=grads)[0]
+                           input_grad=False)[0]
 
     def copy(self) -> "ActorNet":
         return ActorNet(self.state_dim, self.net.copy())
 
     def take(self, index) -> "ActorNet":
-        """Fold `index` of a stacked actor (see nn.NetworkParams.take)."""
+        """Fold `index` of an actor stack (see nn.NetworkParams.take)."""
         return ActorNet(self.state_dim, self.net.take(index))
 
 
@@ -231,16 +232,15 @@ class CriticNet:
         q, _ = nn.forward(self.trunk, z, nn.INFER)
         return q[..., 0]
 
-    def backward(self, caches, dq, grads=(None, None)):
+    def backward(self, caches, dq):
         """((state-branch gradients, trunk gradients), None, action
-        gradient) of sum(q * dq), into the pair `grads` where given; the state
-        gradient is not computed."""
+        gradient) of sum(q * dq), in the networks' own gradient vectors; the
+        state gradient is not computed."""
         cache_s, cache_t = caches
         dq = np.asarray(dq, dtype=np.float64)[..., None]
-        trunk_grads, dz = nn.backward(self.trunk, cache_t, dq, grads=grads[1])
+        trunk_grads, dz = nn.backward(self.trunk, cache_t, dq)
         dh, daction = dz[..., :STATE_HIDDEN], dz[..., STATE_HIDDEN]
-        state_grads, _ = nn.backward(self.state_net, cache_s, dh, input_grad=False,
-                                     grads=grads[0])
+        state_grads, _ = nn.backward(self.state_net, cache_s, dh, input_grad=False)
         return (state_grads, trunk_grads), None, daction
 
     def action_gradient(self, caches, dq):
@@ -300,7 +300,7 @@ class TrainResult:
 
 def _check_finite(values, what):
     """Raise TrainingAbortedError naming the first fold whose value is not
-    finite (values is a scalar, or one value per stacked fold)."""
+    finite (values is a scalar, or one value per fold of a stack)."""
     if np.isfinite(values).all():
         return
     first = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -325,18 +325,17 @@ def td_target(batch: Batch, targets: TargetPair, discount: float) -> np.ndarray:
 
 
 def critic_step(critic: CriticNet, batch: Batch, targets_vec, opt: CriticOptState,
-                lr: float, grads=(None, None)):
+                lr: float):
     """One Adam step on the mean of half the squared TD error; the targets
     are constants. Updates `critic` and `opt` in place and returns them with
-    the pre-update mean squared TD error, one per stacked fold. The
-    gradients go into `grads` (state branch, trunk) where given. A
+    the pre-update mean squared TD error, one per fold of a stack. A
     non-finite gradient in either network raises before either is written."""
     q, caches = critic.forward_train(batch.states, batch.actions)
     diff = q - np.asarray(targets_vec, dtype=np.float64)
     n = diff.shape[-1]
     td_mse = np.add.reduce(diff * diff, axis=-1) / n   # np.mean's bits
     _check_finite(td_mse, "critic loss")
-    (state_grads, trunk_grads), _, _ = critic.backward(caches, diff / n, grads)
+    (state_grads, trunk_grads), _, _ = critic.backward(caches, diff / n)
     # the trunk's gradient is checked here and the state branch's by its
     # own update, so a rejected step writes into neither network
     nn.check_gradient(critic.trunk, trunk_grads)
@@ -348,11 +347,10 @@ def critic_step(critic: CriticNet, batch: Batch, targets_vec, opt: CriticOptStat
 
 
 def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
-               opt: nn.OptimizerState, lr: float, grads=None):
+               opt: nn.OptimizerState, lr: float):
     """One Adam ascent step on mean Q(s, pi(s)); the critic is frozen (its
     parameters receive no update). Updates `actor` and `opt` in place and
-    returns them with the pre-update objective, one per stacked fold. The
-    gradient goes into `grads` if given.
+    returns them with the pre-update objective, one per fold of a stack.
 
     The critic is evaluated in deployment mode here: with train-mode batch
     statistics active after the action merge, the objective would be
@@ -365,7 +363,7 @@ def actor_step(actor: ActorNet, critic: CriticNet, batch: Batch,
     objective = np.add.reduce(q, axis=-1) / n   # np.mean's bits
     _check_finite(objective, "actor objective")
     daction = critic.action_gradient(critic_caches, np.full(q.shape, 1.0 / n))
-    grads = actor.backward(actor_cache, daction, grads)
+    grads = actor.backward(actor_cache, daction)
     np.negative(grads.flat, out=grads.flat)   # ascent
     nn.apply_update(actor.net, grads, opt, lr)
     nn.commit_running_stats(actor.net, actor_cache)
@@ -414,8 +412,8 @@ def recommend(actor: ActorNet, state) -> float:
 
 def train(memory: ReplayMemory, config: TrainingConfig,
           consistency_fn=None) -> TrainResult:
-    """Train one policy on one replay memory: :func:`train_folds` with a
-    single fold."""
+    """Train one policy on one replay memory: :func:`train_folds` on a stack
+    of one, whose result holds plain views of it."""
     return train_folds([memory], config, consistency_fn)[0]
 
 
@@ -450,18 +448,15 @@ def train_folds(memories, config: TrainingConfig,
     if consistency_fn is None:
         consistency_fn = consistency_metric
 
-    # every fold starts from the same networks; a single memory trains
-    # plain ones, without a fold axis
+    # every fold starts from the same networks, in a stack along the fold axis
     net_seeds = np.random.SeedSequence(config.seed).spawn(2)
     critic = CriticNet.build(state_dim, net_seeds[0])
     actor = ActorNet.build(state_dim, net_seeds[1])
     n_folds = len(memories)
-    stacked = n_folds > 1
-    if stacked:
-        critic = CriticNet(
-            state_dim, nn.NetworkParams.stack([critic.state_net] * n_folds),
-            nn.NetworkParams.stack([critic.trunk] * n_folds))
-        actor = ActorNet(state_dim, nn.NetworkParams.stack([actor.net] * n_folds))
+    stack = nn.NetworkParams.stack
+    critic = CriticNet(state_dim, stack([critic.state_net] * n_folds),
+                       stack([critic.trunk] * n_folds))
+    actor = ActorNet(state_dim, stack([actor.net] * n_folds))
     targets = TargetPair.from_online(critic, actor)
     critic_opt = CriticOptState(nn.init_optimizer(critic.state_net),
                                 nn.init_optimizer(critic.trunk))
@@ -474,17 +469,14 @@ def train_folds(memories, config: TrainingConfig,
     best = [np.inf] * n_folds
     best_iteration = [0] * n_folds
     results = [None] * n_folds
-    # the index of each training fold in the stack (() when unstacked) and
-    # the memory it trains on
-    slots = list(np.ndindex(actor.net.buffer.shape[:-1]))
+    # the memory each row of the stack trains on
     active = list(range(n_folds))
 
     def finish(rows):
         for row in rows:
-            slot = slots[row]
             results[active[row]] = TrainResult(
-                actor.take(slot), critic.take(slot), targets.take(slot),
-                logs[active[row]], critic_opt.take(slot), actor_opt.take(slot))
+                actor.take(row), critic.take(row), targets.take(row),
+                logs[active[row]], critic_opt.take(row), actor_opt.take(row))
 
     stats = [np.stack([getattr(m, k) for m in memories])[:, None] for k in ("means", "sds")]
     size, every = config.batch_size, config.consistency_every
@@ -492,10 +484,6 @@ def train_folds(memories, config: TrainingConfig,
     # consistency check or the cap, so a fold that stops leaves none behind
     block = max(1, GATHER_BLOCK_ROWS // (n_folds * size))
     buffers = _batch_buffers(n_folds, block * size, state_dim)
-    folds = slice(None) if stacked else 0
-    # one gradient vector per network, made again when the stack shrinks
-    critic_grads = (nn.Gradients(critic.state_net), nn.Gradients(critic.trunk))
-    actor_grads = nn.Gradients(actor.net)
     iteration = 0
     while iteration < config.max_iterations:
         n = min(block, config.max_iterations - iteration, every - iteration % every)
@@ -504,25 +492,25 @@ def train_folds(memories, config: TrainingConfig,
             for f in active], *stats, out=buffers)
         for start in range(0, n * size, size):
             iteration += 1
-            batch = batches.take(folds, slice(start, start + size))
+            batch = batches.take(slice(None), slice(start, start + size))
             try:
                 targets_vec = td_target(batch, targets, config.discount)
                 _, _, td_mse = critic_step(critic, batch, targets_vec, critic_opt,
-                                           config.critic_lr, critic_grads)
-                actor_step(actor, critic, batch, actor_opt, config.actor_lr, actor_grads)
+                                           config.critic_lr)
+                actor_step(actor, critic, batch, actor_opt, config.actor_lr)
             except TrainingAbortedError as err:
-                fold = active[0 if err.fold is None else err.fold]
+                fold = active[err.fold]
                 raise TrainingAbortedError(f"fold {fold}, iteration {iteration}: {err}",
                                            iteration=iteration, fold=fold) from None
             polyak_update(targets, critic, actor, config.polyak, out=targets)
-            for slot, f in zip(slots, active):
-                logs[f].td_mse.append(float(td_mse[slot]))
+            for f, mse in zip(active, td_mse.tolist()):
+                logs[f].td_mse.append(mse)
                 logs[f].n_iterations = iteration
         if iteration % every:
             continue
         stopped = []
-        for row, (slot, f) in enumerate(zip(slots, active)):
-            value = float(consistency_fn(actor.take(slot), memories[f]))
+        for row, f in enumerate(active):
+            value = float(consistency_fn(actor.take(row), memories[f]))
             logs[f].consistency.append((iteration, value))
             if value < best[f]:
                 best[f] = value
@@ -537,11 +525,8 @@ def train_folds(memories, config: TrainingConfig,
                 return results
             active = [active[row] for row in keep]
             stats = [s[keep] for s in stats]
-            slots = slots[:len(keep)]
             actor, critic, targets = actor.take(keep), critic.take(keep), targets.take(keep)
             actor_opt, critic_opt = actor_opt.take(keep), critic_opt.take(keep)
-            critic_grads = (nn.Gradients(critic.state_net), nn.Gradients(critic.trunk))
-            actor_grads = nn.Gradients(actor.net)
     finish(range(len(active)))
     return results
 
@@ -577,8 +562,7 @@ class PolicyBundle:
     feature_sds: np.ndarray
 
 
-_CONFIG_FIELDS = ("discount", "batch_size", "critic_lr", "actor_lr", "polyak",
-                  "max_iterations", "patience", "consistency_every", "seed")
+_CONFIG_FIELDS = tuple(f.name for f in fields(TrainingConfig))
 
 
 def save_policy(path, bundle: PolicyBundle) -> None:
@@ -611,10 +595,9 @@ def load_policy(path) -> PolicyBundle:
         if not (np.isfinite(interval_hours) and interval_hours > 0):
             raise ValueError(f"invalid interval_hours {interval_hours!r}")
         raw = nn.read_fields(fh, "config", len(_CONFIG_FIELDS))
-        config = TrainingConfig(
-            discount=float(raw[0]), batch_size=int(raw[1]), critic_lr=float(raw[2]),
-            actor_lr=float(raw[3]), polyak=float(raw[4]), max_iterations=int(raw[5]),
-            patience=int(raw[6]), consistency_every=int(raw[7]), seed=int(raw[8]))
+        defaults = TrainingConfig()
+        config = TrainingConfig(**{name: type(getattr(defaults, name))(value)
+                                   for name, value in zip(_CONFIG_FIELDS, raw)})
         config.validate()
         feature_names = tuple(nn.read_fields(fh, "features"))
         state_dim = len(feature_names)

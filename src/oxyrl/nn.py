@@ -38,22 +38,22 @@ and the same size however long the batch is.
 Updates write in place. :func:`apply_update` and
 :func:`commit_running_stats` write into the container and
 :class:`OptimizerState` they are given and return those same objects, so a
-training loop owns its online networks and their layer views, and the
-per-layer operands its passes read (:attr:`NetworkParams.operands`), are
-made once; anything a caller wants to keep across an update it copies
-first. An update checks its gradient before its first write, so a rejected
-one changes nothing. :func:`blend_params` writes into the container given
-as ``out``, which may be its target, and otherwise into a fresh one.
-Whole-vector operations give each element the same arithmetic as a
-per-array update. :func:`backward` writes the parameter gradients into one
-flat vector laid out like the trainable part of the buffer
-(:class:`Gradients`), so an update reads them without a concatenation; the
-vector is the caller's when it passes one, so a loop may keep one per
-network. Train-mode forward passes return a cache holding per-layer
-inputs, pre-activations and the batch statistics needed for the exact
-batch-norm backward pass; the momentum-advanced running statistics are
-carried in that cache and applied explicitly with
-:func:`commit_running_stats`.
+training loop owns its online networks, and their layer views, the
+per-layer operands its passes read (:attr:`NetworkParams.operands`) and
+their gradient vectors are made once; anything a caller wants to keep
+across an update it copies first. An update checks its gradient before its
+first write, so a rejected one changes nothing. :func:`blend_params`
+writes into the container given as ``out``, which may be its target, and
+otherwise into a fresh one. Whole-vector operations give each element the
+same arithmetic as a per-array update. :func:`backward` writes the
+parameter gradients into the container's own flat vector, laid out like
+the trainable part of the buffer (:attr:`NetworkParams.grads`, a
+:class:`Gradients`), which the next backward pass on that container
+overwrites; an update reads it without a concatenation. Train-mode forward
+passes return a cache holding per-layer inputs, pre-activations and the
+batch statistics needed for the exact batch-norm backward pass; the
+momentum-advanced running statistics are carried in that cache and applied
+explicitly with :func:`commit_running_stats`.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ class Layout:
 @dataclass(eq=False)
 class NetworkParams:
     """Parameters of a LayerSpec chain in one flat buffer, possibly behind
-    leading dimensions; `layers` holds per-layer views into it, made on
-    first use."""
+    leading dimensions; `layers` holds per-layer views into it and `grads`
+    the vector :func:`backward` writes, each made on first use."""
 
     layout: Layout
     buffer: np.ndarray
@@ -221,6 +221,10 @@ class NetworkParams:
     @functools.cached_property
     def layers(self) -> list:
         return self.layout.views(self.buffer)
+
+    @functools.cached_property
+    def grads(self) -> "Gradients":
+        return Gradients(self)
 
     @functools.cached_property
     def operands(self) -> list:
@@ -450,15 +454,14 @@ forward_cached = functools.partial(forward, want_cache=True)
 
 
 def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarray,
-             param_grads: bool = True, input_grad: bool = True, grads=None):
+             param_grads: bool = True, input_grad: bool = True):
     """Exact gradients of the forward map recorded in `cache`.
 
-    Returns (grads, input_grad): grads is a :class:`Gradients` over the
-    trainable entries of `params`, and input_grad the gradient with respect
-    to the batch; either is None, and not computed, when its argument is
-    false. The parameter gradients go into `grads` if given, else into a
-    fresh vector. Train-mode batch-norm gradients include the dependence of
-    the batch statistics on the inputs.
+    Returns (grads, input_grad): grads is `params.grads`, overwritten with
+    the gradients of the trainable entries of `params`, and input_grad the
+    gradient with respect to the batch; either is None, and not computed,
+    when its argument is false. Train-mode batch-norm gradients include the
+    dependence of the batch statistics on the inputs.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a train-mode forward")
@@ -466,13 +469,7 @@ def backward(params: NetworkParams, cache: ForwardCache, upstream_grad: np.ndarr
     operands = params.operands
     if len(cache.layers) != len(operands):
         raise ValueError("cache does not match the parameter container")
-    if not param_grads:
-        grads = None
-    elif grads is None:
-        grads = Gradients(params)
-    elif grads.flat.shape != params.buffer.shape[:-1] + (params.layout.n_trainable,):
-        raise ValueError(f"gradient vector of shape {grads.flat.shape} does not fit "
-                         f"a parameter buffer of shape {params.buffer.shape}")
+    grads = params.grads if param_grads else None
     for i in range(len(operands) - 1, -1, -1):
         ops, lcache = operands[i], cache.layers[i]
         kind = ops[0]
@@ -528,33 +525,21 @@ def commit_running_stats(params: NetworkParams, cache: ForwardCache) -> NetworkP
     return params
 
 
-def check_gradient(params: NetworkParams, grads) -> np.ndarray:
-    """The gradient as one vector laid out like the trainable part of
-    `params`' buffer, from a :class:`Gradients` or from per-layer mappings
-    of key -> array. Raises ValueError on a shape that does not fit and
-    NonFiniteGradientError when a value is not finite."""
-    layout = params.layout
-    lead = params.buffer.shape[:-1]
-    if isinstance(grads, Gradients):
-        g = grads.flat
-        if g.shape != lead + (layout.n_trainable,):
-            raise ValueError(f"gradient vector of shape {g.shape} does not fit "
-                             f"the layout's {lead + (layout.n_trainable,)}")
-    else:
-        flat = []
-        for i, key, _, shape in layout.trainable:
-            grad = grads[i][key]
-            if grad.shape != lead + shape:
-                raise ValueError(f"gradient {i}:{key} has shape {grad.shape}, "
-                                 f"the layer layout needs {lead + shape}")
-            flat.append(grad.reshape(lead + (-1,)))
-        g = np.concatenate(flat, axis=-1)
+def check_gradient(params: NetworkParams, grads: Gradients) -> np.ndarray:
+    """The flat vector of a :class:`Gradients` for `params`. Raises
+    ValueError on a shape that does not fit and NonFiniteGradientError when
+    a value is not finite."""
+    g = grads.flat
+    shape = params.buffer.shape[:-1] + (params.layout.n_trainable,)
+    if g.shape != shape:
+        raise ValueError(f"gradient vector of shape {g.shape} does not fit "
+                         f"the layout's {shape}")
     if not np.isfinite(g).all():
         raise NonFiniteGradientError("non-finite gradient encountered; update rejected")
     return g
 
 
-def apply_update(params: NetworkParams, grads, opt_state: OptimizerState,
+def apply_update(params: NetworkParams, grads: Gradients, opt_state: OptimizerState,
                  learning_rate: float):
     """One Adam step with bias correction, written into `params`' buffer and
     `opt_state`; returns (params, opt_state). The gradient is checked (see

@@ -252,10 +252,18 @@ def backward_loop(specs, layers, caches, mode, upstream_grad):
 
 
 def zero_grads(params):
-    """Zeros shaped like the trainable arrays of an `nn.NetworkParams`, in
-    the per-layer dict layout `nn.apply_update` takes as gradients."""
-    return [{key: np.zeros_like(layer[key]) for key in TRAINABLE[spec.kind]}
-            for spec, layer in zip(params.specs, params.layers)]
+    """A zero `nn.Gradients` for an `nn.NetworkParams`, apart from the
+    `params.grads` that its backward passes write."""
+    grads = nn.Gradients(params)
+    grads.flat[...] = 0.0
+    return grads
+
+
+def scaled_grads(params, grads, scale):
+    """A new `nn.Gradients` for `params` holding `scale` times `grads`."""
+    out = nn.Gradients(params)
+    np.multiply(scale, grads.flat, out=out.flat)
+    return out
 
 
 def adam_loop(specs, layers, grads, moments, step, learning_rate):
@@ -322,8 +330,9 @@ def copy_optimizer(opt):
 # --- the training step, functionally --------------------------------------------
 #
 # Each function returns new containers, moments and step counts and writes
-# into nothing it is given. Gradients come from `nn.backward` passes that
-# compute every parameter and input gradient.
+# into nothing it is given but the gradient vectors its networks own.
+# Gradients come from `nn.backward` passes that compute every parameter and
+# input gradient.
 
 def adam_functional(params, grads, opt, learning_rate):
     """One Adam step from per-layer gradients, by whole-vector operations;

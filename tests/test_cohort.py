@@ -152,6 +152,16 @@ def test_resample_rejects_record_with_no_features():
         cohort.resample_trajectory(table_of([record]), 4.0, tiny_schema())
 
 
+@pytest.mark.parametrize("interval", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_resample_rejects_an_interval_that_is_not_positive_and_finite(interval):
+    table = table_of([make_record(), make_record("p1")])
+    match = rf"interval_hours must be positive and finite, not {interval!r}"
+    with pytest.raises(ValueError, match=match):
+        cohort.resample_trajectory(table, interval, tiny_schema())
+    with pytest.raises(ValueError, match=match):
+        cohort.stack_trajectories(table, tiny_schema(), interval)
+
+
 # --- build_transitions ----------------------------------------------------------
 
 def matrix_of(*patients):

@@ -241,8 +241,8 @@ def test_critic_step_rejects_a_non_finite_gradient_without_writing(monkeypatch,
     critic_step(critic, batch, targets_vec, opt, 0.002)   # non-zero moments
     backward = CriticNet.backward
 
-    def poisoning(self, caches, dq, grads=(None, None)):
-        grads, dstates, daction = backward(self, caches, dq, grads)
+    def poisoning(self, caches, dq):
+        grads, dstates, daction = backward(self, caches, dq)
         grads[poisoned].flat[..., -1] = np.nan
         return grads, dstates, daction
 
@@ -398,8 +398,8 @@ def test_training_steps_match_the_functional_oracle(n_folds, batch_size, state_d
                                                     terminal_rate, iterations,
                                                     discount, seed):
     # consecutive in-place steps, as the training loop takes them (targets
-    # blended into their own buffers, one caller-owned gradient vector per
-    # network), equal functional ones that rebuild every container and
+    # blended into their own buffers, each network's gradients in the vector
+    # it owns), equal functional ones that rebuild every container and
     # moment, bit for bit
     rng = np.random.default_rng(seed)
     lead = (n_folds,) if n_folds else ()
@@ -409,8 +409,6 @@ def test_training_steps_match_the_functional_oracle(n_folds, batch_size, state_d
     critic_opt = CriticOptState(nn.init_optimizer(critic.state_net),
                                 nn.init_optimizer(critic.trunk))
     actor_opt = nn.init_optimizer(actor.net)
-    critic_grads = (nn.Gradients(critic.state_net), nn.Gradients(critic.trunk))
-    actor_grads = nn.Gradients(actor.net)
     o_critic, o_actor = critic.copy(), actor.copy()
     o_targets = TargetPair.from_online(critic, actor)
     o_critic_opt = CriticOptState(copy_optimizer(critic_opt.state_net),
@@ -425,12 +423,10 @@ def test_training_steps_match_the_functional_oracle(n_folds, batch_size, state_d
         targets_vec = td_target(batch, targets, discount)
         o_targets_vec = td_target_loop(batch, o_targets, discount)
         assert targets_vec.tobytes() == o_targets_vec.tobytes()
-        _, _, td_mse = critic_step(critic, batch, targets_vec, critic_opt, 0.002,
-                                   critic_grads)
+        _, _, td_mse = critic_step(critic, batch, targets_vec, critic_opt, 0.002)
         o_critic, o_critic_opt, o_td_mse = critic_step_functional(
             o_critic, batch, o_targets_vec, o_critic_opt, 0.002)
-        _, _, objective = actor_step(actor, critic, batch, actor_opt, 0.002,
-                                     actor_grads)
+        _, _, objective = actor_step(actor, critic, batch, actor_opt, 0.002)
         o_actor, o_actor_opt, o_objective = actor_step_functional(
             o_actor, o_critic, batch, o_actor_opt, 0.002)
         assert polyak_update(targets, critic, actor, 0.9, out=targets) is targets
@@ -579,13 +575,15 @@ def test_targets_replay_as_exponential_average(monkeypatch):
                             polyak=0.9, seed=4)
     result = train(memory, config)
     assert len(history) == 40
-    # replay the exponential average from the recorded online parameters,
-    # into fresh containers: the same two operations give the same bits
+    # replay the exponential average from the recorded online parameters
+    # (fold 0 of the loop's one-fold stack), into fresh containers: the
+    # same two operations give the same bits
     seeds = np.random.SeedSequence(4).spawn(2)
     replay = TargetPair.from_online(CriticNet.build(3, seeds[0]),
                                     ActorNet.build(3, seeds[1]))
     for critic, actor, rho in history:
-        replay = original(replay, critic, actor, rho)
+        assert critic.trunk.buffer.shape[:-1] == actor.net.buffer.shape[:-1] == (1,)
+        replay = original(replay, critic.take(0), actor.take(0), rho)
     for net_a, net_b in ((replay.actor.net, result.targets.actor.net),
                          (replay.critic.state_net, result.targets.critic.state_net),
                          (replay.critic.trunk, result.targets.critic.trunk)):
@@ -595,8 +593,8 @@ def test_targets_replay_as_exponential_average(monkeypatch):
 
 def test_training_step_makes_online_views_once_and_skips_unread_gradients(monkeypatch):
     # per iteration after the first: no layer views and no gradient vector
-    # (the targets are blended into their own buffers and the loop keeps one
-    # vector per network), and four backward passes (critic trunk and state
+    # (the targets are blended into their own buffers and each network owns
+    # its vector), and four backward passes (critic trunk and state
     # branch; the trunk's action gradient and the actor), against six and
     # five when every update built new containers and every gradient was
     # computed
@@ -783,20 +781,22 @@ def test_lockstep_folds_stop_independently():
                                                     "max_iterations"]
 
 
-def test_lockstep_non_finite_reward_names_fold_and_iteration():
+@pytest.mark.parametrize("n_folds, poisoned", [(1, 0), (3, 1)],
+                         ids=["one_memory", "three_memories"])
+def test_lockstep_non_finite_reward_names_fold_and_iteration(n_folds, poisoned):
     rng = np.random.default_rng(23)
-    memories = [random_memory(rng, n=40, seed=f) for f in range(3)]
-    memories[1].rewards = memories[1].rewards.copy()
-    memories[1].rewards[7] = np.inf
+    memories = [random_memory(rng, n=40, seed=f) for f in range(n_folds)]
+    memories[poisoned].rewards = memories[poisoned].rewards.copy()
+    memories[poisoned].rewards[7] = np.inf
     config = TrainingConfig(batch_size=4, max_iterations=200, seed=5)
-    # the first iteration whose minibatch draws row 7 of fold 1
-    sampler = np.random.default_rng(np.random.SeedSequence(entropy=(5, 1)))
+    # the first iteration whose minibatch draws row 7 of the poisoned fold
+    sampler = np.random.default_rng(np.random.SeedSequence(entropy=(5, poisoned)))
     expected = next(i for i in range(1, 201)
                     if 7 in sampler.integers(0, 40, size=config.batch_size))
     with pytest.raises(ddpg.TrainingAbortedError) as caught:
         train_folds(memories, config)
-    assert (caught.value.fold, caught.value.iteration) == (1, expected)
-    assert f"fold 1, iteration {expected}" in str(caught.value)
+    assert (caught.value.fold, caught.value.iteration) == (poisoned, expected)
+    assert f"fold {poisoned}, iteration {expected}" in str(caught.value)
     assert "critic loss" in str(caught.value)
 
 

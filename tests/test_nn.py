@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     adam_loop, backward_loop, blend_loop, commit_loop, copy_optimizer, forward_loop,
-    zero_grads,
+    scaled_grads, zero_grads,
 )
 from oxyrl import ddpg, nn
 
@@ -200,19 +200,32 @@ def test_linear_dense_weight_gradient_closed_form():
     np.testing.assert_allclose(grads[0]["b"], upstream.sum(axis=0), atol=1e-12)
 
 
-def test_backward_writes_into_a_given_gradient_vector():
+def test_backward_writes_into_the_containers_own_gradient_vector():
     params = small_net(seed=6)
     x = np.random.default_rng(6).normal(size=(5, 4))
     out, cache = nn.forward(params, x, nn.TRAIN)
-    fresh, dx = nn.backward(params, cache, np.ones_like(out))
-    owned = nn.Gradients(params)
-    flat = owned.flat
-    grads, dx_owned = nn.backward(params, cache, np.ones_like(out), grads=owned)
-    assert grads is owned and owned.flat is flat
-    assert flat.tobytes() == fresh.flat.tobytes() and dx_owned.tobytes() == dx.tobytes()
-    stacked = nn.Gradients(nn.NetworkParams.stack([params] * 2))
-    with pytest.raises(ValueError, match="does not fit"):
-        nn.backward(params, cache, np.ones_like(out), grads=stacked)
+    grads, dx = nn.backward(params, cache, np.ones_like(out))
+    flat = grads.flat
+    again, dx_again = nn.backward(params, cache, np.ones_like(out))
+    assert grads is again is params.grads and again.flat is flat
+    assert dx_again.tobytes() == dx.tobytes()
+    # the same bits as a fresh copy's first gradient
+    copy = params.copy()
+    fresh, _ = nn.backward(copy, nn.forward(copy, x, nn.TRAIN)[1], np.ones_like(out))
+    assert fresh is copy.grads and fresh.flat is not flat
+    assert flat.tobytes() == fresh.flat.tobytes()
+    # the next pass overwrites it
+    before = flat.copy()
+    nn.backward(params, cache, 2.0 * np.ones_like(out))
+    assert params.grads.flat is flat
+    assert flat.tobytes() == (2.0 * before).tobytes()
+    # a taken network is a container of its own, with its own vector
+    stacked = nn.NetworkParams.stack([params] * 2)
+    view = stacked.take(1)
+    taken, _ = nn.backward(view, nn.forward(view, x, nn.TRAIN)[1], np.ones_like(out))
+    assert taken is view.grads and taken is not stacked.grads
+    assert taken.flat.shape == flat.shape and taken.flat.tobytes() == before.tobytes()
+    assert not np.shares_memory(taken.flat, flat)
 
 
 # --- optimizer -------------------------------------------------------------
@@ -317,9 +330,9 @@ def test_adam_converges_on_scalar_quadratic():
     params.layers[0]["W"][...] = np.array([[0.2]])
     opt = nn.init_optimizer(params)
     target = 0.5
+    g = zero_grads(params)
     for _ in range(500):
-        g = [{"W": params.layers[0]["W"] - target,
-              "b": np.zeros(1)}]
+        np.subtract(params.layers[0]["W"], target, out=g[0]["W"])
         params, opt = nn.apply_update(params, g, opt, 0.002)
     assert abs(params.layers[0]["W"][0, 0] - target) < 1e-2
 
@@ -332,10 +345,10 @@ def test_non_finite_gradient_rejected():
     out, cache = nn.forward(params, x, nn.TRAIN)
     grads, _ = nn.backward(params, cache, np.ones_like(out))
     nn.apply_update(params, grads, opt, 0.002)  # non-zero moments
-    per_array = [{key: g.copy() for key, g in entry.items()} for entry in grads]
-    per_array[-1]["b"][0] = np.nan
+    last = scaled_grads(params, grads, 1.0)
+    last[-1]["b"][0] = np.nan
     grads.flat[0] = np.inf
-    for bad in (grads, per_array):
+    for bad in (grads, last):
         before = (params.buffer.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step)
         with pytest.raises(nn.NonFiniteGradientError):
             nn.apply_update(params, bad, opt, 0.002)
@@ -531,15 +544,14 @@ def test_flat_engine_matches_per_array_oracle(specs, mode, batch_size, seed, rho
     assert dx.tobytes() == dx_oracle.tobytes()
 
     # two steps, so the second starts from non-zero moments: the first from
-    # the flat gradient vector, the second from per-layer arrays
+    # the container's own gradient vector, the second from a scaled copy
     opt = nn.init_optimizer(params)
     moments = [{key: (np.zeros_like(arr), np.zeros_like(arr))
                 for key, arr in layer.items() if key in grads[i]}
                for i, layer in enumerate(layers)]
     updated, step = params.copy(), 0
     for scale in (1.0, -0.5):
-        scaled = grads if scale == 1.0 else \
-            [{key: scale * g for key, g in entry.items()} for entry in grads]
+        scaled = grads if scale == 1.0 else scaled_grads(params, grads, scale)
         assert nn.apply_update(updated, scaled, opt, lr)[0] is updated
         layers, moments, step = adam_loop(specs, layers, scaled, moments, step, lr)
     assert opt.step == step == 2
@@ -585,8 +597,7 @@ def test_stacked_engine_matches_each_network_alone(specs, mode, n_folds, batch_s
     opt = nn.init_optimizer(params)
     updated = params.copy()
     for scale in (1.0, -0.5):
-        scaled = grads if scale == 1.0 else \
-            [{key: scale * g for key, g in entry.items()} for entry in grads]
+        scaled = grads if scale == 1.0 else scaled_grads(params, grads, scale)
         nn.apply_update(updated, scaled, opt, lr)
     if mode == nn.TRAIN:
         nn.commit_running_stats(updated, cache)
@@ -603,8 +614,7 @@ def test_stacked_engine_matches_each_network_alone(specs, mode, n_folds, batch_s
         opt_f = nn.init_optimizer(plain[f])
         updated_f = plain[f].copy()
         for scale in (1.0, -0.5):
-            scaled = grads_f if scale == 1.0 else \
-                [{key: scale * g for key, g in entry.items()} for entry in grads_f]
+            scaled = grads_f if scale == 1.0 else scaled_grads(plain[f], grads_f, scale)
             nn.apply_update(updated_f, scaled, opt_f, lr)
         if mode == nn.TRAIN:
             nn.commit_running_stats(updated_f, cache_f)

@@ -66,6 +66,14 @@ def test_every_demo_attribute_resolves():
 
 
 
+def test_cohort_demo_writes_only_its_cohort_and_schema(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(ROOT / "demos" / "01_synthetic_cohort.py"))
+    assert "reloaded 500 patients" in capsys.readouterr().out
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "demo_cohort.csv", "demo_schema.txt"]
+
+
 def test_network_demo_round_trips_without_writing_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(ROOT / "demos" / "02_networks_and_gradients.py"))
