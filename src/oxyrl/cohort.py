@@ -31,6 +31,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import parallel
+
 FLOW_MIN = 0.0
 FLOW_MAX = 60.0
 
@@ -298,6 +300,20 @@ class _Columns:
             np.frombuffer(self.values))
 
 
+def _join_tables(tables) -> CohortTable:
+    """Tables of consecutive patient ranges, joined in patient order. Each
+    column leaves the parts as it is joined, so both are never held whole."""
+    if len(tables) == 1:
+        return tables[0]
+    parts = [vars(table) for table in tables]
+    starts = np.cumsum([0] + [len(part["codes"]) for part in parts])
+    offsets = [part.pop("offsets")[1:] + start for part, start in zip(parts, starts)]
+    joined = {name: np.concatenate([part.pop(name) for part in parts]) for name in (
+        "hospital_ids", "outcomes", "event_times", "codes", "times", "values")}
+    return CohortTable(tables[0].schema, sum((part["patient_ids"] for part in parts), ()),
+                       offsets=np.concatenate([[0]] + offsets), **joined)
+
+
 def _check_schema(table: CohortTable, schema: FeatureSchema) -> None:
     if table.schema != schema:
         raise SchemaMismatchError("the cohort table was built on another schema")
@@ -382,13 +398,17 @@ def _held(times, values, grid):
     return np.where(last >= 0, values[np.maximum(last, 0)], 0.0)
 
 
+def _check_interval(interval_hours) -> None:
+    if not 0 < interval_hours < math.inf:
+        raise ValueError(f"interval_hours must be positive and finite, "
+                         f"not {interval_hours!r}")
+
+
 def resample_trajectory(table: CohortTable, interval_hours: float,
                         schema: FeatureSchema, patient: int = 0) -> Trajectory:
     """Assemble one patient's raw states on the uniform grid [0, event_time]
     at the given interval. Features with no observations are NaN."""
-    if not 0 < interval_hours < math.inf:
-        raise ValueError(f"interval_hours must be positive and finite, "
-                         f"not {interval_hours!r}")
+    _check_interval(interval_hours)
     _check_schema(table, schema)
     n_steps = int(np.floor(table.event_times[patient] / interval_hours + 1e-9)) + 1
     grid = np.arange(n_steps, dtype=np.float64) * interval_hours
@@ -420,6 +440,7 @@ def stack_trajectories(table: CohortTable, schema: FeatureSchema,
                        interval_hours: float) -> CohortMatrix:
     """Resample every patient once and stack the trajectories in table
     order."""
+    _check_interval(interval_hours)
     trajectories = [resample_trajectory(table, interval_hours, schema, i)
                     for i in range(len(table))]
     lengths = [len(t.times) for t in trajectories]
@@ -946,11 +967,18 @@ def _simulate_death_time(config, statics, dose_times, doses, rng):
     return None
 
 
+# fewest patients per generator worker: below this, forking one and
+# joining its columns costs more than it saves (a measured break-even)
+GENERATE_SHARD_PATIENTS = 48
+
+
 def generate_synthetic_cohort(config: GeneratorConfig,
                               schema: FeatureSchema | None = None) -> CohortTable:
     """Reproducible hazard-driven cohort. Each patient draws from its own
     seed substream, so generation order and parallelism cannot change the
-    output."""
+    output: contiguous patient ranges, one per usable CPU and none under
+    GENERATE_SHARD_PATIENTS patients, fill their own columns in forked
+    workers (see :mod:`oxyrl.parallel`), joined in patient order."""
     config.validate()
     if schema is None:
         schema = default_schema()
@@ -978,45 +1006,49 @@ def generate_synthetic_cohort(config: GeneratorConfig,
             features.append((code, name, cadence,
                              config.obs_noise_frac * config.covariate_moments[name][1]))
 
-    columns = _Columns(schema)
-    for i in range(config.n_patients):
-        rng = np.random.default_rng(streams[i])
-        hospital = config.hospitals[rng.choice(len(weights), p=weights)]
-        statics = _draw_statics(config, schema, rng)
+    def fill(span):
+        columns = _Columns(schema)
+        for i in range(*span):
+            rng = np.random.default_rng(streams[i])
+            hospital = config.hospitals[rng.choice(len(weights), p=weights)]
+            statics = _draw_statics(config, schema, rng)
 
-        target_dose = optimal_dose(config, statics["age"])
-        patient_shift = rng.normal(0.0, config.patient_noise_sd)
-        heavy = rng.random(n_blocks) < rate
-        block_mean = np.where(heavy, config.step_noise_heavy_mean, regular_mean)
-        block_sd = np.where(heavy, config.step_noise_heavy_sd, config.step_noise_sd)
-        block_doses = np.clip(
-            target_dose + config.behavior_bias + patient_shift
-            + block_mean + block_sd * rng.normal(0.0, 1.0, size=n_blocks),
-            FLOW_MIN, FLOW_MAX)
-        doses = np.repeat(block_doses, steps_per_block)[:n_dose_steps]
+            target_dose = optimal_dose(config, statics["age"])
+            patient_shift = rng.normal(0.0, config.patient_noise_sd)
+            heavy = rng.random(n_blocks) < rate
+            block_mean = np.where(heavy, config.step_noise_heavy_mean, regular_mean)
+            block_sd = np.where(heavy, config.step_noise_heavy_sd, config.step_noise_sd)
+            block_doses = np.clip(
+                target_dose + config.behavior_bias + patient_shift
+                + block_mean + block_sd * rng.normal(0.0, 1.0, size=n_blocks),
+                FLOW_MIN, FLOW_MAX)
+            doses = np.repeat(block_doses, steps_per_block)[:n_dose_steps]
 
-        death = _simulate_death_time(config, statics, dose_times, doses, rng)
-        if death is not None:
-            outcome, event_time = DIED, float(death)
-        else:
-            outcome, event_time = DISCHARGED, float(config.horizon_hours)
-        event_time = max(event_time, 1e-3)
+            death = _simulate_death_time(config, statics, dose_times, doses, rng)
+            if death is not None:
+                outcome, event_time = DIED, float(death)
+            else:
+                outcome, event_time = DISCHARGED, float(config.horizon_hours)
+            event_time = max(event_time, 1e-3)
 
-        normal, exponential = rng.normal, rng.exponential
-        for code, name, cadence, noise_sd in features:
-            if cadence is None:
-                columns.add(code, 0.0, statics[name])
-                continue
-            t = 0.0
-            while t <= event_time:
-                columns.add(code, t, statics[name] + normal(0.0, noise_sd))
-                t += max(exponential(cadence), 1e-3)
-        for t, dose in zip(dose_times, doses.tolist()):
-            if t > event_time:
-                break
-            columns.add(len(schema), t, dose)
-        columns.end_patient(f"p{i:05d}", hospital, outcome, event_time)
-    return columns.table()
+            normal, exponential = rng.normal, rng.exponential
+            for code, name, cadence, noise_sd in features:
+                if cadence is None:
+                    columns.add(code, 0.0, statics[name])
+                    continue
+                t = 0.0
+                while t <= event_time:
+                    columns.add(code, t, statics[name] + normal(0.0, noise_sd))
+                    t += max(exponential(cadence), 1e-3)
+            for t, dose in zip(dose_times, doses.tolist()):
+                if t > event_time:
+                    break
+                columns.add(len(schema), t, dose)
+            columns.end_patient(f"p{i:05d}", hospital, outcome, event_time)
+        return columns.table()
+
+    return _join_tables(parallel.run_shards(
+        fill, parallel.ranges(config.n_patients, GENERATE_SHARD_PATIENTS)))
 
 
 # --- generator config file (flat key = value) ---------------------------------

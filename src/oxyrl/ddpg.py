@@ -16,10 +16,11 @@ over every fold's whole minibatch and keeps the bootstrap only on live
 rows, which infer mode's row independence makes exact. Each fold keeps its
 own sampler, batch-norm statistics, Adam moments and early stop, and its
 result is bit-identical to training it alone; :func:`train` is a stack of
-one. The step functions below take plain networks and stacks alike, and
-update the online networks and their Adam moments in place, through the
-gradient vectors the networks own; the loop also blends its targets in
-place and gathers minibatches in blocks.
+one. Contiguous groups of folds, one per usable CPU, each run that loop in a
+forked worker (see :mod:`oxyrl.parallel`). The step functions below take
+plain networks and stacks alike, and update the online networks and their
+Adam moments in place, through the gradient vectors the networks own; the
+loop also blends its targets in place and gathers minibatches in blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import cohort, nn
+from . import cohort, nn, parallel
 
 FLOW_MAX = 60.0
 STATE_HIDDEN = 32
@@ -435,6 +436,11 @@ def train_folds(memories, config: TrainingConfig,
     iterations; the others go on without it. Each result is bit-identical
     to training its memory alone, and fully reproducible from the config
     and memory seeds.
+
+    Contiguous groups of folds train in forked workers, one per usable CPU,
+    so the hook may run in a worker, where state it mutates stays. Of the
+    groups' failures, the earliest iteration's is raised (then the lowest
+    fold's), as one loop over every fold would have raised it.
     """
     config.validate()
     memories = list(memories)
@@ -448,8 +454,21 @@ def train_folds(memories, config: TrainingConfig,
     if consistency_fn is None:
         consistency_fn = consistency_metric
 
+    outcomes = parallel.run_shards(lambda group: _train_lockstep(
+        memories[slice(*group)], group[0], config, consistency_fn),
+        parallel.ranges(len(memories)))
+    failures = [out for out in outcomes if isinstance(out, TrainingAbortedError)]
+    if failures:
+        raise min(failures, key=lambda err: (err.iteration, err.fold))
+    return [result for results in outcomes for result in results]
+
+
+def _train_lockstep(memories, first_fold, config: TrainingConfig, consistency_fn):
+    """:func:`train_folds`' loop, in this process: the results, or the
+    TrainingAbortedError that stopped it (memory f is fold first_fold + f)."""
     # every fold starts from the same networks, in a stack along the fold axis
     net_seeds = np.random.SeedSequence(config.seed).spawn(2)
+    state_dim = memories[0].state_dim
     critic = CriticNet.build(state_dim, net_seeds[0])
     actor = ActorNet.build(state_dim, net_seeds[1])
     n_folds = len(memories)
@@ -499,9 +518,9 @@ def train_folds(memories, config: TrainingConfig,
                                            config.critic_lr)
                 actor_step(actor, critic, batch, actor_opt, config.actor_lr)
             except TrainingAbortedError as err:
-                fold = active[err.fold]
-                raise TrainingAbortedError(f"fold {fold}, iteration {iteration}: {err}",
-                                           iteration=iteration, fold=fold) from None
+                fold = first_fold + active[err.fold]
+                return TrainingAbortedError(f"fold {fold}, iteration {iteration}: {err}",
+                                            iteration=iteration, fold=fold)
             polyak_update(targets, critic, actor, config.polyak, out=targets)
             for f, mse in zip(active, td_mse.tolist()):
                 logs[f].td_mse.append(mse)

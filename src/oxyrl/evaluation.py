@@ -264,9 +264,9 @@ def loho_cross_validate(table: cohort.CohortTable, schema,
     """Train and evaluate once per hospital. Returns a list of FoldRun with
     every test set scored by a policy that never saw its hospital.
 
-    The folds' policies train together in one lockstep loop
-    (:func:`ddpg.train_folds`); the outcome model and scoring then run one
-    fold at a time, in fold order."""
+    The folds' policies train in lockstep, in fold groups that run in forked
+    workers (:func:`ddpg.train_folds`); the outcome model and scoring then
+    run one fold at a time, in fold order, in this process."""
     matrix = cohort.stack_trajectories(table, schema, interval_hours)
     folds = cohort.split_by_hospital(matrix.hospital_ids)
     stats, memories = [], []

@@ -204,6 +204,11 @@ class NetworkParams:
             raise ValueError(f"parameter buffer of shape {self.buffer.shape} "
                              f"does not match the layout size {self.layout.size}")
 
+    def __reduce__(self):
+        # pickled as its layout and buffer: the cached views, operands and
+        # gradient vector are remade on first use
+        return NetworkParams, (self.layout, self.buffer)
+
     @classmethod
     def stack(cls, items) -> "NetworkParams":
         """Containers of one layout stacked along a new leading axis."""

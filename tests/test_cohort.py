@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import os
 import string
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from _oracles import (
     accept_rows_by_rank, flow_at_loop, hazard_rate, load_records_loop, transitions_loop,
 )
-from oxyrl import cli, cohort, ddpg, evaluation
+from oxyrl import cli, cohort, ddpg, evaluation, parallel
 from oxyrl.cohort import (
     CENSORED, DIED, DISCHARGED, CohortDataWarning, CohortError, CohortFormatError,
     CohortTable, FeatureSchema, GeneratorConfig, GeneratorConfigError,
@@ -158,6 +159,17 @@ def test_resample_rejects_an_interval_that_is_not_positive_and_finite(interval):
     match = rf"interval_hours must be positive and finite, not {interval!r}"
     with pytest.raises(ValueError, match=match):
         cohort.resample_trajectory(table, interval, tiny_schema())
+    with pytest.raises(ValueError, match=match):
+        cohort.stack_trajectories(table, tiny_schema(), interval)
+
+
+@pytest.mark.parametrize("interval", [np.nan, np.inf, 0.0, -1.0])
+def test_stack_rejects_a_bad_interval_on_a_table_without_patients(tmp_path, interval):
+    path = tmp_path / "cohort.csv"
+    path.write_text(",".join(cohort.CSV_HEADER) + "\n")
+    table = cohort.load_cohort(path, tiny_schema())
+    assert len(table) == 0
+    match = rf"interval_hours must be positive and finite, not {interval!r}"
     with pytest.raises(ValueError, match=match):
         cohort.stack_trajectories(table, tiny_schema(), interval)
 
@@ -796,6 +808,43 @@ def test_generator_same_seed_byte_identical(tmp_path):
         cohort.write_cohort_csv(p, records, schema)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def table_bytes(table):
+    return [table.patient_ids] + [(column.dtype, column.tobytes()) for column in (
+        table.hospital_ids, table.outcomes, table.event_times, table.offsets,
+        table.codes, table.times, table.values)]
+
+
+@pytest.mark.parametrize("n_patients", [1, 2, cohort.GENERATE_SHARD_PATIENTS - 1,
+                                        2 * cohort.GENERATE_SHARD_PATIENTS - 1,
+                                        2 * cohort.GENERATE_SHARD_PATIENTS,
+                                        3 * cohort.GENERATE_SHARD_PATIENTS + 7])
+def test_generator_workers_give_the_one_process_table(monkeypatch, n_patients):
+    # each worker fills a contiguous patient range; the ranges join in order
+    config = GeneratorConfig(n_patients=n_patients, seed=13)
+    tables = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+        tables.append(table_bytes(cohort.generate_synthetic_cohort(config)))
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+    assert len(tables[0][0]) == n_patients
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_generator_shards_only_ranges_of_the_minimum(monkeypatch):
+    ranges = []
+    shard = parallel.run_shards
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "run_shards",
+                        lambda fn, shards: ranges.append(shards) or shard(fn, shards))
+    for n in (1, 2 * cohort.GENERATE_SHARD_PATIENTS - 1, 2 * cohort.GENERATE_SHARD_PATIENTS,
+              10 * cohort.GENERATE_SHARD_PATIENTS):
+        cohort.generate_synthetic_cohort(GeneratorConfig(n_patients=n, seed=13))
+    assert [len(shards) for shards in ranges] == [1, 1, 2, 3]
+    assert all(stop - start >= cohort.GENERATE_SHARD_PATIENTS
+               for shards in ranges[1:] for start, stop in shards)
 
 
 def test_generator_rejects_non_positive_n():

@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +10,7 @@ from _oracles import (
     actor_step_functional, copy_optimizer, critic_step_functional, dense_memory,
     gather_each_iteration, polyak_functional, td_target_loop,
 )
-from oxyrl import cohort, ddpg, nn
+from oxyrl import cohort, ddpg, nn, parallel
 from oxyrl.ddpg import (
     ActorNet, Batch, CriticNet, CriticOptState, PolicyBundle, ReplayMemory,
     TargetPair, TrainingConfig, actor_step, consistency_metric, critic_step,
@@ -747,6 +750,8 @@ def test_block_gathering_matches_gathering_each_iteration(sizes, batch_size,
         return gather(memories, draws, means, sds, out=out)
 
     with pytest.MonkeyPatch.context() as patch:
+        # the blocks are recorded in this process: train every fold here
+        patch.setattr(parallel, "_usable_cpus", lambda: 1)
         patch.setattr(ddpg, "gather_minibatches", recording)
         blocked = train_folds(memories, config, staggered_consistency(evaluations))
         patch.setattr(ddpg, "gather_minibatches", gather_each_iteration)
@@ -807,6 +812,148 @@ def test_train_folds_rejects_mismatched_memories():
                     TrainingConfig(max_iterations=1))
     with pytest.raises(ValueError, match="no replay memories"):
         train_folds([], TrainingConfig(max_iterations=1))
+
+
+# --- fold groups in forked workers ----------------------------------------------
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    assert_no_child_left()
+
+
+def force_workers(patch, count):
+    patch.setattr(parallel, "_usable_cpus", lambda: count)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+       workers=st.integers(1, 4), batch_size=st.integers(2, 12),
+       max_iterations=st.integers(0, 24), every=st.integers(1, 5),
+       patience=st.integers(1, 8),
+       improving=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+       seed=st.integers(0, 2**16))
+@example(sizes=[30, 7, 64, 2], workers=2, batch_size=8, max_iterations=24, every=2,
+         patience=3, improving=[0, 2, 5, 6], seed=1)
+def test_fold_groups_in_workers_match_one_stack(sizes, workers, batch_size,
+                                                max_iterations, every, patience,
+                                                improving, seed):
+    rng = np.random.default_rng(seed)
+    memories = []
+    for n, memory_seed in zip(sizes, (9, 4, 30, 1)):
+        memory = random_memory(rng, n=n, seed=memory_seed)
+        memory.means, memory.sds = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+        memories.append(memory)
+    evaluations = {memory.seed: k for memory, k in zip(memories, improving)}
+    config = TrainingConfig(batch_size=batch_size, max_iterations=max_iterations,
+                            consistency_every=every, patience=patience, seed=seed)
+    results = {}
+    for count in (1, workers):
+        with pytest.MonkeyPatch.context() as patch:
+            force_workers(patch, count)
+            results[count] = train_folds(memories, config,
+                                         staggered_consistency(evaluations))
+        assert_no_child_left()
+    assert len(results[workers]) == len(memories)
+    for sharded, stacked in zip(results[workers], results[1]):
+        assert result_bytes(sharded) == result_bytes(stacked)
+
+
+def poisoned_memories(poisoned_rows, n=40):
+    """Four memories; memory f's reward row poisoned_rows[f] (if given) is
+    infinite."""
+    rng = np.random.default_rng(25)
+    memories = [random_memory(rng, n=n, seed=f) for f in range(4)]
+    for f, row in poisoned_rows.items():
+        memories[f].rewards = memories[f].rewards.copy()
+        memories[f].rewards[row] = np.inf
+    return memories
+
+
+def first_draw(fold, row, config, n=40):
+    """The first iteration whose minibatch of memory `fold` draws `row`."""
+    sampler = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, fold)))
+    return next(i for i in range(1, config.max_iterations + 1)
+                if row in sampler.integers(0, n, size=config.batch_size))
+
+
+def test_a_failure_in_a_worker_names_the_global_fold(no_child_left, monkeypatch):
+    force_workers(monkeypatch, 2)
+    config = TrainingConfig(batch_size=4, max_iterations=200, seed=5)
+    with pytest.raises(ddpg.TrainingAbortedError) as caught:
+        train_folds(poisoned_memories({3: 7}), config)
+    expected = first_draw(3, 7, config)
+    assert (caught.value.fold, caught.value.iteration) == (3, expected)
+    assert f"fold 3, iteration {expected}" in str(caught.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+# (poisoned row per memory, the (iteration, fold) of the first failure): a
+# later group's failure first, the first group's first, and a tie across
+# groups that goes to the lower fold
+@pytest.mark.parametrize("poisoned, first", [({1: 7, 2: 11, 3: 7}, (13, 2)),
+                                             ({1: 4, 2: 11, 3: 5}, (11, 1)),
+                                             ({1: 37, 2: 11, 3: 7}, (13, 1))])
+def test_the_earliest_failure_of_any_group_is_raised(no_child_left, monkeypatch,
+                                                     workers, poisoned, first):
+    force_workers(monkeypatch, workers)
+    config = TrainingConfig(batch_size=4, max_iterations=200, seed=5)
+    assert min((first_draw(f, row, config), f) for f, row in poisoned.items()) == first
+    with pytest.raises(ddpg.TrainingAbortedError) as caught:
+        train_folds(poisoned_memories(poisoned), config)
+    assert (caught.value.iteration, caught.value.fold) == first
+
+
+def test_a_worker_that_dies_without_a_result_raises(no_child_left, monkeypatch):
+    force_workers(monkeypatch, 2)
+    rng = np.random.default_rng(26)
+    memories = [random_memory(rng, n=30, seed=f) for f in range(2)]
+    parent = os.getpid()
+
+    def dying(actor, memory):
+        if os.getpid() != parent:
+            os._exit(3)
+        return consistency_metric(actor, memory)
+    config = TrainingConfig(batch_size=4, max_iterations=4, consistency_every=2)
+    with pytest.raises(RuntimeError, match="status 3"):
+        train_folds(memories, config, dying)
+
+
+def test_a_hook_error_in_a_worker_is_raised_here(no_child_left, monkeypatch):
+    force_workers(monkeypatch, 2)
+    rng = np.random.default_rng(27)
+    memories = [random_memory(rng, n=30, seed=f) for f in range(2)]
+    parent = os.getpid()
+
+    def failing(actor, memory):
+        if os.getpid() != parent:
+            raise KeyError(f"worker hook, memory {memory.seed}")
+        return consistency_metric(actor, memory)
+    config = TrainingConfig(batch_size=4, max_iterations=4, consistency_every=2)
+    with pytest.raises(KeyError, match="worker hook, memory 1"):
+        train_folds(memories, config, failing)
+
+
+def test_an_error_here_kills_the_workers(no_child_left, monkeypatch):
+    force_workers(monkeypatch, 2)
+    rng = np.random.default_rng(28)
+    memories = [random_memory(rng, n=30, seed=f) for f in range(2)]
+    parent = os.getpid()
+
+    def hook(actor, memory):
+        if os.getpid() != parent:
+            time.sleep(60)       # a worker that is not killed holds the test
+        raise KeyError("hook in the calling process")
+    config = TrainingConfig(batch_size=4, max_iterations=4, consistency_every=2)
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="calling process"):
+        train_folds(memories, config, hook)
+    assert time.monotonic() - start < 30
 
 
 # --- checkpoint ----------------------------------------------------------------------

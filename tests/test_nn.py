@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -640,6 +641,25 @@ def test_stacked_views_share_the_buffer():
         nn.forward(params, np.zeros((5, 4)), nn.INFER)
     with pytest.raises(ValueError, match="one layer chain"):
         nn.NetworkParams.stack([small_net(), small_net(state_dim=3)])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_params_with_made_caches_pickle_as_layout_and_buffer(stacked):
+    params = small_net(seed=3)
+    if stacked:
+        params = nn.NetworkParams.stack([params, small_net(seed=4)])
+    x = np.random.default_rng(5).normal(size=params.buffer.shape[:-1] + (6, 4))
+    out, cache = nn.forward(params, x, nn.TRAIN)
+    nn.backward(params, cache, np.ones_like(out))
+    assert params.layers and params.operands and params.grads   # made and cached
+    copy = pickle.loads(pickle.dumps(params, protocol=5))
+    assert copy.specs == params.specs
+    assert copy.buffer.shape == params.buffer.shape
+    assert copy.buffer.tobytes() == params.buffer.tobytes()
+    assert nn.forward(copy, x, nn.INFER)[0].tobytes() == \
+        nn.forward(params, x, nn.INFER)[0].tobytes()
+    actor = pickle.loads(pickle.dumps(ddpg.ActorNet.build(16, 0)))
+    assert actor.net.buffer.tobytes() == ddpg.ActorNet.build(16, 0).net.buffer.tobytes()
 
 
 # --- infer passes are row-independent ---------------------------------------------

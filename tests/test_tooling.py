@@ -10,13 +10,14 @@ import importlib.util
 import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import numpy as np
 
 import oxyrl
 from _oracles import dense_memory
-from oxyrl import cli, ddpg
+from oxyrl import cli, ddpg, parallel
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -165,7 +166,9 @@ def test_traced_training_step_functions_are_called_in_lockstep(monkeypatch):
 
 
 def test_lockstep_iteration_calls_do_not_grow_with_folds(monkeypatch):
-    # a per-fold loop in the training step would show here as more calls
+    # a per-fold loop in the training step would show here as more calls;
+    # the calls are counted in this process, so every fold trains here
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     takes = []
     take = ddpg.TargetPair.take
     monkeypatch.setattr(ddpg.TargetPair, "take",
@@ -235,3 +238,43 @@ def test_tracer_cohort_counters_count_patients(monkeypatch, tmp_path):
     assert counts("cohort.generate_synthetic_cohort") == [40]
     assert counts("cohort.load_cohort") == [40]
     assert len(counts("cohort.resample_trajectory")) == 40
+
+
+FORKED_LOHO = """
+import os, sys
+from oxyrl import cli, parallel
+
+parallel._usable_cpus = lambda: 2
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+out = sys.argv[1]
+assert cli.main(["generate", "--out", out + "/cohort", "--seed", "5",
+                 "--n-patients", "120", "--horizon-hours", "48.0"]) == 0
+assert cli.main(["loho", "--out", out + "/loho", "--cohort", out + "/cohort/cohort.csv",
+                 "--schema", out + "/cohort/schema.txt", "--seed", "1",
+                 "--max-iterations", "4", "--n-bootstrap", "10"]) == 0
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    pass
+print("forks", len(forks), "multiprocessing" in sys.modules)
+"""
+
+
+def test_forked_loho_leaves_no_child_and_never_imports_multiprocessing(tmp_path):
+    # generate shards its patient ranges and loho its fold groups, each in
+    # one forked worker here; multiprocessing alone would add about 1.3 MB
+    # of RSS to the process
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    run = subprocess.run([sys.executable, "-c", FORKED_LOHO, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == "forks 2 False"
+    # stdout is a pipe, so generate's line sat in its buffer when loho forked:
+    # a worker that flushed it on its way out would print it twice
+    assert len(lines) == 3 and lines[0].startswith("wrote 120 patients")
+    assert sorted(os.listdir(tmp_path / "loho")) == [
+        "fold_H1", "fold_H2", "fold_H3", "fold_H4", "pooled"]
