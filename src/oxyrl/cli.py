@@ -10,6 +10,12 @@ and renames them into `--out` only once every one is written. A command that
 fails leaves `--out` as it was; one that is killed leaves at most that
 hidden `.<name>.*` directory. Writers called as library functions write
 their paths in place.
+
+Each command runs as labelled stages (`_stage`): `generate` as config and
+generate, `train` as config, load, impute, train and write, `evaluate` as
+config, load and evaluate, `loho` as config, load, folds and report. An
+error in a stage stops the command with exit code 1 and prints
+`error [<stage>] <cause>`.
 """
 
 from __future__ import annotations
@@ -171,64 +177,70 @@ def _staged(out):
 
 # --- subcommands ----------------------------------------------------------------
 
+@contextlib.contextmanager
+def _stage(name, *errors):
+    """Run the block as pipeline stage `name`: an exception of one of
+    `errors` (of any kind when none are named) leaves as a StageError."""
+    try:
+        yield
+    except errors or Exception as err:
+        raise StageError(name, err) from err
+
+
+def _config_values(args):
+    return read_config_file(args.config) if args.config else {}
+
+
 def cmd_generate(args) -> int:
-    try:
-        values = read_config_file(args.config) if args.config else {}
-        config = _build_generator_config(args, values)
+    with _stage("config", OSError, ValueError, cohort.GeneratorConfigError):
+        config = _build_generator_config(args, _config_values(args))
         config.validate()
-    except (OSError, ValueError, cohort.GeneratorConfigError) as err:
-        raise StageError("config", err) from err
-    try:
+    with _stage("generate"):
         schema = cohort.default_schema()
         table = cohort.generate_synthetic_cohort(config, schema)
         with _staged(args.out) as out:
             cohort.write_schema(os.path.join(out, "schema.txt"), schema)
             cohort.write_cohort_csv(os.path.join(out, "cohort.csv"), table, schema)
             cohort.write_generator_config(os.path.join(out, "generator.cfg"), config)
-    except Exception as err:
-        raise StageError("generate", err) from err
     print(f"wrote {len(table)} patients to {args.out}")
     return 0
 
 
 def _load_inputs(args):
-    try:
+    with _stage("load", OSError, cohort.CohortError):
         schema = cohort.read_schema(args.schema)
         table = cohort.load_cohort(args.cohort, schema)
-    except (OSError, cohort.CohortError) as err:
-        raise StageError("load", err) from err
     if not len(table):
         raise StageError("load", ValueError("cohort file holds no patients"))
     return schema, table
 
 
+def _write_policy(outdir, bundle, log):
+    ddpg.save_policy(os.path.join(outdir, "policy.ckpt"), bundle)
+    ddpg.write_training_log(os.path.join(outdir, "training_log.csv"), log)
+
+
+def _write_fold(outdir, fold, report):
+    evaluation.write_report_files(outdir, report)
+    survival.write_grid_report(os.path.join(outdir, "gridsearch.csv"), fold.grid)
+    survival.save_cox_model(os.path.join(outdir, "cox_model.txt"), fold.cox)
+
+
 def cmd_train(args) -> int:
-    try:
-        values = read_config_file(args.config) if args.config else {}
-        config, interval = _training_config(args, values)
-    except (OSError, ValueError) as err:
-        raise StageError("config", err) from err
+    with _stage("config", OSError, ValueError):
+        config, interval = _training_config(args, _config_values(args))
     schema, table = _load_inputs(args)
-    try:
+    with _stage("impute", cohort.CohortError):
         stats = cohort.compute_feature_stats(table, schema)
         memory = evaluation.replay_memory(cohort.stack_trajectories(table, schema, interval),
                                           np.arange(len(table)), stats, seed=0)
-    except cohort.CohortError as err:
-        raise StageError("impute", err) from err
-    try:
+    with _stage("train", ddpg.TrainingAbortedError, ValueError):
         result = ddpg.train(memory, config)
-    except (ddpg.TrainingAbortedError, ValueError) as err:
-        raise StageError("train", err) from err
-    try:
-        bundle = ddpg.PolicyBundle(
+    with _stage("write"), _staged(args.out) as out:
+        _write_policy(out, ddpg.PolicyBundle(
             actor=result.actor, critic=result.critic, targets=result.targets,
             config=config, interval_hours=interval, feature_names=schema.names,
-            feature_means=stats.means, feature_sds=stats.sds)
-        with _staged(args.out) as out:
-            ddpg.save_policy(os.path.join(out, "policy.ckpt"), bundle)
-            ddpg.write_training_log(os.path.join(out, "training_log.csv"), result.log)
-    except Exception as err:
-        raise StageError("write", err) from err
+            feature_means=stats.means, feature_sds=stats.sds), result.log)
     print(f"trained {result.log.n_iterations} iterations "
           f"({result.log.stop_reason}); checkpoint in {args.out}")
     return 0
@@ -250,82 +262,52 @@ def _write_figures(outdir, report):
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        values = read_config_file(args.config) if args.config else {}
-        options = _configure(evaluation.EvalOptions(), EVAL_KEYS, args, values)
+    with _stage("config", OSError, ValueError):
+        options = _configure(evaluation.EvalOptions(), EVAL_KEYS, args, _config_values(args))
         options.validate()
-    except (OSError, ValueError) as err:
-        raise StageError("config", err) from err
     schema, table = _load_inputs(args)
-    try:
+    with _stage("load", OSError, ValueError):
         bundle = ddpg.load_policy(args.checkpoint)
-    except (OSError, ValueError) as err:
-        raise StageError("load", err) from err
-    if bundle.feature_names != schema.names:
-        raise StageError("load", ValueError(
-            "checkpoint features do not match the schema"))
-    try:
-        stats = cohort.FeatureStats(schema.names, bundle.feature_means,
-                                    bundle.feature_sds)
+        if bundle.feature_names != schema.names:
+            raise ValueError("checkpoint features do not match the schema")
+    with _stage("evaluate"):
         matrix = cohort.stack_trajectories(table, schema, bundle.interval_hours)
-        model, grid, retained, flow_stats = evaluation.fit_outcome_model(
-            cohort.apply_feature_stats(matrix, stats), schema, seed=options.seed)
-        fold = evaluation.evaluate_patients(
-            "all", matrix, np.arange(matrix.n_patients), schema, stats,
-            evaluation.actor_policy(bundle.actor), model, retained, flow_stats,
-            grid=grid)
+        everyone = np.arange(matrix.n_patients)
+        fold = evaluation.run_fold("all", matrix, schema, bundle, everyone, everyone,
+                                   options.seed)
         report = evaluation.build_report([fold], options)
         with _staged(args.out) as out:
-            evaluation.write_report_files(out, report)
-            survival.write_grid_report(os.path.join(out, "gridsearch.csv"), grid)
-            survival.save_cox_model(os.path.join(out, "cox_model.txt"), model)
+            _write_fold(out, fold, report)
             _write_figures(out, report)
-    except Exception as err:
-        raise StageError("evaluate", err) from err
     print(f"evaluated {report.n_patients} patients; report in {args.out}")
     return 0
 
 
 def cmd_loho(args) -> int:
-    try:
-        values = read_config_file(args.config) if args.config else {}
+    with _stage("config", OSError, ValueError):
+        values = _config_values(args)
         config, interval = _training_config(args, values)
         options = _configure(evaluation.EvalOptions(), EVAL_KEYS, args, values)
         options.validate()
-    except (OSError, ValueError) as err:
-        raise StageError("config", err) from err
     schema, table = _load_inputs(args)
-    n_hospitals = len(set(table.hospital_ids.tolist()))
-    if n_hospitals < 2:
-        raise StageError("folds", ValueError(
-            f"leave-one-hospital-out needs a cohort spanning at least 2 hospitals, "
-            f"found {n_hospitals}"))
-    try:
+    with _stage("folds"):
+        n_hospitals = len(set(table.hospital_ids.tolist()))
+        if n_hospitals < 2:
+            raise ValueError(f"leave-one-hospital-out needs a cohort spanning at least "
+                             f"2 hospitals, found {n_hospitals}")
         runs = evaluation.loho_cross_validate(table, schema, config,
                                               interval_hours=interval)
-    except Exception as err:
-        raise StageError("folds", err) from err
-    try:
-        with _staged(args.out) as out:
-            for run in runs:
-                fold_dir = os.path.join(out, f"fold_{run.fold.fold_id}")
-                os.mkdir(fold_dir)
-                ddpg.save_policy(os.path.join(fold_dir, "policy.ckpt"), run.bundle)
-                ddpg.write_training_log(os.path.join(fold_dir, "training_log.csv"),
-                                        run.training_log)
-                survival.save_cox_model(os.path.join(fold_dir, "cox_model.txt"),
-                                        run.fold.cox)
-                survival.write_grid_report(os.path.join(fold_dir, "gridsearch.csv"),
-                                           run.fold.grid)
-                evaluation.write_report_files(
-                    fold_dir, evaluation.build_report([run.fold], options))
-            pooled_dir = os.path.join(out, "pooled")
-            os.mkdir(pooled_dir)
-            report = evaluation.build_report([run.fold for run in runs], options)
-            evaluation.write_report_files(pooled_dir, report)
-            _write_figures(pooled_dir, report)
-    except Exception as err:
-        raise StageError("report", err) from err
+    with _stage("report"), _staged(args.out) as out:
+        for run in runs:
+            fold_dir = os.path.join(out, f"fold_{run.fold.fold_id}")
+            os.mkdir(fold_dir)
+            _write_policy(fold_dir, run.bundle, run.training_log)
+            _write_fold(fold_dir, run.fold, evaluation.build_report([run.fold], options))
+        pooled_dir = os.path.join(out, "pooled")
+        os.mkdir(pooled_dir)
+        report = evaluation.build_report([run.fold for run in runs], options)
+        evaluation.write_report_files(pooled_dir, report)
+        _write_figures(pooled_dir, report)
     print(f"leave-one-hospital-out complete: {len(runs)} folds; "
           f"pooled report in {os.path.join(args.out, 'pooled')}")
     return 0
@@ -333,51 +315,31 @@ def cmd_loho(args) -> int:
 
 # --- argument parsing ----------------------------------------------------------------
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key = value options file")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--out", required=True, help="output directory")
-
-
-def _add_keys(parser, keys):
-    for key in keys:
-        if key != "seed" and not isinstance(DEFAULTS[key], tuple):
-            parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                                type=type(DEFAULTS[key]))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oxyrl",
         description="offline dosing-policy pipeline on patient trajectories")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="write a synthetic cohort")
-    _add_common(p_gen)
-    _add_keys(p_gen, GENERATOR_KEYS)
-    p_gen.set_defaults(fn=cmd_generate)
-
-    p_train = sub.add_parser("train", help="train the dosing policy")
-    _add_common(p_train)
-    p_train.add_argument("--cohort", required=True)
-    p_train.add_argument("--schema", required=True)
-    _add_keys(p_train, (*TRAIN_KEYS, "interval_hours"))
-    p_train.set_defaults(fn=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="score a trained policy")
-    _add_common(p_eval)
-    p_eval.add_argument("--cohort", required=True)
-    p_eval.add_argument("--schema", required=True)
-    p_eval.add_argument("--checkpoint", required=True)
-    _add_keys(p_eval, EVAL_KEYS)
-    p_eval.set_defaults(fn=cmd_evaluate)
-
-    p_loho = sub.add_parser("loho", help="leave-one-hospital-out validation")
-    _add_common(p_loho)
-    p_loho.add_argument("--cohort", required=True)
-    p_loho.add_argument("--schema", required=True)
-    _add_keys(p_loho, (*TRAIN_KEYS, "interval_hours", *EVAL_KEYS))
-    p_loho.set_defaults(fn=cmd_loho)
+    run_keys = (*TRAIN_KEYS, "interval_hours")
+    # (name, function, help, required input files, option keys)
+    for name, fn, text, inputs, keys in (
+            ("generate", cmd_generate, "write a synthetic cohort", (), GENERATOR_KEYS),
+            ("train", cmd_train, "train the dosing policy", ("cohort", "schema"), run_keys),
+            ("evaluate", cmd_evaluate, "score a trained policy",
+             ("cohort", "schema", "checkpoint"), EVAL_KEYS),
+            ("loho", cmd_loho, "leave-one-hospital-out validation",
+             ("cohort", "schema"), (*run_keys, *EVAL_KEYS))):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", help="flat key = value options file")
+        command.add_argument("--seed", type=int, help="master random seed")
+        command.add_argument("--out", required=True, help="output directory")
+        for flag in inputs:
+            command.add_argument(f"--{flag}", required=True)
+        for key in keys:
+            if key != "seed" and not isinstance(DEFAULTS[key], tuple):
+                command.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                                     type=type(DEFAULTS[key]))
+        command.set_defaults(fn=fn)
     return parser
 
 

@@ -812,6 +812,12 @@ DEFAULT_HAZARD_COEFFICIENTS = {
 DEFAULT_OPTIMAL_DOSES = {"age_lt_65": 10.0, "age_65_75": 25.0, "age_ge_75": 40.0}
 
 
+# the generator settings that are scales, rates or seeds; the `sd.` table
+# entries are scales too
+_NON_NEGATIVE = ("seed", "patient_noise_sd", "step_noise_sd", "step_noise_heavy_sd",
+                 "baseline_hazard", "obs_noise_frac")
+
+
 @dataclass
 class GeneratorConfig:
     n_patients: int
@@ -860,6 +866,8 @@ class GeneratorConfig:
         for name, value in entries:
             if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise GeneratorConfigError(f"{name} must be finite, not {value!r}")
+            if (name in _NON_NEGATIVE or name.startswith("sd.")) and value < 0:
+                raise GeneratorConfigError(f"{name} must be non-negative, not {value!r}")
         if self.n_patients <= 0:
             raise GeneratorConfigError("n_patients must be positive")
         if len(self.hospitals) < 2:
@@ -869,8 +877,12 @@ class GeneratorConfig:
         if min(self.hospital_weights) < 0 or not sum(self.hospital_weights) > 0:
             raise GeneratorConfigError(
                 "hospital weights must be non-negative with a positive sum")
-        if self.horizon_hours <= 0 or self.dose_interval_hours <= 0:
-            raise GeneratorConfigError("horizon and dose interval must be positive")
+        for name in ("horizon_hours", "dose_interval_hours", "dose_block_hours",
+                     "lab_cadence_hours", "vital_cadence_hours"):
+            if getattr(self, name) <= 0:
+                raise GeneratorConfigError(f"{name} must be positive")
+        if not 0.0 <= self.step_noise_heavy_rate <= 1.0:
+            raise GeneratorConfigError("step_noise_heavy_rate must lie in [0, 1]")
         if self.under_dose_curvature < 0 or self.over_dose_curvature < 0:
             raise GeneratorConfigError("dose curvatures must be non-negative")
         for archetype in ARCHETYPES:

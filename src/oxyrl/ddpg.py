@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cohort, nn, parallel
 
-FLOW_MAX = 60.0
+FLOW_MAX = cohort.FLOW_MAX
 STATE_HIDDEN = 32
 TRUNK_HIDDEN = 16
 
@@ -74,6 +74,8 @@ class TrainingConfig:
             raise ValueError("batch_size must be at least 2")
         if self.max_iterations < 0 or self.patience <= 0 or self.consistency_every <= 0:
             raise ValueError("iteration counts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (0 < self.critic_lr < math.inf and 0 < self.actor_lr < math.inf):
             raise ValueError("learning rates must be positive and finite")
 

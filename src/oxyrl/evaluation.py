@@ -13,6 +13,7 @@ resamples so policy differences are resampled consistently.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -46,6 +47,8 @@ class EvalOptions:
             raise ValueError("bin widths must be positive and finite")
         if self.n_bootstrap < 1:
             raise ValueError("bootstrap count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 < self.mortality_label_threshold < 1.0:
             raise ValueError("mortality label threshold must lie in (0, 1)")
 
@@ -236,26 +239,18 @@ def replay_memory(matrix: cohort.CohortMatrix, patients, stats: cohort.FeatureSt
         stats.means, stats.sds, seed)
 
 
-def run_fold(matrix: cohort.CohortMatrix, schema,
-             training_config: ddpg.TrainingConfig, fold_index: int, train, test,
-             stats: cohort.FeatureStats, result: ddpg.TrainResult) -> FoldRun:
-    """Fit the outcome model on the `train` patients and score every `test`
-    patient (index arrays into `matrix`) with the fold's trained policy;
-    `stats` are the training patients' feature statistics."""
-    fold_id = str(matrix.hospital_ids[test[0]])    # the held-out hospital
+def run_fold(fold_id, matrix: cohort.CohortMatrix, schema, bundle: ddpg.PolicyBundle,
+             fit, test, seed) -> FoldResult:
+    """Fit the outcome model on the `fit` patients and score every `test`
+    patient (index arrays into the raw `matrix`) with `bundle`'s actor; both
+    are normalized with the bundle's feature statistics."""
+    stats = cohort.FeatureStats(bundle.feature_names, bundle.feature_means,
+                                bundle.feature_sds)
     model, grid, retained, flow_stats = fit_outcome_model(
-        matrix.normalized_rows(train, stats), schema,
-        seed=training_config.seed + fold_index)
-
-    fold = evaluate_patients(
-        fold_id, matrix, test, schema, stats, actor_policy(result.actor),
-        model, retained, flow_stats, grid=grid)
-    bundle = ddpg.PolicyBundle(
-        actor=result.actor, critic=result.critic, targets=result.targets,
-        config=training_config, interval_hours=matrix.interval_hours,
-        feature_names=schema.names, feature_means=stats.means,
-        feature_sds=stats.sds)
-    return FoldRun(fold, bundle, result.log)
+        matrix.normalized_rows(fit, stats), schema, seed=seed)
+    return evaluate_patients(fold_id, matrix, test, schema, stats,
+                             actor_policy(bundle.actor), model, retained, flow_stats,
+                             grid=grid)
 
 
 def loho_cross_validate(table: cohort.CohortTable, schema,
@@ -265,8 +260,8 @@ def loho_cross_validate(table: cohort.CohortTable, schema,
     every test set scored by a policy that never saw its hospital.
 
     The folds' policies train in lockstep, in fold groups that run in forked
-    workers (:func:`ddpg.train_folds`); the outcome model and scoring then
-    run one fold at a time, in fold order, in this process."""
+    workers (:func:`ddpg.train_folds`); :func:`run_fold` then fits and scores
+    one fold at a time, in fold order, in this process."""
     matrix = cohort.stack_trajectories(table, schema, interval_hours)
     folds = cohort.split_by_hospital(matrix.hospital_ids)
     stats, memories = [], []
@@ -278,9 +273,17 @@ def loho_cross_validate(table: cohort.CohortTable, schema,
         memories.append(replay_memory(matrix, train, stats[-1], seed=fold_index))
     results = ddpg.train_folds(memories, training_config)
     del memories    # not kept through scoring
-    return [run_fold(matrix, schema, training_config, fold_index, train, test,
-                     stats[fold_index], results[fold_index])
-            for fold_index, (train, test) in enumerate(folds)]
+    runs = []
+    for fold_index, ((train, test), result) in enumerate(zip(folds, results)):
+        bundle = ddpg.PolicyBundle(
+            actor=result.actor, critic=result.critic, targets=result.targets,
+            config=training_config, interval_hours=matrix.interval_hours,
+            feature_names=schema.names, feature_means=stats[fold_index].means,
+            feature_sds=stats[fold_index].sds)
+        fold = run_fold(str(matrix.hospital_ids[test[0]]), matrix, schema, bundle,
+                        train, test, training_config.seed + fold_index)
+        runs.append(FoldRun(fold, bundle, result.log))
+    return runs
 
 
 # --- aggregation -------------------------------------------------------------------
@@ -437,12 +440,13 @@ def _subgroup_rows(columns: _ReportColumns, options: EvalOptions):
 
 
 def _flow_histograms(columns: _ReportColumns, options: EvalOptions):
-    """Decision-point histograms: recommended and logged flows over [0, 60],
-    differences over [-60, 60]. Counts sum to the decision-point total."""
+    """Decision-point histograms: recommended and logged flows over [FLOW_MIN,
+    FLOW_MAX], differences over [-FLOW_MAX, FLOW_MAX]. Counts sum to the
+    decision-point total."""
     rl, logged = columns.rec_flows, columns.logged_flows
     width = options.hist_bin_width
-    flow_edges = np.arange(0.0, 60.0 + width, width)
-    diff_edges = np.arange(-60.0, 60.0 + width, width)
+    flow_edges = np.arange(cohort.FLOW_MIN, cohort.FLOW_MAX + width, width)
+    diff_edges = np.arange(-cohort.FLOW_MAX, cohort.FLOW_MAX + width, width)
     rl_counts, _ = np.histogram(rl, bins=flow_edges)
     logged_counts, _ = np.histogram(logged, bins=flow_edges)
     diff_counts, _ = np.histogram(rl - logged, bins=diff_edges)
@@ -532,83 +536,57 @@ def build_report(fold_results, options: EvalOptions) -> EvalReport:
 
 # --- report files --------------------------------------------------------------------
 
-def _f(x) -> str:
+def _cell(x) -> str:
+    """One CSV cell: a flag as 0/1, an integer as itself, text with its
+    commas turned into semicolons, anything else as the repr of a float."""
+    if isinstance(x, (bool, np.bool_)):
+        return str(int(x))
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    if isinstance(x, str):
+        return x.replace(",", ";")
     return repr(float(x))
 
 
 def write_report_files(outdir, report: EvalReport) -> list:
     """Emit the machine-readable CSV set plus a human-readable summary.
     Returns the list of paths written."""
-    import os
-
+    r, hist = report, report.histograms
+    flow_edges, diff_edges = hist["flow_edges"], hist["diff_edges"]
+    metrics = (
+        ("n_patients", r.n_patients), ("n_decision_points", r.n_decision_points),
+        ("consistency_rate", r.consistency), ("mortality_reduction", r.reduction),
+        ("mortality_reduction_ci_low", r.reduction_ci[0]),
+        ("mortality_reduction_ci_high", r.reduction_ci[1]),
+        ("cosine_similarity", r.cosine_similarity), ("accuracy", r.accuracy),
+        ("concordance_index", r.concordance), ("mcnemar_statistic", r.mcnemar_statistic),
+        ("mcnemar_p", r.mcnemar_p))
+    tables = (
+        ("pooled.csv", "policy,mortality,mortality_ci_low,mortality_ci_high,"
+                       "mean_flow,mean_flow_ci_low,mean_flow_ci_high",
+         [("rl", r.rl_mortality, *r.rl_ci, r.rl_flow, *r.rl_flow_ci),
+          ("logged", r.logged_mortality, *r.logged_ci, r.logged_flow, *r.logged_flow_ci)]),
+        ("metrics.csv", "metric,value", [(name, float(v)) for name, v in metrics]),
+        ("subgroups.csv", "subgroup,n,rl_mortality,rl_mortality_se,logged_mortality,"
+                          "logged_mortality_se,rl_flow,rl_flow_se,logged_flow,"
+                          "logged_flow_se,significant",
+         [vars(row).values() for row in r.subgroups]),
+        ("curve.csv", "bin_center,bin_low,bin_high,count,observed_mortality,"
+                      "ci_low,ci_high,estimated_mortality,low_support",
+         [vars(point).values() for point in r.curve]),
+        ("hist_flows.csv", "bin_low,bin_high,rl_count,logged_count",
+         zip(flow_edges[:-1], flow_edges[1:], hist["rl"], hist["logged"])),
+        ("hist_difference.csv", "bin_low,bin_high,count",
+         zip(diff_edges[:-1], diff_edges[1:], hist["diff"])),
+    )
     paths = []
-
-    def _open(name):
-        path = os.path.join(outdir, name)
-        paths.append(path)
-        return open(path, "w", newline="\n")
-
-    with _open("pooled.csv") as fh:
-        fh.write("policy,mortality,mortality_ci_low,mortality_ci_high,"
-                 "mean_flow,mean_flow_ci_low,mean_flow_ci_high\n")
-        fh.write(f"rl,{_f(report.rl_mortality)},{_f(report.rl_ci[0])},"
-                 f"{_f(report.rl_ci[1])},{_f(report.rl_flow)},"
-                 f"{_f(report.rl_flow_ci[0])},{_f(report.rl_flow_ci[1])}\n")
-        fh.write(f"logged,{_f(report.logged_mortality)},{_f(report.logged_ci[0])},"
-                 f"{_f(report.logged_ci[1])},{_f(report.logged_flow)},"
-                 f"{_f(report.logged_flow_ci[0])},{_f(report.logged_flow_ci[1])}\n")
-
-    with _open("metrics.csv") as fh:
-        fh.write("metric,value\n")
-        for name, value in (
-                ("n_patients", report.n_patients),
-                ("n_decision_points", report.n_decision_points),
-                ("consistency_rate", report.consistency),
-                ("mortality_reduction", report.reduction),
-                ("mortality_reduction_ci_low", report.reduction_ci[0]),
-                ("mortality_reduction_ci_high", report.reduction_ci[1]),
-                ("cosine_similarity", report.cosine_similarity),
-                ("accuracy", report.accuracy),
-                ("concordance_index", report.concordance),
-                ("mcnemar_statistic", report.mcnemar_statistic),
-                ("mcnemar_p", report.mcnemar_p)):
-            fh.write(f"{name},{_f(value)}\n")
-
-    with _open("subgroups.csv") as fh:
-        fh.write("subgroup,n,rl_mortality,rl_mortality_se,logged_mortality,"
-                 "logged_mortality_se,rl_flow,rl_flow_se,logged_flow,"
-                 "logged_flow_se,significant\n")
-        for row in report.subgroups:
-            fh.write(",".join([
-                row.name.replace(",", ";"), str(row.count),
-                _f(row.rl_mortality), _f(row.rl_mortality_se),
-                _f(row.logged_mortality), _f(row.logged_mortality_se),
-                _f(row.rl_flow), _f(row.rl_flow_se),
-                _f(row.logged_flow), _f(row.logged_flow_se),
-                str(int(row.significant))]) + "\n")
-
-    with _open("curve.csv") as fh:
-        fh.write("bin_center,bin_low,bin_high,count,observed_mortality,"
-                 "ci_low,ci_high,estimated_mortality,low_support\n")
-        for pt in report.curve:
-            fh.write(",".join([
-                _f(pt.center), _f(pt.low), _f(pt.high), str(pt.count),
-                _f(pt.observed_mortality), _f(pt.ci_low), _f(pt.ci_high),
-                _f(pt.estimated_mortality), str(int(pt.low_support))]) + "\n")
-
-    hist = report.histograms
-    with _open("hist_flows.csv") as fh:
-        fh.write("bin_low,bin_high,rl_count,logged_count\n")
-        for i in range(len(hist["rl"])):
-            fh.write(f"{_f(hist['flow_edges'][i])},{_f(hist['flow_edges'][i + 1])},"
-                     f"{hist['rl'][i]},{hist['logged'][i]}\n")
-    with _open("hist_difference.csv") as fh:
-        fh.write("bin_low,bin_high,count\n")
-        for i in range(len(hist["diff"])):
-            fh.write(f"{_f(hist['diff_edges'][i])},{_f(hist['diff_edges'][i + 1])},"
-                     f"{hist['diff'][i]}\n")
-
-    with _open("summary.txt") as fh:
+    for name, header, rows in tables:
+        paths.append(os.path.join(outdir, name))
+        with open(paths[-1], "w", newline="\n") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    paths.append(os.path.join(outdir, "summary.txt"))
+    with open(paths[-1], "w", newline="\n") as fh:
         fh.write(format_summary(report))
     return paths
 

@@ -207,6 +207,82 @@ def test_validators_reject_non_finite_values(config, value):
     assert accepted == []
 
 
+def moments_with(key, sd):
+    return {**cohort.DEFAULT_MOMENTS, key: (cohort.DEFAULT_MOMENTS[key][0], sd)}
+
+
+# (field the message names, config holding a value that is finite but out of
+# range); every one of these used to pass validate() and then stop inside
+# numpy, run unbounded, or run at all
+OUT_OF_RANGE = [
+    ("patient_noise_sd", cohort.GeneratorConfig(n_patients=5, patient_noise_sd=-1.0)),
+    ("step_noise_sd", cohort.GeneratorConfig(n_patients=5, step_noise_sd=-1.0)),
+    ("step_noise_heavy_sd", cohort.GeneratorConfig(n_patients=5, step_noise_heavy_sd=-1.0)),
+    ("obs_noise_frac", cohort.GeneratorConfig(n_patients=5, obs_noise_frac=-0.5)),
+    ("sd.bmi", cohort.GeneratorConfig(n_patients=5,
+                                      covariate_moments=moments_with("bmi", -5.0))),
+    ("lab_cadence_hours", cohort.GeneratorConfig(n_patients=5, lab_cadence_hours=0.0)),
+    ("lab_cadence_hours", cohort.GeneratorConfig(n_patients=5, lab_cadence_hours=-1.0)),
+    ("vital_cadence_hours", cohort.GeneratorConfig(n_patients=5, vital_cadence_hours=0.0)),
+    ("dose_block_hours", cohort.GeneratorConfig(n_patients=5, dose_block_hours=-4.0)),
+    ("dose_block_hours", cohort.GeneratorConfig(n_patients=5, dose_block_hours=0.0)),
+    ("step_noise_heavy_rate", cohort.GeneratorConfig(n_patients=5,
+                                                     step_noise_heavy_rate=1.5)),
+    ("step_noise_heavy_rate", cohort.GeneratorConfig(n_patients=5,
+                                                     step_noise_heavy_rate=-0.1)),
+    ("baseline_hazard", cohort.GeneratorConfig(n_patients=5, baseline_hazard=-1.0)),
+    ("seed", cohort.GeneratorConfig(n_patients=5, seed=-1)),
+    ("seed", ddpg.TrainingConfig(seed=-1)),
+    ("seed", evaluation.EvalOptions(seed=-1)),
+]
+
+
+@pytest.mark.parametrize("name, config", OUT_OF_RANGE,
+                         ids=[f"{type(c).__name__}.{n}" for n, c in OUT_OF_RANGE])
+def test_validators_reject_out_of_range_values(name, config):
+    with pytest.raises((ValueError, cohort.GeneratorConfigError), match=name):
+        config.validate()
+
+
+def test_validators_accept_zero_noise():
+    cohort.GeneratorConfig(n_patients=5, patient_noise_sd=0.0, step_noise_sd=0.0,
+                           step_noise_heavy_sd=0.0, step_noise_heavy_rate=0.0,
+                           obs_noise_frac=0.0, baseline_hazard=0.0, seed=0).validate()
+    cohort.GeneratorConfig(n_patients=5, step_noise_heavy_rate=1.0).validate()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--patient-noise-sd -1"), ("generate", "--obs-noise-frac -0.5"),
+    ("generate", "--lab-cadence-hours -1"), ("generate", "--step-noise-heavy-rate 1.5"),
+    ("generate", "--baseline-hazard -1"), ("generate", "--dose-block-hours -4"),
+    ("generate", "--seed -1"), ("train", "--seed -1"), ("evaluate", "--seed -1"),
+    ("loho", "--seed -1"),
+])
+def test_out_of_range_flag_is_config_error(tmp_path, capsys, cohort_dir, trained_dir,
+                                           command, flag):
+    inputs = ["--cohort", str(cohort_dir / "cohort.csv"),
+              "--schema", str(cohort_dir / "schema.txt"), "--max-iterations", "2"]
+    inputs = {"generate": ["--n-patients", "5"], "train": inputs, "loho": inputs,
+              "evaluate": [*inputs[:4], "--n-bootstrap", "10",
+                           "--checkpoint", str(trained_dir / "policy.ckpt")]}[command]
+    out = tmp_path / "out"
+    assert run([command, "--out", str(out), *inputs, *flag.split()]) == 1
+    err = capsys.readouterr().err
+    assert "[config]" in err and flag.split()[0][2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+def test_out_of_range_config_table_entry_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("sd.bmi = -5.0\n")
+    out = tmp_path / "out"
+    assert run(["generate", "--out", str(out), "--config", str(cfg),
+                "--n-patients", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "[config]" in err and "sd.bmi" in err
+    assert not out.exists()
+
+
 # --- train -----------------------------------------------------------------------
 
 def test_train_checkpoint_reproduces_recommendations(trained_dir):
@@ -317,6 +393,24 @@ def test_evaluate_byte_deterministic(tmp_path, cohort_dir, trained_dir):
         assert run(eval_args(out, cohort_dir, trained_dir / "policy.ckpt")) == 0
         outs.append(read_all_bytes(out))
     assert outs[0] == outs[1]
+
+
+# SHA-256 over the relative path and bytes of every file `eval_args` writes
+# for the `trained_dir` checkpoint on the `cohort_dir` fixture, taken as
+# LOHO_DIGEST is
+EVALUATE_DIGEST = "ff80449c24898918e1e893bd97d3c93113af925e3ef55e75abcf83c646dd8bec"
+
+
+def test_evaluate_outputs_match_pinned_digest(tmp_path, cohort_dir, trained_dir):
+    out = tmp_path / "report"
+    assert run(eval_args(out, cohort_dir, trained_dir / "policy.ckpt")) == 0
+    files = read_all_bytes(out)
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.replace(os.sep, "/").encode())
+        digest.update(b"\0")
+        digest.update(files[name])
+    assert digest.hexdigest() == EVALUATE_DIGEST
 
 
 def test_evaluate_truncated_checkpoint_is_load_error(tmp_path, cohort_dir, trained_dir,
@@ -542,3 +636,53 @@ def test_out_naming_a_file_is_stage_error(tmp_path, capsys, cohort_dir, trained_
     assert f"[{stage}]" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
     assert os.listdir(tmp_path) == ["taken"]
+
+
+# --- argument parsing ----------------------------------------------------------------
+
+def parser_spec(parser):
+    """One `options=dest[:type][!]` token per action, in order; `!` marks a
+    required option."""
+    return [f"{'/'.join(a.option_strings)}={a.dest}"
+            f"{':' + a.type.__name__ if a.type else ''}{'!' if a.required else ''}"
+            for a in parser._actions]
+
+
+COMMON_SPEC = ["-h/--help=help", "--config=config", "--seed=seed:int", "--out=out!"]
+TRAIN_SPEC = ["--discount=discount:float", "--batch-size=batch_size:int",
+              "--critic-lr=critic_lr:float", "--actor-lr=actor_lr:float",
+              "--polyak=polyak:float", "--max-iterations=max_iterations:int",
+              "--patience=patience:int", "--consistency-every=consistency_every:int",
+              "--interval-hours=interval_hours:float"]
+EVAL_SPEC = ["--consistency-threshold=consistency_threshold:float",
+             "--curve-bin-width=curve_bin_width:float",
+             "--curve-min-count=curve_min_count:int",
+             "--hist-bin-width=hist_bin_width:float", "--n-bootstrap=n_bootstrap:int",
+             "--mortality-label-threshold=mortality_label_threshold:float"]
+PARSER_SPEC = {
+    "generate": [*COMMON_SPEC, "--n-patients=n_patients:int",
+                 *(f"--{key.replace('_', '-')}={key}:float" for key in (
+                     "horizon_hours", "dose_interval_hours", "dose_block_hours",
+                     "behavior_bias", "patient_noise_sd", "step_noise_sd",
+                     "step_noise_heavy_sd", "step_noise_heavy_rate",
+                     "step_noise_heavy_mean", "dose_coef", "over_dose_curvature",
+                     "under_dose_curvature", "under_dose_margin", "baseline_hazard",
+                     "lab_cadence_hours", "vital_cadence_hours", "obs_noise_frac"))],
+    "train": [*COMMON_SPEC, "--cohort=cohort!", "--schema=schema!", *TRAIN_SPEC],
+    "evaluate": [*COMMON_SPEC, "--cohort=cohort!", "--schema=schema!",
+                 "--checkpoint=checkpoint!", *EVAL_SPEC],
+    "loho": [*COMMON_SPEC, "--cohort=cohort!", "--schema=schema!", *TRAIN_SPEC,
+             *EVAL_SPEC],
+}
+
+
+def test_parser_builds_the_pinned_options():
+    parser = cli.build_parser()
+    assert parser_spec(parser) == ["-h/--help=help", "=command!"]
+    commands = parser._subparsers._group_actions[0]
+    assert [(a.dest, a.help) for a in commands._choices_actions] == [
+        ("generate", "write a synthetic cohort"), ("train", "train the dosing policy"),
+        ("evaluate", "score a trained policy"),
+        ("loho", "leave-one-hospital-out validation")]
+    assert {name: parser_spec(sub) for name, sub in commands.choices.items()} == PARSER_SPEC
+    assert list(commands.choices) == list(PARSER_SPEC)
