@@ -16,6 +16,8 @@ drawn to configured moments, a behavior policy doses with noise around a
 per-archetype optimal flow plus a configurable bias, and death times follow
 a proportional-hazards law whose dose response is U-shaped, so the
 hazard-minimizing flow rate is known exactly and can serve as ground truth.
+Its default features are one table, ``_DEFAULT_FEATURES``, from which the
+schema, ``DEFAULT_MOMENTS`` and ``DEFAULT_HAZARD_COEFFICIENTS`` derive.
 """
 
 from __future__ import annotations
@@ -744,78 +746,53 @@ ARCHETYPES = ("age_lt_65", "age_65_75", "age_ge_75")
 ARCHETYPE_ANCHOR_AGES = (55.0, 70.0, 85.0)
 
 
-def default_schema() -> FeatureSchema:
-    rows = [
-        ("age", STATIC, "years"),
-        ("male", STATIC, "flag"),
-        ("bmi", STATIC, "kg/m2"),
-        ("hypertension", COMORBIDITY, "flag"),
-        ("diabetes", COMORBIDITY, "flag"),
-        ("heart_failure", COMORBIDITY, "flag"),
-        ("copd_asthma", COMORBIDITY, "flag"),
-        ("ph", LAB, "pH"),
-        ("anion_gap", LAB, "mEq/L"),
-        ("serum_calcium", LAB, "mg/dL"),
-        ("potassium", LAB, "mEq/L"),
-        ("rdw_cv", LAB, "%"),
-        ("wbc", LAB, "1e3/uL"),
-        ("hco3", LAB, "mEq/L"),
-        ("sbp", VITAL, "mmHg"),
-        ("temperature", VITAL, "degC"),
-    ]
-    return FeatureSchema(*map(tuple, zip(*rows)))
-
-
-# (mean, sd) for continuous features; (prevalence, 0) for flags. The age row
-# is the pre-truncation parameterization: draws below 50 are rejected, which
-# lands the realized moments near (69.7, 10.8).
-DEFAULT_MOMENTS = {
-    "age": (68.0, 12.3),
-    "male": (0.645, 0.0),
-    "bmi": (28.61, 6.74),
-    "hypertension": (0.8518, 0.0),
-    "diabetes": (0.5143, 0.0),
-    "heart_failure": (0.2979, 0.0),
-    "copd_asthma": (0.1592, 0.0),
-    "ph": (7.40, 0.07),
-    "anion_gap": (12.0, 3.0),
-    "serum_calcium": (8.8, 0.7),
-    "potassium": (4.1, 0.5),
-    "rdw_cv": (14.5, 2.0),
-    "wbc": (9.0, 3.5),
-    "hco3": (24.0, 4.0),
-    "sbp": (123.4, 18.0),
-    "temperature": (37.0, 0.6),
-}
-
-# sign pattern anchored to the fitted survival-model coefficients, scaled
-# down uniformly so dose effects dominate the synthetic mortality mix
-DEFAULT_HAZARD_COEFFICIENTS = {
-    "age": 0.01,
-    "male": 0.075,
-    "bmi": 0.005,
-    "hypertension": 0.05,
-    "diabetes": 0.06,
-    "heart_failure": 0.09,
-    "copd_asthma": 0.075,
-    "ph": -0.93,
-    "anion_gap": 0.015,
-    "serum_calcium": -0.095,
-    "potassium": 0.075,
-    "rdw_cv": 0.03,
-    "wbc": 0.005,
-    "hco3": -0.005,
-    "sbp": -0.0025,
-    "temperature": 0.04,
-}
-
+# The default features in schema order: (name, kind, unit, mean, sd, hazard
+# coefficient), with (prevalence, 0) moments for flags. The age moments are
+# pre-truncation: draws below 50 are rejected, which lands the realized
+# moments near (69.7, 10.8). The coefficients keep the fitted survival
+# model's sign pattern, scaled down uniformly so dose effects dominate the
+# synthetic mortality mix.
+_DEFAULT_FEATURES = (
+    ("age", STATIC, "years", 68.0, 12.3, 0.01),
+    ("male", STATIC, "flag", 0.645, 0.0, 0.075),
+    ("bmi", STATIC, "kg/m2", 28.61, 6.74, 0.005),
+    ("hypertension", COMORBIDITY, "flag", 0.8518, 0.0, 0.05),
+    ("diabetes", COMORBIDITY, "flag", 0.5143, 0.0, 0.06),
+    ("heart_failure", COMORBIDITY, "flag", 0.2979, 0.0, 0.09),
+    ("copd_asthma", COMORBIDITY, "flag", 0.1592, 0.0, 0.075),
+    ("ph", LAB, "pH", 7.40, 0.07, -0.93),
+    ("anion_gap", LAB, "mEq/L", 12.0, 3.0, 0.015),
+    ("serum_calcium", LAB, "mg/dL", 8.8, 0.7, -0.095),
+    ("potassium", LAB, "mEq/L", 4.1, 0.5, 0.075),
+    ("rdw_cv", LAB, "%", 14.5, 2.0, 0.03),
+    ("wbc", LAB, "1e3/uL", 9.0, 3.5, 0.005),
+    ("hco3", LAB, "mEq/L", 24.0, 4.0, -0.005),
+    ("sbp", VITAL, "mmHg", 123.4, 18.0, -0.0025),
+    ("temperature", VITAL, "degC", 37.0, 0.6, 0.04),
+)
+DEFAULT_MOMENTS = {name: (mean, sd) for name, _, _, mean, sd, _ in _DEFAULT_FEATURES}
+DEFAULT_HAZARD_COEFFICIENTS = {name: coef for name, *_, coef in _DEFAULT_FEATURES}
 DEFAULT_OPTIMAL_DOSES = {"age_lt_65": 10.0, "age_65_75": 25.0, "age_ge_75": 40.0}
+
+
+def default_schema() -> FeatureSchema:
+    names, kinds, units, *_ = zip(*_DEFAULT_FEATURES)
+    return FeatureSchema(names, kinds, units)
+
+
+def _is_flag(name: str, kind: str) -> bool:
+    """Whether the generator draws the feature as a 0/1 flag."""
+    return kind == COMORBIDITY or (kind == STATIC and name == "male")
 
 
 # the generator settings that are scales, rates or seeds; the `sd.` table
 # entries are scales too
 _NON_NEGATIVE = ("seed", "patient_noise_sd", "step_noise_sd", "step_noise_heavy_sd",
-                 "baseline_hazard", "obs_noise_frac")
+                 "baseline_hazard", "obs_noise_frac", "over_dose_curvature",
+                 "under_dose_curvature")
+# the settings and table entries that are probabilities (a flag's prevalence)
+_PROBABILITIES = frozenset(["step_noise_heavy_rate"] + [
+    f"mean.{name}" for name, kind, *_ in _DEFAULT_FEATURES if _is_flag(name, kind)])
 
 
 @dataclass
@@ -868,6 +845,12 @@ class GeneratorConfig:
                 raise GeneratorConfigError(f"{name} must be finite, not {value!r}")
             if (name in _NON_NEGATIVE or name.startswith("sd.")) and value < 0:
                 raise GeneratorConfigError(f"{name} must be non-negative, not {value!r}")
+            if name in _PROBABILITIES and not 0.0 <= value <= 1.0:
+                raise GeneratorConfigError(f"{name} must lie in [0, 1], not {value!r}")
+            # no logged flow and no actor output can reach a dose outside the range
+            if name.startswith("optimal_dose.") and not FLOW_MIN <= value <= FLOW_MAX:
+                raise GeneratorConfigError(
+                    f"{name} must lie in [{FLOW_MIN:g}, {FLOW_MAX:g}], not {value!r}")
         if self.n_patients <= 0:
             raise GeneratorConfigError("n_patients must be positive")
         if len(self.hospitals) < 2:
@@ -881,10 +864,6 @@ class GeneratorConfig:
                      "lab_cadence_hours", "vital_cadence_hours"):
             if getattr(self, name) <= 0:
                 raise GeneratorConfigError(f"{name} must be positive")
-        if not 0.0 <= self.step_noise_heavy_rate <= 1.0:
-            raise GeneratorConfigError("step_noise_heavy_rate must lie in [0, 1]")
-        if self.under_dose_curvature < 0 or self.over_dose_curvature < 0:
-            raise GeneratorConfigError("dose curvatures must be non-negative")
         for archetype in ARCHETYPES:
             if archetype not in self.optimal_dose_profile:
                 raise GeneratorConfigError(f"missing optimal dose for {archetype}")
@@ -952,8 +931,7 @@ def _draw_statics(config: GeneratorConfig, schema: FeatureSchema, rng) -> dict:
     statics = {}
     for name in schema.names:
         mean, sd = config.covariate_moments[name]
-        kind = schema.kind_of(name)
-        if kind == COMORBIDITY or (kind == STATIC and name == "male"):
+        if _is_flag(name, schema.kind_of(name)):
             statics[name] = float(rng.random() < mean)
         elif name == "age":
             age = rng.normal(mean, sd)

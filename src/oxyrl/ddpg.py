@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import cohort, nn, parallel
+from . import cohort, nn, parallel, textfile
 
 FLOW_MAX = cohort.FLOW_MAX
 STATE_HIDDEN = 32
@@ -149,15 +149,14 @@ def gather_minibatches(memories, draws, means, sds, out=None) -> Batch:
     return Batch(states[0], actions, rewards, states[1], terminal)
 
 
-def actor_specs(state_dim: int):
-    return (nn.dense(state_dim, STATE_HIDDEN), nn.batchnorm(STATE_HIDDEN),
-            nn.activation("relu"), nn.dense(STATE_HIDDEN, 1),
-            nn.activation("sigmoid"))
-
-
 def critic_state_specs(state_dim: int):
     return (nn.dense(state_dim, STATE_HIDDEN), nn.batchnorm(STATE_HIDDEN),
             nn.activation("relu"))
+
+
+def actor_specs(state_dim: int):
+    return critic_state_specs(state_dim) + (nn.dense(STATE_HIDDEN, 1),
+                                            nn.activation("sigmoid"))
 
 
 def critic_trunk_specs():
@@ -595,8 +594,8 @@ def save_policy(path, bundle: PolicyBundle) -> None:
                           for name in _CONFIG_FIELDS)
         fh.write(f"config {values}\n")
         fh.write("features " + " ".join(bundle.feature_names) + "\n")
-        nn._write_array(fh, "feature_means", bundle.feature_means)
-        nn._write_array(fh, "feature_sds", bundle.feature_sds)
+        textfile.write_array(fh, "feature_means", bundle.feature_means)
+        textfile.write_array(fh, "feature_sds", bundle.feature_sds)
         for net in (bundle.actor.net, bundle.critic.state_net, bundle.critic.trunk,
                     bundle.targets.actor.net, bundle.targets.critic.state_net,
                     bundle.targets.critic.trunk):
@@ -607,24 +606,23 @@ def load_policy(path) -> PolicyBundle:
     """Read a policy checkpoint, checking its structure: any truncated,
     mis-shaped, unknown, non-finite or trailing content raises ValueError."""
     with open(path) as fh:
-        if fh.readline().strip() != POLICY_MAGIC:
-            raise ValueError("unrecognized policy checkpoint")
-        (policy_kind,) = nn.read_fields(fh, "policy_kind", 1)
+        textfile.fields(fh, POLICY_MAGIC, 0)
+        (policy_kind,) = textfile.fields(fh, "policy_kind", 1)
         if policy_kind != POLICY_KIND_ACTOR:
             raise ValueError(f"unknown policy kind {policy_kind!r}")
-        interval_hours = float(nn.read_fields(fh, "interval_hours", 1)[0])
+        interval_hours = float(textfile.fields(fh, "interval_hours", 1)[0])
         if not (np.isfinite(interval_hours) and interval_hours > 0):
             raise ValueError(f"invalid interval_hours {interval_hours!r}")
-        raw = nn.read_fields(fh, "config", len(_CONFIG_FIELDS))
+        raw = textfile.fields(fh, "config", len(_CONFIG_FIELDS))
         defaults = TrainingConfig()
         config = TrainingConfig(**{name: type(getattr(defaults, name))(value)
                                    for name, value in zip(_CONFIG_FIELDS, raw)})
         config.validate()
-        feature_names = tuple(nn.read_fields(fh, "features"))
+        feature_names = tuple(textfile.fields(fh, "features"))
         state_dim = len(feature_names)
         stats = []
         for name in ("feature_means", "feature_sds"):
-            got, arr = nn._read_array(fh)
+            got, arr = textfile.read_array(fh)
             if got != name or arr.shape != (state_dim,):
                 raise ValueError(f"expected {name} of shape ({state_dim},), "
                                  f"got {got} of shape {arr.shape}")

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cohort, ddpg, survival
+from . import cohort, ddpg, survival, textfile
 
-WINDOW_HOURS = 7.0 * 24.0
+WINDOW_HOURS = survival.MORTALITY_WINDOW_DAYS * 24.0
 
 AGE_BANDS = (("age 50 to 65", 50.0, 65.0), ("age 65 to 75", 65.0, 75.0),
              ("age 75 to 80", 75.0, 80.0), ("age >= 80", 80.0, np.inf))
@@ -158,13 +158,6 @@ def fit_outcome_model(normalized: cohort.CohortMatrix, schema, seed,
     return model, grid, retained, flow_stats
 
 
-def actor_policy(actor: ddpg.ActorNet):
-    """Recommendation hook querying the trained policy."""
-    def fn(states, logged_flows):
-        return actor.act(states)
-    return fn
-
-
 def mirror_policy():
     """Recommendation hook echoing logged care (null-policy identities)."""
     def fn(states, logged_flows):
@@ -249,8 +242,8 @@ def run_fold(fold_id, matrix: cohort.CohortMatrix, schema, bundle: ddpg.PolicyBu
     model, grid, retained, flow_stats = fit_outcome_model(
         matrix.normalized_rows(fit, stats), schema, seed=seed)
     return evaluate_patients(fold_id, matrix, test, schema, stats,
-                             actor_policy(bundle.actor), model, retained, flow_stats,
-                             grid=grid)
+                             lambda states, logged: bundle.actor.act(states),
+                             model, retained, flow_stats, grid=grid)
 
 
 def loho_cross_validate(table: cohort.CohortTable, schema,
@@ -536,18 +529,6 @@ def build_report(fold_results, options: EvalOptions) -> EvalReport:
 
 # --- report files --------------------------------------------------------------------
 
-def _cell(x) -> str:
-    """One CSV cell: a flag as 0/1, an integer as itself, text with its
-    commas turned into semicolons, anything else as the repr of a float."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(x)
-    if isinstance(x, str):
-        return x.replace(",", ";")
-    return repr(float(x))
-
-
 def write_report_files(outdir, report: EvalReport) -> list:
     """Emit the machine-readable CSV set plus a human-readable summary.
     Returns the list of paths written."""
@@ -582,9 +563,7 @@ def write_report_files(outdir, report: EvalReport) -> list:
     paths = []
     for name, header, rows in tables:
         paths.append(os.path.join(outdir, name))
-        with open(paths[-1], "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        textfile.write_table(paths[-1], header, rows)
     paths.append(os.path.join(outdir, "summary.txt"))
     with open(paths[-1], "w", newline="\n") as fh:
         fh.write(format_summary(report))

@@ -65,6 +65,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import textfile
+
 TRAIN = "train"
 INFER = "infer"
 
@@ -599,58 +601,8 @@ def iter_arrays(params: NetworkParams, trainable_only: bool = False):
 
 # --- textual network blocks ------------------------------------------------
 #
-# The blocks the policy checkpoint (ddpg.save_policy) is made of: a network
-# is its layer chain, then one block per array. Floats are written with
-# repr() so the write->read round trip is bit exact. Readers check the
-# structure and raise ValueError on any deviation.
-
-
-def read_fields(fh, label, count=None):
-    """The fields after `label` on the next line, which must be complete
-    (newline-terminated) and, when `count` is given, hold that many."""
-    line = fh.readline()
-    if not line.endswith("\n"):
-        raise ValueError(f"truncated checkpoint: expected a {label!r} line")
-    parts = line.split()
-    if not parts or parts[0] != label:
-        raise ValueError(f"malformed checkpoint: expected {label!r}, got {line[:60]!r}")
-    if count is not None and len(parts) - 1 != count:
-        raise ValueError(f"malformed checkpoint: {label!r} line holds "
-                         f"{len(parts) - 1} fields, expected {count}")
-    return parts[1:]
-
-
-def _write_array(fh, name, arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    shape = " ".join(str(d) for d in arr.shape)
-    fh.write(f"array {name} {arr.ndim} {shape}\n")
-    flat = arr.reshape(-1)
-    fh.write(" ".join(repr(float(v)) for v in flat))
-    fh.write("\n")
-
-
-def _read_array(fh):
-    """Read one array block; returns (name, array)."""
-    fields = read_fields(fh, "array")
-    if len(fields) < 2:
-        raise ValueError("malformed checkpoint: array header without name or rank")
-    name, ndim = fields[0], int(fields[1])
-    if ndim < 0 or len(fields) != 2 + ndim:
-        raise ValueError(f"malformed checkpoint: array {name} declares rank {ndim} "
-                         f"with {len(fields) - 2} dimensions")
-    shape = tuple(int(d) for d in fields[2:])
-    if any(d < 0 for d in shape):
-        raise ValueError(f"malformed checkpoint: array {name} has shape {shape}")
-    line = fh.readline()
-    if not line.endswith("\n"):
-        raise ValueError(f"truncated checkpoint: values of array {name}")
-    values = np.array([float(v) for v in line.split()], dtype=np.float64)
-    if values.size != math.prod(shape):
-        raise ValueError(f"malformed checkpoint: array {name} holds {values.size} "
-                         f"values, shape {shape} needs {math.prod(shape)}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"malformed checkpoint: array {name} has non-finite values")
-    return name, values.reshape(shape)
+# A network in the policy checkpoint (ddpg.save_policy) is its layer chain,
+# then one array block per view, in the formats of oxyrl.textfile.
 
 
 def write_params(fh, params: NetworkParams) -> None:
@@ -658,25 +610,21 @@ def write_params(fh, params: NetworkParams) -> None:
     for spec in params.specs:
         fh.write(f"{spec.kind} {spec.in_dim} {spec.out_dim} {spec.activation}\n")
     for i, key, arr in iter_arrays(params):
-        _write_array(fh, f"{i}:{key}", arr)
+        textfile.write_array(fh, f"{i}:{key}", arr)
 
 
 def read_params(fh) -> NetworkParams:
-    (n,) = read_fields(fh, "specs", 1)
+    (n,) = textfile.fields(fh, "specs", 1)
     specs = []
     for _ in range(int(n)):
-        line = fh.readline()
-        parts = line.split()
-        if not line.endswith("\n") or len(parts) != 4:
-            raise ValueError("malformed checkpoint: truncated layer spec")
-        kind, in_dim, out_dim, act = parts
+        kind, in_dim, out_dim, act = textfile.fields(fh, count=4)
         specs.append(LayerSpec(kind, int(in_dim), int(out_dim), act))
     layout = Layout(specs)
     params = NetworkParams(layout, np.zeros(layout.size))
     # one array block per view, in any order, read into the view
     pending = {f"{i}:{key}": view for i, key, view in iter_arrays(params)}
     while pending:
-        name, arr = _read_array(fh)
+        name, arr = textfile.read_array(fh)
         if name not in pending:
             raise ValueError(f"malformed checkpoint: unexpected array {name!r}")
         view = pending.pop(name)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textfile
+
 MORTALITY_WINDOW_DAYS = 7.0
 DEFAULT_PENALTY_VALUES = (0.01, 0.02, 0.04, 0.06, 0.08)
 
@@ -388,50 +390,23 @@ def save_cox_model(path, model: CoxModel) -> None:
             fh.write(f"{float(t)!r} {float(h)!r}\n")
 
 
-def _model_line(fh, count, label=None):
-    """The fields of the model file's next line, which must be complete,
-    hold `count` fields and, when `label` is given, start with it."""
-    line = fh.readline()
-    if not line.endswith("\n"):
-        raise ValueError("truncated model file")
-    parts = line.split()
-    if len(parts) != count or (label is not None and parts[0] != label):
-        raise ValueError(f"malformed model file line {line[:60]!r}")
-    return parts
-
-
-def _finite(*texts):
-    values = [float(text) for text in texts]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"model file holds a non-finite value: {' '.join(texts)}")
-    return values
-
-
-def _count(text):
-    n = int(text)
-    if n < 0:
-        raise ValueError(f"model file holds a negative count {n}")
-    return n
-
-
 def load_cox_model(path) -> CoxModel:
     """Read a model file, checking its structure: any truncated, malformed,
     non-finite or trailing content raises ValueError."""
     with open(path) as fh:
-        if fh.readline().strip() != MODEL_MAGIC:
-            raise ValueError("unrecognized model file")
-        l1, l2 = _finite(*_model_line(fh, 3, "penalty")[1:])
-        converged = _model_line(fh, 2, "converged")[1]
+        textfile.fields(fh, MODEL_MAGIC, 0)
+        l1, l2 = textfile.finite(*textfile.fields(fh, "penalty", 2))
+        (converged,) = textfile.fields(fh, "converged", 1)
         if converged not in ("0", "1"):
             raise ValueError(f"model file holds converged {converged!r}")
         names, coef = [], []
-        for _ in range(_count(_model_line(fh, 2, "features")[1])):
-            name, value = _model_line(fh, 2)
+        for _ in range(textfile.count(*textfile.fields(fh, "features", 1))):
+            name, value = textfile.fields(fh, count=2)
             names.append(name)
-            coef.extend(_finite(value))
+            coef.extend(textfile.finite(value))
         times, cumhaz = [], []
-        for _ in range(_count(_model_line(fh, 2, "baseline")[1])):
-            t, h = _finite(*_model_line(fh, 2))
+        for _ in range(textfile.count(*textfile.fields(fh, "baseline", 1))):
+            t, h = textfile.finite(*textfile.fields(fh, count=2))
             times.append(t)
             cumhaz.append(h)
         if fh.read():
@@ -442,9 +417,5 @@ def load_cox_model(path) -> CoxModel:
 
 
 def write_grid_report(path, grid: ElasticNetGrid) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("l1,l2,concordance,converged,iterations,residual\n")
-        for cell in grid.results:
-            fh.write(f"{float(cell.l1)!r},{float(cell.l2)!r},"
-                     f"{float(cell.concordance)!r},{int(cell.converged)},"
-                     f"{int(cell.iterations)},{float(cell.residual)!r}\n")
+    textfile.write_table(path, "l1,l2,concordance,converged,iterations,residual",
+                         (vars(cell).values() for cell in grid.results))

@@ -211,6 +211,10 @@ def moments_with(key, sd):
     return {**cohort.DEFAULT_MOMENTS, key: (cohort.DEFAULT_MOMENTS[key][0], sd)}
 
 
+# the default features the generator draws as 0/1 flags
+FLAG_FEATURES = ("male", "hypertension", "diabetes", "heart_failure", "copd_asthma")
+
+
 # (field the message names, config holding a value that is finite but out of
 # range); every one of these used to pass validate() and then stop inside
 # numpy, run unbounded, or run at all
@@ -234,6 +238,12 @@ OUT_OF_RANGE = [
     ("seed", cohort.GeneratorConfig(n_patients=5, seed=-1)),
     ("seed", ddpg.TrainingConfig(seed=-1)),
     ("seed", evaluation.EvalOptions(seed=-1)),
+    *((f"mean.{flag}", cohort.GeneratorConfig(
+        n_patients=5, covariate_moments={**cohort.DEFAULT_MOMENTS, flag: (prevalence, 0.0)}))
+      for flag in FLAG_FEATURES for prevalence in (1.5, -0.1)),
+    *((f"optimal_dose.{archetype}", cohort.GeneratorConfig(
+        n_patients=5, optimal_dose_profile={**cohort.DEFAULT_OPTIMAL_DOSES, archetype: dose}))
+      for archetype in cohort.ARCHETYPES for dose in (80.0, -5.0)),
 ]
 
 
@@ -249,6 +259,16 @@ def test_validators_accept_zero_noise():
                            step_noise_heavy_sd=0.0, step_noise_heavy_rate=0.0,
                            obs_noise_frac=0.0, baseline_hazard=0.0, seed=0).validate()
     cohort.GeneratorConfig(n_patients=5, step_noise_heavy_rate=1.0).validate()
+
+
+def test_validators_accept_prevalence_and_dose_boundaries():
+    for flag in FLAG_FEATURES:
+        for prevalence in (0.0, 1.0):
+            cohort.GeneratorConfig(n_patients=5, covariate_moments={
+                **cohort.DEFAULT_MOMENTS, flag: (prevalence, 0.0)}).validate()
+    for dose in (cohort.FLOW_MIN, cohort.FLOW_MAX):
+        cohort.GeneratorConfig(n_patients=5, optimal_dose_profile=dict.fromkeys(
+            cohort.ARCHETYPES, dose)).validate()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -280,6 +300,18 @@ def test_out_of_range_config_table_entry_is_config_error(tmp_path, capsys):
                 "--n-patients", "5"]) == 1
     err = capsys.readouterr().err
     assert "[config]" in err and "sd.bmi" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["mean.male = 1.5", "optimal_dose.age_ge_75 = 80.0"])
+def test_out_of_range_prevalence_or_optimal_dose_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert run(["generate", "--out", str(out), "--config", str(cfg),
+                "--n-patients", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "[config]" in err and line.split(" = ")[0] in err
     assert not out.exists()
 
 

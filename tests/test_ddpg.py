@@ -1004,6 +1004,10 @@ def _policy_text(tmp_path):
     ("trailing", "trailing"),
     ("wrong_features", "feature_means"),
     ("short_config", "config"),
+    ("short_layer_spec", "malformed"),
+    ("negative_specs", "empty layer spec chain"),
+    ("negative_rank", "dimensions"),
+    ("non_integer_dimension", "invalid literal"),
 ])
 def test_load_policy_rejects_structural_faults(tmp_path, fault, message):
     text = _policy_text(tmp_path)
@@ -1032,6 +1036,15 @@ def test_load_policy_rejects_structural_faults(tmp_path, fault, message):
         text = text.replace("features a b\n", "features a b c\n", 1)
     elif fault == "short_config":
         text = text.replace("config ", "config 0.5 ", 1)
+    elif fault == "short_layer_spec":
+        spec = f"dense 2 {ddpg.STATE_HIDDEN}"
+        text = text.replace(f"specs 5\n{spec} linear\n", f"specs 5\n{spec}\n", 1)
+    elif fault == "negative_specs":
+        text = text.replace("specs 5\n", "specs -1\n", 1)
+    elif fault == "negative_rank":
+        text = text.replace(first_w, f"array 0:W -1 2 {ddpg.STATE_HIDDEN}\n", 1)
+    elif fault == "non_integer_dimension":
+        text = text.replace(first_w, "array 0:W 2 2 x\n", 1)
     path = tmp_path / "bad.ckpt"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):

@@ -66,6 +66,21 @@ def test_every_demo_attribute_resolves():
     assert missing == []
 
 
+def test_no_module_reaches_into_a_sibling_private_name():
+    # a format or check that two modules need lives, public, in one module
+    # (as the text formats do in oxyrl.textfile)
+    package = ROOT / "src" / "oxyrl"
+    siblings = {path.stem for path in package.glob("*.py")}
+    reaches = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and node.attr.startswith("_")
+                    and not (node.attr.startswith("__") and node.attr.endswith("__"))):
+                reaches.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert reaches == []
+
+
 
 def test_cohort_demo_writes_only_its_cohort_and_schema(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
